@@ -30,6 +30,8 @@ from .model import AtomSpec, GravityEnv, dimensionless_point
 class QuadratureSpec:
     """Accuracy targets and budgets for the numeric oracles.
 
+    ``max_depth`` is the number of panel doublings ``integrate_adaptive``
+    may make (1, 2, 4, ... up to 2**max_depth panels) before it gives up;
     ``tail_periods`` counts half-period chunks summed for oscillatory tails;
     ``accel_order`` is the number of averaging passes applied to the partial
     sums.
@@ -37,13 +39,15 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_depth: int = 48
+    max_depth: int = 10
     tail_periods: int = 200
     accel_order: int = 12
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("tolerances must be positive")
+        if self.max_depth < 1:
+            raise DomainError("max_depth must be >= 1")
         if self.tail_periods < 8:
             raise DomainError("tail_periods must be >= 8")
         if self.accel_order < 2:
@@ -54,58 +58,52 @@ class QuadratureSpec:
 # Generic quadrature
 # ---------------------------------------------------------------------------
 
+_GL_NODES, _GL_WEIGHTS = leggauss(24)
+
+
+def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """24-point Gauss-Legendre integral of ``f`` over each panel between ``edges``.
+
+    All nodes of all panels go to ``f`` in one flat array; no node is a panel
+    endpoint.
+    """
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    values = f(nodes.ravel()).reshape(nodes.shape)
+    return half * (values @ _GL_WEIGHTS)
+
 
 def integrate_adaptive(
-    f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec | None = None
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec | None = None,
 ) -> float:
-    """Adaptive Simpson integration of ``f`` over [a, b].
+    """Composite Gauss-Legendre integration of ``f`` over [a, b].
 
-    Subdivides until the Richardson error estimate meets
-    max(abs_tol, rel_tol * |value|); exceeding ``max_depth`` raises
-    ``ConvergenceError`` carrying the best estimate.
+    ``f`` takes an array of abscissae and returns the integrand at each.
+    The panel count doubles (1, 2, 4, ...) until two successive levels agree
+    to max(abs_tol, rel_tol * |value|); after ``max_depth`` doublings
+    without agreement it raises ``ConvergenceError`` carrying the best
+    estimate and the last difference as its error bound.
     """
     if spec is None:
         spec = QuadratureSpec()
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    value, err = _simpson_recurse(
-        f, a, b, fa, fm, fb, whole, spec.abs_tol, spec.max_depth
+    previous = float(np.sum(_gauss_panels(f, np.array([a, b]))))
+    for depth in range(1, spec.max_depth + 1):
+        value = float(np.sum(_gauss_panels(f, np.linspace(a, b, 2**depth + 1))))
+        err = abs(value - previous)
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            return value
+        previous = value
+    raise ConvergenceError(
+        f"adaptive quadrature did not converge on [{a}, {b}]",
+        best_estimate=value,
+        error_bound=err,
     )
-    if err > max(spec.abs_tol, spec.rel_tol * abs(value)):
-        raise ConvergenceError(
-            f"adaptive quadrature did not converge on [{a}, {b}]",
-            best_estimate=value,
-            error_bound=err,
-        )
-    return value
-
-
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol or depth <= 0:
-        value = left + right + delta / 15.0
-        return value, abs(delta) / 15.0
-    lv, le = _simpson_recurse(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-    rv, re = _simpson_recurse(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-    return lv + rv, le + re
-
-
-_GL_NODES, _GL_WEIGHTS = leggauss(24)
-
-
-def _gauss_panel(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
 
 
 def oscillatory_tail(
@@ -116,6 +114,7 @@ def oscillatory_tail(
 ) -> float:
     """Integrate ``f`` from ``a`` to infinity for eventually oscillatory f.
 
+    ``f`` takes and returns arrays, as for ``integrate_adaptive``.
     ``period`` is the asymptotic period of the oscillation.  The integral is
     evaluated in half-period chunks whose contributions eventually alternate
     in sign; repeated averaging of the partial sums then converges
@@ -127,7 +126,7 @@ def oscillatory_tail(
         raise DomainError(f"period must be positive, got {period}")
     h = 0.5 * period
     n = spec.tail_periods
-    chunks = np.array([_gauss_panel(f, a + k * h, a + (k + 1) * h) for k in range(n)])
+    chunks = _gauss_panels(f, a + h * np.arange(n + 1))
     mags = np.abs(chunks)
     if not np.any(mags > 0.0):
         return 0.0
@@ -164,11 +163,7 @@ def _mu2_moment(a, b):
     Closed antiderivative where safe, binomial series in b/a where the
     closed form cancels.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(a, dtype=float)),
-        np.atleast_1d(np.asarray(b, dtype=float)),
-    )
+    a, b = np.broadcast_arrays(a, b)
     t = b / a
     out = np.empty(a.shape)
     direct = t > _SERIES_SWITCH
@@ -184,12 +179,12 @@ def _mu2_moment(a, b):
         if np.all(np.abs(term) < 1e-18):
             break
     out[~direct] = acc / np.sqrt(asml)
-    return out[0] if scalar else out
+    return out
 
 
 def _mu0_moment_shifted(y, R):
     """integral of 1 / sqrt(y^2 + 2yR mu + R^2) over mu; equals 2/max(y, R)."""
-    return 2.0 / np.maximum(np.asarray(y, dtype=float), R)
+    return 2.0 / np.maximum(y, R)
 
 
 def _mu2_minus_iso(y, R):
@@ -198,8 +193,6 @@ def _mu2_minus_iso(y, R):
     The k = 0 series terms cancel exactly, so the series route is
     cancellation-free; used wherever b/a is small.
     """
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     a = y * y + R * R
     b = 2.0 * y * R
     t = b / a
@@ -215,12 +208,12 @@ def _mu2_minus_iso(y, R):
         if np.all(np.abs(term) < 1e-20):
             break
     out[~direct] = acc / np.sqrt(asml)
-    return out[0] if scalar else out
+    return out
 
 
 def _radial_product(y, omega):
     """(omega*y*cos - sin) * (cos + omega*y*sin), both at omega*y."""
-    u = omega * np.asarray(y, dtype=float)
+    u = omega * y
     return (u * np.cos(u) - np.sin(u)) * (np.cos(u) + u * np.sin(u))
 
 
@@ -250,22 +243,17 @@ def b1_numeric(
         spec = QuadratureSpec()
     if kernel == "shifted":
         def angular(y):
-            y = np.asarray(y, dtype=float)
             return _mu2_moment(y * y + R * R, 2.0 * y * R)
     elif kernel == "literal":
         def angular(y):
-            y = np.asarray(y, dtype=float)
-            return _mu2_moment(y * y + R * R, np.full_like(y, 2.0 * R))
+            return _mu2_moment(y * y + R * R, 2.0 * R)
     else:
         raise DomainError(f"unknown kernel {kernel!r}")
 
     def integrand(y):
-        y = np.asarray(y, dtype=float)
-        safe = np.where(y == 0.0, 1.0, y)
-        value = 2.0 * math.pi * _radial_product(safe, omega) * angular(safe) / safe**2
-        return np.where(y == 0.0, 0.0, value)
+        return 2.0 * math.pi * _radial_product(y, omega) * angular(y) / y**2
 
-    head = integrate_adaptive(lambda y: float(integrand(y)), 0.0, R, spec)
+    head = integrate_adaptive(integrand, 0.0, R, spec)
     tail = oscillatory_tail(integrand, R, math.pi / omega, spec)
     return head + tail
 
@@ -282,17 +270,14 @@ def b2_numeric(R: float, omega: float, spec: QuadratureSpec | None = None) -> fl
         spec = QuadratureSpec()
 
     def integrand(y):
-        y = np.asarray(y, dtype=float)
-        safe = np.where(y == 0.0, 1.0, y)
-        value = (
+        return (
             (3.0 * math.pi / R**2)
-            * _radial_product(safe, omega)
-            * _mu2_minus_iso(safe, R)
-            / safe**2
+            * _radial_product(y, omega)
+            * _mu2_minus_iso(y, R)
+            / y**2
         )
-        return np.where(y == 0.0, 0.0, value)
 
-    head = integrate_adaptive(lambda y: float(integrand(y)), 0.0, R, spec)
+    head = integrate_adaptive(integrand, 0.0, R, spec)
     tail = oscillatory_tail(integrand, R, math.pi / omega, spec)
     return head + tail
 
@@ -326,16 +311,19 @@ _N_PHI = 64
 
 
 def _sphere_quad(g):
-    """Integrate g(rhat) over the unit sphere (Gauss x trapezoid product)."""
+    """Integrate g(rhat) over the unit sphere (Gauss x trapezoid product).
+
+    ``g`` takes an (n, 3) array of unit vectors and is called once, on the
+    whole product grid.
+    """
     phis = 2.0 * math.pi * np.arange(_N_PHI) / _N_PHI
-    total = 0.0
-    for mu, w in zip(_MU_NODES, _MU_WEIGHTS):
-        s = math.sqrt(max(0.0, 1.0 - mu * mu))
-        rhat = np.stack(
-            [s * np.cos(phis), s * np.sin(phis), np.full(_N_PHI, mu)], axis=1
-        )
-        total += w * float(np.sum(g(rhat))) * (2.0 * math.pi / _N_PHI)
-    return total
+    s = np.sqrt(1.0 - _MU_NODES * _MU_NODES)[:, None]
+    rhat = np.stack(
+        np.broadcast_arrays(s * np.cos(phis), s * np.sin(phis), _MU_NODES[:, None]),
+        axis=-1,
+    ).reshape(-1, 3)
+    weights = np.repeat(_MU_WEIGHTS, _N_PHI) * (2.0 * math.pi / _N_PHI)
+    return float(weights @ g(rhat))
 
 
 def _moment_rhs(d_vec, z_vec, omega):

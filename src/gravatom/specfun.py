@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -22,27 +21,8 @@ from .errors import DomainError
 # 1e-14, so both branches overlap comfortably.
 SMALL_CUT = 0.1
 
-# Beyond this the functions sit on their large-argument plateaus
-# (f1 -> 3, f2 -> 0); informational only, no branch switch happens here.
-LARGE_CUT = 40.0
-
 # Si: power series below, continued fraction above.
 _SI_SWITCH = 4.0
-
-
-@dataclass(frozen=True)
-class EvalDomain:
-    """Evaluation domain x = R*Omega >= 0 with the branch thresholds."""
-
-    x: float
-    small_cut: float = SMALL_CUT
-    large_cut: float = LARGE_CUT
-
-    def __post_init__(self):
-        if self.x < 0.0:
-            raise DomainError(f"x must be >= 0, got {self.x}")
-        if self.small_cut <= 0.0:
-            raise DomainError("small_cut must be positive")
 
 
 def sine_integral(x: float, odd_extension: bool = False) -> float:

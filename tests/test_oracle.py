@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from gravatom import oracle, specfun
 from gravatom.errors import ConvergenceError, DivergenceError, DomainError
@@ -37,6 +38,12 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
+            QuadratureSpec(abs_tol=float("nan"))
+        with pytest.raises(DomainError):
+            QuadratureSpec(rel_tol=float("nan"))
+        with pytest.raises(DomainError):
+            QuadratureSpec(max_depth=0)
+        with pytest.raises(DomainError):
             QuadratureSpec(tail_periods=4)
         with pytest.raises(DomainError):
             QuadratureSpec(accel_order=1)
@@ -44,7 +51,7 @@ class TestQuadratureSpec:
 
 class TestIntegrateAdaptive:
     def test_sine_half_period(self):
-        assert integrate_adaptive(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+        assert integrate_adaptive(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
     def test_polynomial(self):
         assert integrate_adaptive(lambda y: y * y, 0.0, 1.0) == pytest.approx(
@@ -53,7 +60,7 @@ class TestIntegrateAdaptive:
 
     def test_sine_integral_value(self):
         def sinc(y):
-            return 1.0 if y == 0.0 else math.sin(y) / y
+            return np.sinc(y / np.pi)
 
         assert integrate_adaptive(sinc, 0.0, math.pi) == pytest.approx(
             1.8519370519824665, abs=1e-10
@@ -61,14 +68,31 @@ class TestIntegrateAdaptive:
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate_adaptive(math.sin, 1.0, 1.0)
+            integrate_adaptive(np.sin, 1.0, 1.0)
 
     def test_nonconvergent_raises(self):
         spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=2)
         with pytest.raises(ConvergenceError) as err:
-            integrate_adaptive(lambda y: math.sin(50.0 * y) / (1e-3 + y * y), 0.0, 1.0, spec)
+            integrate_adaptive(lambda y: np.sin(50.0 * y) / (1e-3 + y * y), 0.0, 1.0, spec)
         assert err.value.best_estimate is not None
         assert err.value.error_bound > 0.0
+
+    def test_one_array_call_per_level(self):
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_depth=3)
+        calls = []
+
+        def counting(y):
+            calls.append(y.shape)
+            return np.sin(50.0 * y) / (1e-3 + y * y)
+
+        with pytest.raises(ConvergenceError):
+            integrate_adaptive(counting, 0.0, 1.0, spec)
+        assert len(calls) == spec.max_depth + 1
+        assert all(len(shape) == 1 for shape in calls)
+
+        calls.clear()
+        integrate_adaptive(counting, 0.0, 1.0)
+        assert 2 <= len(calls) <= QuadratureSpec().max_depth + 1
 
 
 class TestOscillatoryTail:
@@ -90,6 +114,18 @@ class TestOscillatoryTail:
     def test_bad_period(self):
         with pytest.raises(DomainError):
             oscillatory_tail(lambda y: np.sin(y), 1.0, 0.0)
+
+    def test_single_array_call(self):
+        calls = []
+
+        def counting(y):
+            calls.append(y.size)
+            return np.sin(2.0 * y) / y
+
+        value = oscillatory_tail(counting, 1.0, math.pi)
+        assert value == pytest.approx(TAIL_SIN_OVER_Y, abs=1e-10)
+        assert len(calls) == 1
+        assert calls[0] == 24 * QuadratureSpec().tail_periods
 
 
 class TestB1:
@@ -145,6 +181,46 @@ class TestB2:
     def test_domain(self):
         with pytest.raises(DomainError):
             b2_numeric(1.0, -1.0)
+
+
+def _mp_f1(x):
+    x = mp.mpf(x)
+    x2 = x * x
+    return (
+        1 + x2 * (mp.pi * x + 3) - (1 + x2) * mp.cos(2 * x)
+        - 2 * x * mp.sin(2 * x) - 2 * x * x2 * mp.si(2 * x)
+    ) / x2
+
+
+def _mp_f2(x):
+    x = mp.mpf(x)
+    return (1 - x * mp.sin(2 * x) - mp.cos(2 * x)) / (x * x)
+
+
+# b1_numeric(3, 1/3, kernel="literal"), frozen from mpmath.quad on [0, 3] plus
+# mpmath.quadosc on [3, inf) of the same integrand at 50 significant digits.
+LITERAL_KERNEL_B1 = -0.23780093320113677
+
+
+class TestAgainstMpmath:
+    """Oracle quadratures against 40-digit mpmath closed forms."""
+
+    def test_b1_grid(self):
+        with mp.workdps(40):
+            for x in oracle.GRID_X:
+                ref = float(-(mp.pi * x / 3) * _mp_f1(x))
+                assert b1_numeric(1.0, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_b2_grid(self):
+        # B2 vanishes at x = pi, so its error is measured against a 1e-2 floor.
+        with mp.workdps(40):
+            for x in oracle.GRID_X:
+                ref = float(-(mp.pi * x / 2) * _mp_f2(x))
+                assert abs(b2_numeric(1.0, x) - ref) <= 1e-12 * max(abs(ref), 1e-2)
+
+    def test_literal_kernel_value(self):
+        literal = b1_numeric(3.0, 1.0 / 3.0, kernel="literal")
+        assert literal == pytest.approx(LITERAL_KERNEL_B1, rel=1e-12, abs=0.0)
 
 
 class TestTensorF:
