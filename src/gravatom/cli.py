@@ -11,6 +11,7 @@ no locale dependence.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -18,12 +19,21 @@ import sys
 from . import oracle
 from .errors import GravatomError
 from .lindblad import DensityMatrix2, analytic_state, evolve_numeric
-from .model import AtomSpec, GravityEnv, ThermalSpec, potential_from_source
-from .rates import build_rate_set
+from .model import AtomSpec, GravityEnv, ThermalSpec, _check_finite, potential_from_source
+from .rates import build_rate_set, rate_bracket
+
+
+#: Every number printed: 12 significant digits, scientific notation.
+_NUMBER = "%.11e"
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.11e}"
+    return _NUMBER % value
+
+
+def _csv_row(ncols: int) -> str:
+    """%-template for one CSV row of ``ncols`` numbers."""
+    return ",".join([_NUMBER] * ncols) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,15 +114,38 @@ class UsageError(Exception):
     pass
 
 
+def _config_value(key: str, value):
+    """A config-file value, checked against the type of its flag.
+
+    Keys whose default is None take numbers; ints are accepted where floats
+    are expected, bools never stand in for numbers.
+    """
+    default = _DEFAULTS[key]
+    expected = float if default is None else type(default)
+    if expected is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise UsageError(f"config value {key!r} is out of range") from None
+    if type(value) is not expected:
+        raise UsageError(
+            f"config value {key!r} must be {expected.__name__}, got {value!r}"
+        )
+    return value
+
+
 def _resolve(args) -> tuple[dict, set]:
     """Merge flag > config-file > default; also report explicitly set keys."""
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(config) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        config = {key: _config_value(key, value) for key, value in config.items()}
     merged = {}
     explicit = set()
     for key, default in _DEFAULTS.items():
@@ -147,12 +180,13 @@ def _atom(cfg) -> AtomSpec:
     )
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(lines, out: str | None) -> None:
+    """Write an iterable of text chunks, as they are produced, to ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def cmd_rates(args) -> int:
@@ -163,58 +197,57 @@ def cmd_rates(args) -> int:
     rateset = build_rate_set(atom, env, thermal)
     payload = {k: _fmt(v) for k, v in rateset.as_dict().items()}
     payload["ratio"] = _fmt(rateset.gamma_g / rateset.gamma_flat)
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
 
 
 def _sweep_grid(cfg):
+    """Validate the grid settings and return the grid as a lazy iterator."""
     n = cfg["points"]
     if n < 2:
         raise UsageError("points must be >= 2")
     x_min, x_max = cfg["x_min"], cfg["x_max"]
+    _check_finite("x_min", x_min)
+    _check_finite("x_max", x_max)
     if not x_min < x_max:
         raise UsageError("need x_min < x_max")
     if cfg["log_grid"]:
         if x_min <= 0.0:
             raise UsageError("x_min must be positive for a log grid")
-        step = (math.log(x_max) - math.log(x_min)) / (n - 1)
-        return [math.exp(math.log(x_min) + i * step) for i in range(n)]
+        log_min = math.log(x_min)
+        step = (math.log(x_max) - log_min) / (n - 1)
+        return (math.exp(log_min + i * step) for i in range(n))
+    if x_min < 0.0:
+        raise UsageError("x_min must be >= 0")
     step = (x_max - x_min) / (n - 1)
-    return [x_min + i * step for i in range(n)]
-
-
-def _ratio(x: float, phi: float, sin2psi: float) -> float:
-    from . import specfun
-
-    return 1.0 + phi * (7.0 - 2.0 * specfun.f1(x) + 3.0 * sin2psi * specfun.f2(x))
+    return (x_min + i * step for i in range(n))
 
 
 def cmd_sweep(args) -> int:
     cfg, explicit = _resolve(args)
     env = _environment(cfg, default_phi=SWEEP_DEFAULT_PHI)
     grid = _sweep_grid(cfg)
-    angle_given = "angle" in explicit
+    phi = env.phi
 
-    if angle_given:
-        sin2 = math.sin(cfg["angle"]) ** 2
+    if "angle" in explicit:
+        _check_finite("angle", cfg["angle"])
+        sin2s = (math.sin(cfg["angle"]) ** 2,)
         header = "x,ratio"
-        rows = [(x, (_ratio(x, env.phi, sin2),)) for x in grid]
         labels = ("ratio",)
     else:
+        sin2s = (0.0, 1.0)
         header = "x,ratio_parallel,ratio_perpendicular"
-        rows = [
-            (x, (_ratio(x, env.phi, 0.0), _ratio(x, env.phi, 1.0))) for x in grid
-        ]
         labels = ("parallel", "perpendicular")
 
     if cfg["format"] == "svg":
-        _write(_render_svg(rows, labels, env.phi), args.out)
+        rows = [(x, [rate_bracket(x, phi, s) for s in sin2s]) for x in grid]
+        _write([_render_svg(rows, labels, phi)], args.out)
         return 0
 
-    lines = [f"# phi={_fmt(env.phi)}", header]
-    for x, values in rows:
-        lines.append(",".join([_fmt(x)] + [_fmt(v) for v in values]))
-    _write("\n".join(lines) + "\n", args.out)
+    # Rows are formatted and written as they are computed: no row list is held.
+    row = _csv_row(1 + len(sin2s))
+    lines = (row % (x, *[rate_bracket(x, phi, s) for s in sin2s]) for x in grid)
+    _write(itertools.chain([f"# phi={_fmt(phi)}\n", header + "\n"], lines), args.out)
     return 0
 
 
@@ -268,7 +301,12 @@ def _initial_state(name: str) -> DensityMatrix2:
     if name == "ground":
         return DensityMatrix2.ground()
     if name.startswith("mixed:"):
-        return DensityMatrix2.mixed(float(name.split(":", 1)[1]))
+        value = name.split(":", 1)[1]
+        try:
+            p_excited = float(value)
+        except ValueError:
+            raise UsageError(f"mixed:p needs a number p, got {value!r}") from None
+        return DensityMatrix2.mixed(p_excited)
     raise UsageError(f"unknown initial state {name!r}")
 
 
@@ -281,23 +319,20 @@ def cmd_evolve(args) -> int:
     rho0 = _initial_state(cfg["initial"])
     t_max = cfg["t_max"] / rateset.gamma_total
     trajectory = evolve_numeric(rho0, rateset, t_max, cfg["steps"])
-    lines = ["t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee"]
-    for t, state in zip(trajectory.times, trajectory.states):
-        reference = analytic_state(rho0, rateset, t)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    t,
-                    state.ee,
-                    state.gg,
-                    abs(state.eg),
-                    state.trace - 1.0,
-                    reference.ee,
-                )
-            )
-        )
-    _write("\n".join(lines) + "\n", args.out)
+    states = trajectory.states
+    reference = analytic_state(rho0, rateset, trajectory.times)
+    columns = (
+        trajectory.times,
+        states.ee,
+        states.gg,
+        abs(states.eg),
+        states.trace - 1.0,
+        reference.ee,
+    )
+    row = _csv_row(len(columns))
+    lines = (row % values for values in zip(*columns))
+    header = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
+    _write(itertools.chain([header], lines), args.out)
     return 0
 
 
@@ -306,7 +341,7 @@ def cmd_verify(args) -> int:
     records = oracle.verification_report(spec, f1_offset=args.f1_offset)
     all_pass = all(r["pass"] for r in records)
     report = {"all_pass": all_pass, "checks": records}
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write([json.dumps(report, indent=2, sort_keys=True) + "\n"], args.out)
     return 0 if all_pass else 1
 
 

@@ -10,7 +10,9 @@ for reinstating a real offset on the coherence and defaults to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, StepSizeError
 from .rates import RateSet
@@ -26,20 +28,26 @@ MAX_STEP_RATE = 0.1
 class DensityMatrix2:
     """2x2 density matrix: populations ``ee``/``gg`` and coherence ``eg``.
 
-    ``ge`` is stored implicitly as the conjugate.  Construction validates
-    unit trace and positivity.
+    ``ge`` is stored implicitly as the conjugate.  The fields are scalars
+    (one state) or equal-length arrays (a column of states, one per row).
+    Construction validates unit trace and positivity of every row; NaN
+    fails every check.
     """
 
-    ee: float
-    gg: float
-    eg: complex = 0j
+    ee: float | np.ndarray
+    gg: float | np.ndarray
+    eg: complex | np.ndarray = 0j
 
     def __post_init__(self):
-        if abs(self.ee + self.gg - 1.0) > _TRACE_TOL:
-            raise DomainError(f"trace must be 1, got {self.ee + self.gg}")
-        if self.ee < -_TRACE_TOL or self.gg < -_TRACE_TOL:
+        ee, gg, eg = self.ee, self.gg, self.eg
+        if not np.shape(ee) == np.shape(gg) == np.shape(eg):
+            raise DomainError("ee, gg and eg must have equal shapes")
+        trace_error = np.abs(ee + gg - 1.0)
+        if not np.all(trace_error <= _TRACE_TOL):
+            raise DomainError(f"trace must be 1, off by up to {np.max(trace_error)}")
+        if not np.all(-np.minimum(ee, gg) <= _TRACE_TOL):
             raise DomainError("populations must be non-negative")
-        if self.ee * self.gg - abs(self.eg) ** 2 < -_POSITIVITY_SLACK:
+        if not np.all(np.abs(eg) ** 2 - ee * gg <= _POSITIVITY_SLACK):
             raise DomainError("state is not positive semidefinite")
 
     @classmethod
@@ -71,40 +79,43 @@ class DensityMatrix2:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: strictly increasing times with one state each."""
+    """Sampled evolution: strictly increasing times and one column state."""
 
-    times: tuple[float, ...]
-    states: tuple[DensityMatrix2, ...]
-    generator: RateSet = field(repr=False)
+    times: np.ndarray
+    states: DensityMatrix2
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise DomainError("times and states must have equal length")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if np.ndim(self.times) != 1 or np.shape(self.times) != np.shape(self.states.ee):
+            raise DomainError("times and states must be columns of equal length")
+        if not np.all(np.diff(self.times) > 0.0):
             raise DomainError("times must be strictly increasing")
 
     @property
     def final(self) -> DensityMatrix2:
-        return self.states[-1]
+        s = self.states
+        return DensityMatrix2(ee=float(s.ee[-1]), gg=float(s.gg[-1]), eg=complex(s.eg[-1]))
 
 
 def analytic_state(
-    rho0: DensityMatrix2, rates: RateSet, t: float, frequency_offset: float = 0.0
+    rho0: DensityMatrix2,
+    rates: RateSet,
+    t: float | np.ndarray,
+    frequency_offset: float = 0.0,
 ) -> DensityMatrix2:
-    """Closed-form state at time t.
+    """Closed-form state at time t; an array of times gives a column state.
 
     Populations relax exponentially toward the thermal steady state at rate
     Gamma; the coherence decays at Gamma/2.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    if not np.all(np.asarray(t) >= 0.0):
+        raise DomainError(f"t must be >= 0, got {np.min(t)}")
     total = rates.gamma_total
     a_s = rates.steady_excited
-    decay = math.exp(-total * t)
+    decay = np.exp(-total * t)
     ee = (rho0.ee - a_s) * decay + a_s
-    eg = rho0.eg * math.exp(-0.5 * total * t)
+    eg = rho0.eg * np.exp(-0.5 * total * t)
     if frequency_offset:
-        eg *= complex(math.cos(frequency_offset * t), -math.sin(frequency_offset * t))
+        eg = eg * (np.cos(frequency_offset * t) - 1j * np.sin(frequency_offset * t))
     return DensityMatrix2(ee=ee, gg=1.0 - ee, eg=eg)
 
 
@@ -131,8 +142,8 @@ def evolve_numeric(
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if t_max <= 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise DomainError(f"t_max must be finite and positive, got {t_max}")
     h = t_max / steps
     if h * rates.gamma_total > MAX_STEP_RATE:
         suggested = math.ceil(t_max * rates.gamma_total / MAX_STEP_RATE)
@@ -143,9 +154,10 @@ def evolve_numeric(
         )
 
     gp, gm = rates.gamma_plus, rates.gamma_minus
-    y = (rho0.ee, rho0.gg, rho0.eg.real, rho0.eg.imag)
-    times = [0.0]
-    states = [rho0]
+    y = (float(rho0.ee), float(rho0.gg), float(rho0.eg.real), float(rho0.eg.imag))
+    # One row (ee, gg, Re eg, Im eg) per sample; no object per step.
+    rows = np.empty((steps + 1, 4))
+    rows[0] = y
     for n in range(steps):
         k1 = _derivative(y, gp, gm, frequency_offset)
         y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
@@ -158,6 +170,8 @@ def evolve_numeric(
             a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         )
-        times.append((n + 1) * h)
-        states.append(DensityMatrix2(ee=y[0], gg=y[1], eg=complex(y[2], y[3])))
-    return Trajectory(times=tuple(times), states=tuple(states), generator=rates)
+        rows[n + 1] = y
+    # (Re eg, Im eg) pairs viewed in place as one complex column.
+    eg = rows[:, 2:].view(np.complex128)[:, 0]
+    states = DensityMatrix2(ee=rows[:, 0], gg=rows[:, 1], eg=eg)
+    return Trajectory(times=h * np.arange(steps + 1), states=states)

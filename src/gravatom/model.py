@@ -19,7 +19,13 @@ PHI_HARD_LIMIT = 0.3
 PHI_WARN_LIMIT = 0.1
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _check_phi(phi: float) -> None:
+    _check_finite("phi", phi)
     if phi > 0.0:
         raise DomainError(f"phi must be <= 0 (attractive source), got {phi}")
     if abs(phi) >= PHI_HARD_LIMIT:
@@ -47,6 +53,9 @@ class AtomSpec:
     dipole_angle: float = 0.0
 
     def __post_init__(self):
+        _check_finite("omega", self.omega)
+        _check_finite("dipole_mag", self.dipole_mag)
+        _check_finite("dipole_angle", self.dipole_angle)
         if self.omega <= 0.0:
             raise DomainError(f"omega must be positive, got {self.omega}")
         if self.dipole_mag < 0.0:
@@ -70,6 +79,7 @@ class GravityEnv:
     provenance: str = "direct"
 
     def __post_init__(self):
+        _check_finite("distance", self.distance)
         if self.distance <= 0.0:
             raise DomainError(f"distance must be positive, got {self.distance}")
         _check_phi(self.phi)
@@ -86,6 +96,9 @@ class GravityEnv:
 
 def potential_from_source(mass: float, distance: float, G: float = 1.0) -> float:
     """phi = -G*M/R, gated to the weak-field regime."""
+    _check_finite("mass", mass)
+    _check_finite("distance", distance)
+    _check_finite("G", G)
     if distance <= 0.0:
         raise DomainError(f"distance must be positive, got {distance}")
     if mass < 0.0:
@@ -107,6 +120,8 @@ class ThermalSpec:
     temperature_local: float
 
     def __post_init__(self):
+        _check_finite("temperature_distant", self.temperature_distant)
+        _check_finite("temperature_local", self.temperature_local)
         if self.temperature_distant < 0.0 or self.temperature_local < 0.0:
             raise DomainError("temperatures must be >= 0")
 
@@ -144,6 +159,8 @@ class DimensionlessPoint:
     sin2psi: float
 
     def __post_init__(self):
+        _check_finite("x", self.x)
+        _check_finite("sin2psi", self.sin2psi)
         if self.x < 0.0:
             raise DomainError(f"x must be >= 0, got {self.x}")
         if not 0.0 <= self.sin2psi <= 1.0:

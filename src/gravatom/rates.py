@@ -63,22 +63,23 @@ def flat_rate(dipole_mag: float, omega: float) -> float:
     return dipole_mag**2 * omega**3 / (6.0 * math.pi)
 
 
-def emission_rate(point: DimensionlessPoint, gamma_flat: float) -> float:
-    """Gravity-corrected spontaneous emission rate.
+def rate_bracket(x: float, phi: float, sin2psi: float) -> float:
+    """Rate ratio gamma_g / gamma = 1 + 7 phi - 2 phi f1(x) + 3 phi sin^2(psi) f2(x).
 
-    gamma * [1 + 7 phi - 2 phi f1(x) + 3 phi sin^2(psi) f2(x)], first order
-    in phi; reduces to gamma in flat space.
+    First order in phi; the one place the bracket is written.  Inputs are
+    not validated here: callers pass a validated point or grid.
+    """
+    return 1.0 + 7.0 * phi - 2.0 * phi * specfun.f1(x) + 3.0 * phi * sin2psi * specfun.f2(x)
+
+
+def emission_rate(point: DimensionlessPoint, gamma_flat: float) -> float:
+    """Gravity-corrected spontaneous emission rate gamma * rate_bracket.
+
+    Reduces to gamma in flat space.
     """
     if gamma_flat < 0.0:
         raise DomainError(f"gamma_flat must be >= 0, got {gamma_flat}")
-    phi = point.phi
-    correction = (
-        1.0
-        + 7.0 * phi
-        - 2.0 * phi * specfun.f1(point.x)
-        + 3.0 * phi * point.sin2psi * specfun.f2(point.x)
-    )
-    return gamma_flat * correction
+    return gamma_flat * rate_bracket(point.x, point.phi, point.sin2psi)
 
 
 def thermal_rates(

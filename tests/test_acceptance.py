@@ -151,7 +151,7 @@ class TestAcceptance:
                 abs(traj.final.eg - ref.eg),
             )
             worst_trace = max(
-                worst_trace, max(abs(s.trace - 1.0) for s in traj.states)
+                worst_trace, float(np.max(np.abs(traj.states.trace - 1.0)))
             )
 
         fit_rates = RateSet(
@@ -167,7 +167,7 @@ class TestAcceptance:
             DensityMatrix2.superposition(0.5), fit_rates, 3.0, 600
         )
         slope = np.polyfit(
-            np.array(traj.times), np.log([abs(s.eg) for s in traj.states]), 1
+            traj.times, np.log(np.abs(traj.states.eg)), 1
         )[0]
         fit_err = abs(-slope - fit_rates.gamma_total / 2.0) / (
             fit_rates.gamma_total / 2.0

@@ -100,9 +100,15 @@ class TestSweep:
         assert xs == pytest.approx([1.0, 2.0, 3.0])
 
     def test_bad_grid(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--x-min", "5", "--x-max", "1")
-        assert code == 2
-        assert "x_min" in err
+        for grid in (
+            ("--x-min", "5", "--x-max", "1"),
+            ("--x-min", "0", "--x-max", "1"),
+            ("--linear", "--x-min=-1", "--x-max", "1"),
+        ):
+            code, out, err = run_cli(capsys, "sweep", *grid)
+            assert code == 2
+            assert out == ""
+            assert "x_min" in err
 
     def test_svg_output(self, capsys, tmp_path):
         target = tmp_path / "sweep.svg"
@@ -149,9 +155,28 @@ class TestConfig:
 
     def test_malformed_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        code, _, _ = run_cli(capsys, "rates", "--omega", "1.0", "--config", str(cfg))
-        assert code == 2
+        for text in (
+            "{not json",
+            '{"omega": "1"}',
+            '{"omega": true}',
+            '{"distance": null}',
+            '{"distance": 1e999999}',
+            '{"omega": 1' + "0" * 400 + "}",
+            '{"steps": 2.5}',
+            '{"log_grid": 1}',
+            "[1, 2]",
+        ):
+            cfg.write_text(text)
+            code, out, _ = run_cli(capsys, "rates", "--omega", "1.0", "--config", str(cfg))
+            assert code == 2, text
+            assert out == ""
+
+    def test_integer_config_value_is_a_float(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 2, "phi": -0.05}))
+        _, from_config, _ = run_cli(capsys, "rates", "--config", str(cfg))
+        _, from_flags, _ = run_cli(capsys, "rates", "--omega", "2", "--phi", "-0.05")
+        assert from_config == from_flags
 
 
 class TestEvolve:
@@ -181,11 +206,43 @@ class TestEvolve:
         assert first[1] == pytest.approx(0.3)
 
     def test_bad_initial(self, capsys):
-        code, _, err = run_cli(
-            capsys, "evolve", "--omega", "1.0", "--initial", "sideways"
-        )
-        assert code == 2
-        assert "unknown initial state" in err
+        for initial, message in (
+            ("sideways", "unknown initial state"),
+            ("mixed:abc", "mixed:p needs a number"),
+            ("mixed:nan", "p_excited"),
+        ):
+            code, out, err = run_cli(
+                capsys, "evolve", "--omega", "1.0", "--initial", initial
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
+
+
+# Command line for each flag; `--flag=value` so that argparse does not read
+# "-inf" as an option.
+NONFINITE_FLAGS = [
+    ("omega", ("rates",)),
+    ("phi", ("rates", "--omega=1.0")),
+    ("temperature", ("rates", "--omega=1.0")),
+    ("distance", ("rates", "--omega=1.0")),
+    ("dipole", ("rates", "--omega=1.0")),
+    ("mass", ("rates", "--omega=1.0")),
+    ("angle", ("rates", "--omega=1.0")),
+    ("t-max", ("evolve", "--omega=1.0")),
+    ("x-max", ("sweep",)),
+    ("x-min", ("sweep", "--linear")),
+    ("angle", ("sweep",)),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, argv", NONFINITE_FLAGS)
+def test_nonfinite_input_is_a_usage_error(capsys, flag, argv, value):
+    code, out, err = run_cli(capsys, *argv, f"--{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -29,10 +29,15 @@ CASES = {
     "sweep_default": ("sweep", "--points", "25"),
     "sweep_angle_linear": ("sweep", "--angle", "0.7", "--linear", "--points", "25"),
     "sweep_svg": ("sweep", "--format", "svg", "--points", "50"),
+    "sweep_svg_angle": ("sweep", "--format", "svg", "--angle", "0.7", "--points", "50"),
     "evolve_default": ("evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", "60"),
     "evolve_mixed_thermal": (
         "evolve", "--omega", "1.0", "--phi", "-0.02",
         "--initial", "mixed:0.3", "--temperature", "0.5", "--steps", "60",
+    ),
+    "evolve_ground_thermal_angle": (
+        "evolve", "--omega", "1.0", "--phi", "-0.02", "--initial", "ground",
+        "--temperature", "1.5", "--angle", "1.1", "--distance", "1.8", "--steps", "60",
     ),
 }
 

@@ -28,12 +28,33 @@ def make_rates(gamma_plus, gamma_minus):
 
 class TestDensityMatrix2:
     def test_trace_enforced(self):
-        with pytest.raises(DomainError):
-            DensityMatrix2(ee=0.6, gg=0.6)
+        zeros = np.zeros(2, complex)
+        for ee, gg, eg in (
+            (0.6, 0.6, 0j),
+            (math.nan, 0.5, 0j),
+            (1.2, -0.2, 0j),
+            # A column with one bad row fails as a whole.
+            (np.array([0.5, 0.3 + 1e-9]), np.array([0.5, 0.7]), zeros),
+            (np.array([0.5, math.nan]), np.array([0.5, 0.5]), zeros),
+            (np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0j),
+        ):
+            with pytest.raises(DomainError):
+                DensityMatrix2(ee=ee, gg=gg, eg=eg)
 
     def test_positivity_enforced(self):
-        with pytest.raises(DomainError):
-            DensityMatrix2(ee=0.5, gg=0.5, eg=0.9 + 0j)
+        half = np.array([0.5, 0.5])
+        for ee, gg, eg in (
+            (0.5, 0.5, 0.9 + 0j),
+            (0.5, 0.5, complex(math.nan, 0.0)),
+            (half, half, np.array([0j, 0.9 + 0j])),
+        ):
+            with pytest.raises(DomainError):
+                DensityMatrix2(ee=ee, gg=gg, eg=eg)
+
+    def test_valid_column(self):
+        ee = np.array([1.0, 0.25, 0.0])
+        s = DensityMatrix2(ee=ee, gg=1.0 - ee, eg=np.array([0j, 0.4 + 0.1j, 0j]))
+        assert s.trace.tolist() == [1.0, 1.0, 1.0]
 
     def test_constructors(self):
         assert DensityMatrix2.excited().ee == 1.0
@@ -68,8 +89,20 @@ class TestAnalyticState:
             assert out.ee == pytest.approx(math.exp(-gamma * t), rel=1e-13, abs=1e-300)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            analytic_state(DensityMatrix2.excited(), make_rates(0.0, 1.0), -1.0)
+        for t in (-1.0, math.nan, np.array([0.0, 1.0, -1.0])):
+            with pytest.raises(DomainError):
+                analytic_state(DensityMatrix2.excited(), make_rates(0.0, 1.0), t)
+
+    def test_time_column_matches_scalar_calls(self):
+        rates = make_rates(0.2, 0.7)
+        rho0 = DensityMatrix2.superposition(0.4)
+        ts = np.linspace(0.0, 6.0, 13)
+        column = analytic_state(rho0, rates, ts, frequency_offset=1.5)
+        for i, t in enumerate(ts):
+            single = analytic_state(rho0, rates, float(t), frequency_offset=1.5)
+            assert column.ee[i] == single.ee
+            assert column.gg[i] == single.gg
+            assert column.eg[i] == single.eg
 
 
 class TestEvolveNumeric:
@@ -89,7 +122,7 @@ class TestEvolveNumeric:
     def test_trace_preserved(self):
         rates = make_rates(0.2, 0.8)
         traj = evolve_numeric(DensityMatrix2.superposition(0.6), rates, 4.0, 400)
-        worst = max(abs(s.trace - 1.0) for s in traj.states)
+        worst = np.max(np.abs(traj.states.trace - 1.0))
         assert worst <= 1e-12
 
     def test_stability_gate(self):
@@ -118,23 +151,43 @@ class TestEvolveNumeric:
         rates = make_rates(0.3, 0.7)
         for rho0 in (DensityMatrix2.excited(), DensityMatrix2.ground()):
             traj = evolve_numeric(rho0, rates, 6.0, 600)
-            ees = [s.ee for s in traj.states]
+            ees = traj.states.ee
             gaps = [abs(e - rates.steady_excited) for e in ees]
             assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
 
     def test_coherence_decay_rate_fit(self):
         rates = make_rates(0.4, 0.9)
         traj = evolve_numeric(DensityMatrix2.superposition(0.5), rates, 3.0, 600)
-        ts = np.array(traj.times)
-        amps = np.array([abs(s.eg) for s in traj.states])
+        ts = traj.times
+        amps = np.abs(traj.states.eg)
         slope = np.polyfit(ts, np.log(amps), 1)[0]
         assert -slope == pytest.approx(rates.gamma_total / 2.0, rel=1e-6)
 
     def test_positivity_along_trajectory(self):
         rates = make_rates(0.2, 1.0)
         traj = evolve_numeric(DensityMatrix2.superposition(0.8), rates, 5.0, 500)
-        for s in traj.states:
-            assert s.ee * s.gg - abs(s.eg) ** 2 >= -1e-12
+        s = traj.states
+        assert np.all(s.ee * s.gg - np.abs(s.eg) ** 2 >= -1e-12)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_t_max_rejected(self, t_max):
+        with pytest.raises(DomainError):
+            evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 1.0), t_max, 10)
+
+    def test_no_state_object_per_step(self, monkeypatch):
+        rho0 = DensityMatrix2.superposition(0.3)
+        validate = DensityMatrix2.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix2, "__post_init__", counting)
+        traj = evolve_numeric(rho0, make_rates(0.1, 0.9), 10.0, 1000)
+        traj.final
+        assert len(traj.times) == 1001
+        assert len(calls) <= 3
 
     def test_frequency_offset_hook(self):
         rates = make_rates(0.0, 1.0)
@@ -152,7 +205,8 @@ class TestTrajectory:
     def test_time_ordering_enforced(self):
         from gravatom.lindblad import Trajectory
 
-        rates = make_rates(0.0, 1.0)
-        s = DensityMatrix2.excited()
+        s = DensityMatrix2(ee=np.ones(2), gg=np.zeros(2), eg=np.zeros(2, complex))
         with pytest.raises(DomainError):
-            Trajectory(times=(0.0, 0.0), states=(s, s), generator=rates)
+            Trajectory(times=np.array([0.0, 0.0]), states=s)
+        with pytest.raises(DomainError):
+            Trajectory(times=np.array([0.0, 1.0, 2.0]), states=s)

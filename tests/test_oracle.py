@@ -311,6 +311,12 @@ class TestVerificationReport:
         failing = [r["name"] for r in report if not r["pass"]]
         assert failing == []
 
+    def test_energy_balance_is_informational(self, report):
+        (rec,) = [r for r in report if r["name"].startswith("energy balance")]
+        assert rec["tolerance"] == math.inf
+        assert rec["note"].startswith("informational:")
+        assert "by construction" in rec["note"] and "rate_bracket" in rec["note"]
+
     def test_fault_injection_fails(self):
         bad = verification_report(f1_offset=0.05)
         b1_checks = [r for r in bad if r["name"].startswith("B1 quadrature")]
