@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import oracle
 from .errors import GravatomError
 from .lindblad import DensityMatrix2, analytic_state, evolve_numeric
@@ -108,6 +110,11 @@ _DEFAULTS = {
 
 #: Documented default used by `sweep` when no potential is given.
 SWEEP_DEFAULT_PHI = -0.05
+
+#: Grid points per `rate_bracket` call in `sweep`: enough to amortise the
+#: per-call cost of the array special functions, few enough to keep the
+#: peak memory of a long sweep flat.
+SWEEP_CHUNK = 1024
 
 
 class UsageError(Exception):
@@ -223,6 +230,17 @@ def _sweep_grid(cfg):
     return (x_min + i * step for i in range(n))
 
 
+def _sweep_chunks(grid, phi, sin2s):
+    """Pull the lazy grid in chunks; yield (xs, ratio rows) per chunk.
+
+    One ``rate_bracket`` call per chunk: the x column against the row of
+    sin^2(psi) values, so f1/f2 are evaluated once per x.
+    """
+    sin2s = np.array(sin2s)
+    while xs := list(itertools.islice(grid, SWEEP_CHUNK)):
+        yield xs, rate_bracket(np.array(xs)[:, None], phi, sin2s).tolist()
+
+
 def cmd_sweep(args) -> int:
     cfg, explicit = _resolve(args)
     env = _environment(cfg, default_phi=SWEEP_DEFAULT_PHI)
@@ -239,14 +257,18 @@ def cmd_sweep(args) -> int:
         header = "x,ratio_parallel,ratio_perpendicular"
         labels = ("parallel", "perpendicular")
 
+    chunks = _sweep_chunks(grid, phi, sin2s)
     if cfg["format"] == "svg":
-        rows = [(x, [rate_bracket(x, phi, s) for s in sin2s]) for x in grid]
+        rows = [row for xs, ratios in chunks for row in zip(xs, ratios)]
         _write([_render_svg(rows, labels, phi)], args.out)
         return 0
 
-    # Rows are formatted and written as they are computed: no row list is held.
+    # Each chunk is formatted and written as it is computed: no row list is held.
     row = _csv_row(1 + len(sin2s))
-    lines = (row % (x, *[rate_bracket(x, phi, s) for s in sin2s]) for x in grid)
+    lines = (
+        "".join([row % (x, *values) for x, values in zip(xs, ratios)])
+        for xs, ratios in chunks
+    )
     _write(itertools.chain([f"# phi={_fmt(phi)}\n", header + "\n"], lines), args.out)
     return 0
 

@@ -23,6 +23,10 @@ _POSITIVITY_SLACK = 1e-12
 #: Stability gate for the fixed-step integrator: h * Gamma must not exceed this.
 MAX_STEP_RATE = 0.1
 
+#: Largest step count ``evolve_numeric`` accepts.  The trajectory is one
+#: preallocated (steps + 1, 4) float array, 32 bytes per step (320 MB at the cap).
+MAX_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class DensityMatrix2:
@@ -138,10 +142,11 @@ def evolve_numeric(
     """Integrate the population/coherence equations with fixed-step RK4.
 
     The step must satisfy h * Gamma <= 0.1; violating it raises
-    ``StepSizeError`` with a suggested step count.
+    ``StepSizeError`` with a suggested step count.  ``steps`` may not
+    exceed ``MAX_STEPS``; the check comes before any allocation.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be finite and positive, got {t_max}")
     h = t_max / steps

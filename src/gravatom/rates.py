@@ -60,14 +60,23 @@ def flat_rate(dipole_mag: float, omega: float) -> float:
         raise DomainError(f"dipole_mag must be >= 0, got {dipole_mag}")
     if omega <= 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    return dipole_mag**2 * omega**3 / (6.0 * math.pi)
+    try:
+        rate = dipole_mag**2 * omega**3 / (6.0 * math.pi)
+    except OverflowError:  # float ** raises where float * returns inf
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise DomainError(f"flat rate overflows for dipole_mag={dipole_mag}, omega={omega}")
+    return rate
 
 
-def rate_bracket(x: float, phi: float, sin2psi: float) -> float:
+def rate_bracket(x, phi, sin2psi):
     """Rate ratio gamma_g / gamma = 1 + 7 phi - 2 phi f1(x) + 3 phi sin^2(psi) f2(x).
 
-    First order in phi; the one place the bracket is written.  Inputs are
-    not validated here: callers pass a validated point or grid.
+    First order in phi; the one place the bracket is written.  Arguments are
+    floats or broadcasting arrays, and f1/f2 are evaluated once on ``x``:
+    an (n, 1) column of x with a row of k sin^2(psi) values gives an (n, k)
+    table.  Inputs are not validated here: callers pass a validated point
+    or grid.
     """
     return 1.0 + 7.0 * phi - 2.0 * phi * specfun.f1(x) + 3.0 * phi * sin2psi * specfun.f2(x)
 

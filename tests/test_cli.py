@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from gravatom import cli, specfun
 from gravatom.cli import main
+from gravatom.lindblad import MAX_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +130,33 @@ class TestSweep:
         assert code == 0
         assert target.read_text().splitlines()[1].startswith("x,")
 
+    def test_huge_x_gives_finite_rows(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--x-max", "1e300", "--points", "3")
+        assert code == 0
+        assert err == ""
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[2:]]
+        assert len(rows) == 3
+        assert all(math.isfinite(v) for row in rows for v in row)
+        # f1 -> 3 and f2 -> 0: the ratio plateau 1 + phi at phi = -0.05
+        assert rows[-1][1:] == pytest.approx([0.95, 0.95], rel=1e-12)
+
+    def test_one_rate_bracket_call_per_chunk(self, capsys, monkeypatch):
+        calls = []
+        f1 = specfun.f1
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return f1(x)
+
+        monkeypatch.setattr(specfun, "f1", counting)
+        points = 5000
+        for extra in ((), ("--angle", "0.4"), ("--format", "svg")):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
+            assert code == 0
+            assert len(calls) <= -(-points // cli.SWEEP_CHUNK)
+            assert sum(shape[0] for shape in calls) == points
+
 
 class TestConfig:
     def test_config_file(self, capsys, tmp_path):
@@ -177,6 +207,24 @@ class TestConfig:
         _, from_config, _ = run_cli(capsys, "rates", "--config", str(cfg))
         _, from_flags, _ = run_cli(capsys, "rates", "--omega", "2", "--phi", "-0.05")
         assert from_config == from_flags
+
+
+class TestOverflow:
+    def test_rates_huge_omega_is_a_usage_error(self, capsys):
+        for flags in (("--omega", "1e300"), ("--omega", "1.0", "--dipole", "1e200")):
+            code, out, err = run_cli(capsys, "rates", *flags)
+            assert code == 2
+            assert out == ""
+            assert "flat rate overflows" in err
+
+    def test_evolve_steps_cap(self, capsys):
+        for steps in (10**20, MAX_STEPS + 1):
+            code, out, err = run_cli(
+                capsys, "evolve", "--omega", "1.0", "--steps", str(steps)
+            )
+            assert code == 2
+            assert out == ""
+            assert str(MAX_STEPS) in err
 
 
 class TestEvolve:

@@ -174,6 +174,18 @@ class TestEvolveNumeric:
         with pytest.raises(DomainError):
             evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 1.0), t_max, 10)
 
+    def test_steps_cap_checked_before_allocating(self, monkeypatch):
+        from gravatom import lindblad
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the steps check")
+
+        rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
+        monkeypatch.setattr(lindblad.np, "empty", no_allocation)
+        for steps in (lindblad.MAX_STEPS + 1, 10**20):
+            with pytest.raises(DomainError, match="steps"):
+                evolve_numeric(rho0, rates, 1.0, steps)
+
     def test_no_state_object_per_step(self, monkeypatch):
         rho0 = DensityMatrix2.superposition(0.3)
         validate = DensityMatrix2.__post_init__

@@ -42,6 +42,11 @@ class TestFlatRate:
     def test_no_coupling(self):
         assert flat_rate(0.0, 5.0) == 0.0
 
+    def test_overflow_rejected(self):
+        for dipole, omega in ((1.0, 1e300), (1e200, 1.0), (1e150, 1e100)):
+            with pytest.raises(DomainError, match="overflows"):
+                flat_rate(dipole, omega)
+
 
 class TestEmissionRate:
     def test_flat_space_identity(self):
