@@ -105,7 +105,10 @@ def thermal_rates(
     if omega_g <= 0.0:
         raise DomainError(f"omega_g must be positive, got {omega_g}")
     n_b = specfun.bose_occupation(omega_g, thermal.temperature_distant)
-    return n_b * gamma_g, (n_b + 1.0) * gamma_g
+    absorption, emission = n_b * gamma_g, (n_b + 1.0) * gamma_g
+    if not (math.isfinite(absorption) and math.isfinite(emission)):
+        raise DomainError(f"thermal rate n_B * gamma_g overflows for gamma_g={gamma_g}, n_B={n_b}")
+    return absorption, emission
 
 
 def total_and_steady(gamma_plus: float, gamma_minus: float) -> tuple[float, float]:
@@ -113,6 +116,10 @@ def total_and_steady(gamma_plus: float, gamma_minus: float) -> tuple[float, floa
     if gamma_plus < 0.0 or gamma_minus < 0.0:
         raise DomainError("rates must be >= 0")
     total = gamma_plus + gamma_minus
+    if not math.isfinite(total):
+        raise DomainError(
+            f"total rate overflows for gamma_plus={gamma_plus}, gamma_minus={gamma_minus}"
+        )
     if total == 0.0:
         raise DegenerateError("no dissipation: steady state undefined")
     return total, gamma_plus / total

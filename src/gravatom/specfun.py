@@ -255,7 +255,8 @@ def bose_occupation(energy: float, temperature: float) -> float:
     """Mean thermal occupation 1/(e^(E/T) - 1).
 
     ``temperature`` and ``energy`` share units.  T = 0 returns exactly 0;
-    for E/T >> 1 the overflow-free asymptote e^(-E/T) is returned.
+    for E/T >> 1 the overflow-free asymptote e^(-E/T) is returned.  An
+    occupation too large for a double (E/T below ~1e-308) is a DomainError.
     """
     if energy <= 0.0:
         raise DomainError(f"energy must be positive, got {energy}")
@@ -266,4 +267,7 @@ def bose_occupation(energy: float, temperature: float) -> float:
     ratio = energy / temperature
     if ratio > 700.0:
         return math.exp(-ratio)
-    return 1.0 / math.expm1(ratio)
+    occupation = 1.0 / math.expm1(ratio) if ratio > 0.0 else math.inf
+    if math.isinf(occupation):
+        raise DomainError(f"occupation overflows for energy={energy}, temperature={temperature}")
+    return occupation

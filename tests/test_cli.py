@@ -217,6 +217,21 @@ class TestOverflow:
             assert out == ""
             assert "flat rate overflows" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--omega", "1e100", "--temperature", "1e300"),  # n_B gamma_g
+            ("--omega", "1e-300", "--temperature", "1e10"),  # n_B itself
+            ("--omega", "1.0", "--dipole", "4.3e150", "--temperature", "1e8"),  # Gamma
+        ],
+    )
+    def test_rates_thermal_overflow_is_a_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "rates", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+        assert "Traceback" not in err
+
     def test_evolve_steps_cap(self, capsys):
         for steps in (10**20, MAX_STEPS + 1):
             code, out, err = run_cli(

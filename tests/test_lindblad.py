@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from gravatom.errors import DomainError, StepSizeError
 from gravatom.lindblad import (
@@ -11,6 +12,9 @@ from gravatom.lindblad import (
     evolve_numeric,
 )
 from gravatom.rates import RateSet
+
+# An overflow or invalid value in the powered modes is a failure, not an inf.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_rates(gamma_plus, gamma_minus):
@@ -24,6 +28,52 @@ def make_rates(gamma_plus, gamma_minus):
         gamma_total=total,
         steady_excited=gamma_plus / total,
     )
+
+
+def _derivative(state, gamma_plus, gamma_minus, frequency_offset):
+    ee, gg, re_eg, im_eg = state
+    total = gamma_plus + gamma_minus
+    d_ee = -gamma_minus * ee + gamma_plus * gg
+    d_re = -0.5 * total * re_eg + frequency_offset * im_eg
+    d_im = -0.5 * total * im_eg - frequency_offset * re_eg
+    return (d_ee, -d_ee, d_re, d_im)
+
+
+def rk4_loop(rho0, rates, t_max, steps, frequency_offset=0.0):
+    """Reference: step-by-step RK4, independent of the closed-form iterate.
+
+    Returns (steps + 1, 4) rows of (ee, gg, Re eg, Im eg).
+    """
+    h = t_max / steps
+    gp, gm = rates.gamma_plus, rates.gamma_minus
+    y = (float(rho0.ee), float(rho0.gg), float(rho0.eg.real), float(rho0.eg.imag))
+    rows = np.empty((steps + 1, 4))
+    rows[0] = y
+    for n in range(steps):
+        k1 = _derivative(y, gp, gm, frequency_offset)
+        y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
+        k2 = _derivative(y2, gp, gm, frequency_offset)
+        y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
+        k3 = _derivative(y3, gp, gm, frequency_offset)
+        y4 = tuple(a + h * b for a, b in zip(y, k3))
+        k4 = _derivative(y4, gp, gm, frequency_offset)
+        y = tuple(
+            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
+        rows[n + 1] = y
+    return rows
+
+
+def mp_stability(z):
+    """RK4 stability polynomial R(z) at the current mpmath precision."""
+    return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+
+def mp_modes(rates, h, frequency_offset):
+    """The population and coherence step exponents z of the generator, exact."""
+    total = mp.mpf(rates.gamma_total)
+    return -mp.mpf(h) * total, mp.mpf(h) * (-total / 2 - 1j * mp.mpf(frequency_offset))
 
 
 class TestDensityMatrix2:
@@ -181,7 +231,7 @@ class TestEvolveNumeric:
             raise AssertionError("allocated before the steps check")
 
         rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
-        monkeypatch.setattr(lindblad.np, "empty", no_allocation)
+        monkeypatch.setattr(lindblad.np, "arange", no_allocation)
         for steps in (lindblad.MAX_STEPS + 1, 10**20):
             with pytest.raises(DomainError, match="steps"):
                 evolve_numeric(rho0, rates, 1.0, steps)
@@ -201,6 +251,14 @@ class TestEvolveNumeric:
         assert len(traj.times) == 1001
         assert len(calls) <= 3
 
+    def test_zero_coherence_stays_zero_beyond_rk4_stability(self):
+        # h * offset = 4 puts the coherence mode outside the RK4 stability
+        # region (|R| > 1); with no initial coherence there is nothing to grow.
+        traj = evolve_numeric(
+            DensityMatrix2.excited(), make_rates(0.0, 1.0), 10.0, 1000, frequency_offset=400.0
+        )
+        assert np.all(traj.states.eg == 0.0)
+
     def test_frequency_offset_hook(self):
         rates = make_rates(0.0, 1.0)
         offset = 2.0
@@ -211,6 +269,70 @@ class TestEvolveNumeric:
             DensityMatrix2.superposition(0.5), rates, 1.0, frequency_offset=offset
         )
         assert abs(traj.final.eg - ref.eg) <= 1e-8
+
+
+class TestClosedFormIterate:
+    """The closed form against RK4 itself: the loop and exact R(z)^n."""
+
+    @pytest.mark.parametrize("steps", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize(
+        "rho0, offset",
+        [(DensityMatrix2.mixed(0.3), 0.0), (DensityMatrix2.superposition(0.6), 0.7)],
+        ids=["mixed", "superposition"],
+    )
+    def test_matches_rk4_loop(self, rho0, offset, steps):
+        rates = make_rates(0.25, 0.6)
+        t_max = 6.0 / rates.gamma_total
+        traj = evolve_numeric(rho0, rates, t_max, steps, frequency_offset=offset)
+        rows = rk4_loop(rho0, rates, t_max, steps, offset)
+        s = traj.states
+        assert np.max(np.abs(s.ee - rows[:, 0])) <= 1e-13
+        assert np.max(np.abs(s.gg - rows[:, 1])) <= 1e-13
+        assert np.max(np.abs(s.eg - (rows[:, 2] + 1j * rows[:, 3]))) <= 1e-13
+        assert np.array_equal(traj.times, (t_max / steps) * np.arange(steps + 1))
+
+    def test_matches_exact_power_at_a_million_steps(self):
+        # A plain R**n carries the rounding of R into every power: here
+        # (h Gamma = 6e-6) its ee is off by 7e-14 at n = 1000 and by 4.4e-12
+        # at n = 1 / (h Gamma).
+        rates = make_rates(0.3, 0.55)
+        rho0 = DensityMatrix2.superposition(0.9)
+        steps, offset = 10**6, 0.7
+        t_max = 6.0 / rates.gamma_total
+        traj = evolve_numeric(rho0, rates, t_max, steps, frequency_offset=offset)
+        with mp.workdps(40):
+            z_pop, z_coh = mp_modes(rates, t_max / steps, offset)
+            r_pop, r_coh = mp_stability(z_pop), mp_stability(z_coh)
+            s = mp.mpf(rates.steady_excited)
+            for n in (0, 1, 2, 17, 1000, 12345, 99_999, 166_667, 333_333, 777_777, steps):
+                ee = s + (mp.mpf(rho0.ee) - s) * r_pop**n
+                gg = (1 - s) + (mp.mpf(rho0.gg) - (1 - s)) * r_pop**n
+                eg = mp.mpc(rho0.eg) * r_coh**n
+                assert abs(traj.states.ee[n] - ee) <= 1e-14, n
+                assert abs(traj.states.gg[n] - gg) <= 1e-14, n
+                assert abs(traj.states.eg[n] - eg) <= 1e-14, n
+
+    def test_global_error_against_analytic_state(self):
+        # h Gamma = 0.05: the RK4 global error is ~1e-7, far above rounding.
+        rates = make_rates(0.2, 0.7)
+        rho0 = DensityMatrix2.superposition(0.9)
+        steps, offset = 120, 0.7
+        t_max = 6.0 / rates.gamma_total
+        traj = evolve_numeric(rho0, rates, t_max, steps, frequency_offset=offset)
+        ref = analytic_state(rho0, rates, traj.times, frequency_offset=offset)
+        with mp.workdps(40):
+            z_pop, z_coh = mp_modes(rates, t_max / steps, offset)
+            r_pop, r_coh = mp_stability(z_pop), mp_stability(z_coh)
+            amp = mp.mpf(rho0.ee) - mp.mpf(rates.steady_excited)
+            worst = 0.0
+            for n in range(steps + 1):
+                err_pop = amp * (r_pop**n - mp.exp(n * z_pop))
+                err_coh = mp.mpc(rho0.eg) * (r_coh**n - mp.exp(n * z_coh))
+                assert abs(traj.states.ee[n] - ref.ee[n] - err_pop) <= 1e-15, n
+                assert abs(traj.states.gg[n] - ref.gg[n] + err_pop) <= 1e-15, n
+                assert abs(traj.states.eg[n] - ref.eg[n] - err_coh) <= 1e-15, n
+                worst = max(worst, float(abs(err_pop)))
+        assert worst > 1e-8
 
 
 class TestTrajectory:

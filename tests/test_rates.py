@@ -116,6 +116,12 @@ class TestThermalRates:
             gp, gm = thermal_rates(0.2, 1.3, ThermalSpec.from_distant(T, 0.0))
             assert gp / gm == pytest.approx(math.exp(-1.3 / T), rel=1e-12)
 
+    def test_overflow_rejected(self):
+        # n_B * gamma_g overflows, and n_B itself overflows as omega/T -> 0.
+        for gamma_g, omega_g, T in ((5e298, 1e100, 1e300), (1.0, 1e-300, 1e10)):
+            with pytest.raises(DomainError, match="overflows"):
+                thermal_rates(gamma_g, omega_g, ThermalSpec.from_distant(T, 0.0))
+
     def test_tolman_invariance(self):
         # n_B(omega_g; T) equals n_B(omega; T_local) identically
         omega, phi, T = 1.7, -0.08, 0.9
@@ -138,6 +144,11 @@ class TestTotalAndSteady:
     def test_degenerate(self):
         with pytest.raises(DegenerateError):
             total_and_steady(0.0, 0.0)
+
+    def test_overflow_rejected(self):
+        for gp, gm in ((1e308, 1e308), (math.inf, 0.5), (0.5, math.nan)):
+            with pytest.raises(DomainError):
+                total_and_steady(gp, gm)
 
     def test_two_nb_plus_one_identity(self):
         for T in (0.0, 0.5, 2.0):

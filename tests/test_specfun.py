@@ -154,6 +154,13 @@ class TestBoseOccupation:
         assert n == pytest.approx(math.exp(-600.0), rel=1e-12)
         assert n > 0.0
 
+    def test_occupation_overflow_rejected(self):
+        # E/T underflows to 0, or is so small that 1/(e^(E/T) - 1) > DBL_MAX.
+        for energy, temperature in ((1e-300, 1e300), (1e-300, 1e10)):
+            with pytest.raises(DomainError, match="overflows"):
+                specfun.bose_occupation(energy, temperature)
+        assert specfun.bose_occupation(1e-300, 1e7) == pytest.approx(1e307, rel=1e-15)
+
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(DomainError):
             specfun.bose_occupation(0.0, 1.0)
