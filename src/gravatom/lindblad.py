@@ -23,6 +23,11 @@ _POSITIVITY_SLACK = 1e-12
 #: Stability gate for the fixed-step integrator: h * Gamma must not exceed this.
 MAX_STEP_RATE = 0.1
 
+#: Largest h * |frequency_offset| a suggested step count allows.  RK4 is stable
+#: on the imaginary axis up to |hy| = 2 sqrt(2) ~ 2.83, and |R(-a + iy)| < 1
+#: for 0 < a <= 0.05 (h Gamma <= 0.1) and |y| <= 2.5.
+MAX_STEP_OFFSET = 2.5
+
 #: Largest step count ``evolve_numeric`` accepts.  The trajectory holds a time
 #: column, two population columns and a complex coherence column: 40 bytes per
 #: step (400 MB at the cap).
@@ -156,32 +161,47 @@ def evolve_numeric(
     z = h(-Gamma/2 - i frequency_offset).  Every step is computed at once,
     with no loop over steps.
 
-    The step must satisfy h * Gamma <= 0.1; violating it raises
-    ``StepSizeError`` with a suggested step count.  ``steps`` may not
-    exceed ``MAX_STEPS``; the check comes before any allocation.
+    The step must satisfy h * Gamma <= 0.1 and, when the initial coherence
+    is nonzero, keep the coherence mode inside the RK4 stability region
+    (|R| <= 1); violating either raises ``StepSizeError`` with a step count
+    that passes both.  ``steps`` may not exceed ``MAX_STEPS``; the check
+    comes before any allocation.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be finite and positive, got {t_max}")
+    if not math.isfinite(frequency_offset):
+        raise DomainError(f"frequency_offset must be finite, got {frequency_offset}")
     h = t_max / steps
     total = rates.gamma_total
-    if h * total > MAX_STEP_RATE:
-        suggested = math.ceil(t_max * total / MAX_STEP_RATE)
+    coherent = bool(rho0.eg)
+    stable = h * total <= MAX_STEP_RATE
+    if stable and coherent:
+        log_coherence = _rk4_log_step(complex(-0.5 * h * total, -h * frequency_offset))
+        stable = log_coherence.real <= 0.0  # |R| <= 1; False for NaN
+    if not stable:
+        needed = t_max * total / MAX_STEP_RATE
+        if coherent:
+            needed = max(needed, t_max * abs(frequency_offset) / MAX_STEP_OFFSET)
+        # `needed` overflows to inf for t_max * Gamma near the top of the range.
+        suggested = math.ceil(needed) if math.isfinite(needed) else None
         raise StepSizeError(
-            f"step {h} violates h*Gamma <= {MAX_STEP_RATE}; use at least "
-            f"{suggested} steps",
+            f"step {h} violates h*Gamma <= {MAX_STEP_RATE} or puts the coherence "
+            f"outside the RK4 stability region; use at least "
+            f"{needed if suggested is None else suggested} steps",
             suggested_steps=suggested,
         )
 
     s = rates.steady_excited
     log_decay = _rk4_log_step(-h * total).real
-    log_coherence = _rk4_log_step(complex(-0.5 * h * total, -h * frequency_offset))
     n = np.arange(steps + 1.0)
     decay = np.exp(n * log_decay)
-    eg0 = complex(rho0.eg)
     # An absent coherence stays exactly 0, even where |R| > 1 would overflow.
-    eg = eg0 * np.exp(n * log_coherence) if eg0 else np.zeros(steps + 1, complex)
+    if coherent:
+        eg = complex(rho0.eg) * np.exp(n * log_coherence)
+    else:
+        eg = np.zeros(steps + 1, complex)
     states = DensityMatrix2(
         ee=s + (float(rho0.ee) - s) * decay,
         gg=(1.0 - s) + (float(rho0.gg) - (1.0 - s)) * decay,

@@ -1,12 +1,21 @@
+import io
 import json
 import math
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravatom import cli, specfun
 from gravatom.cli import main
-from gravatom.lindblad import MAX_STEPS
+from gravatom.lindblad import MAX_STEPS, DensityMatrix2, analytic_state, evolve_numeric
+from gravatom.model import AtomSpec, GravityEnv, ThermalSpec
+from gravatom.rates import build_rate_set, rate_bracket
 
 
 def run_cli(capsys, *argv):
@@ -154,7 +163,7 @@ class TestSweep:
             calls.clear()
             code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
             assert code == 0
-            assert len(calls) <= -(-points // cli.SWEEP_CHUNK)
+            assert len(calls) <= -(-points // cli.ROW_CHUNK)
             assert sum(shape[0] for shape in calls) == points
 
 
@@ -210,6 +219,13 @@ class TestConfig:
 
 
 class TestOverflow:
+    def test_evolve_unrepresentable_step_count_is_a_usage_error(self, capsys):
+        # t_max * Gamma / 0.1 overflows: the suggested step count is inf.
+        code, out, err = run_cli(capsys, "evolve", "--omega", "1000", "--t-max", "1e308")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_rates_huge_omega_is_a_usage_error(self, capsys):
         for flags in (("--omega", "1e300"), ("--omega", "1.0", "--dipole", "1e200")):
             code, out, err = run_cli(capsys, "rates", *flags)
@@ -337,3 +353,137 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--f1-offset", "0.05")
         assert code == 1
         assert json.loads(out)["all_pass"] is False
+
+
+def _rows(*columns) -> str:
+    """Reference rendering: one `%` template per row."""
+    row = ",".join([cli._NUMBER] * len(columns)) + "\n"
+    return "".join(row % values for values in zip(*columns))
+
+
+class TestMultiChunkOutput:
+    """Runs longer than one `ROW_CHUNK` print what per-row `%` printed."""
+
+    def test_evolve(self, capsys):
+        steps = 3000
+        assert steps > 2 * cli.ROW_CHUNK
+        code, out, _ = run_cli(
+            capsys, "evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", str(steps),
+            "--initial", "mixed:0.3", "--temperature", "0.5",
+        )
+        assert code == 0
+        env = GravityEnv(phi=-0.02, distance=1.0)
+        rateset = build_rate_set(
+            AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0),
+            env,
+            ThermalSpec.from_distant(0.5, env.phi),
+        )
+        rho0 = DensityMatrix2.mixed(0.3)
+        traj = evolve_numeric(rho0, rateset, 5.0 / rateset.gamma_total, steps)
+        s = traj.states
+        reference = analytic_state(rho0, rateset, traj.times)
+        expected = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n" + _rows(
+            traj.times, s.ee, s.gg, abs(s.eg), s.trace - 1.0, reference.ee
+        )
+        assert out == expected
+
+    @pytest.mark.parametrize("angle", [None, 0.4])
+    def test_sweep(self, capsys, angle):
+        points, phi = 3000, cli.SWEEP_DEFAULT_PHI
+        extra = () if angle is None else ("--angle", str(angle))
+        code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
+        assert code == 0
+        log_min = math.log(1e-2)
+        step = (math.log(1e2) - log_min) / (points - 1)
+        xs = np.array([math.exp(log_min + i * step) for i in range(points)])
+        if angle is None:
+            header = "x,ratio_parallel,ratio_perpendicular"
+            ratios = [rate_bracket(xs, phi, sin2) for sin2 in (0.0, 1.0)]
+        else:
+            header = "x,ratio"
+            ratios = [rate_bracket(xs, phi, math.sin(angle) ** 2)]
+        expected = f"# phi={cli._NUMBER % phi}\n{header}\n" + _rows(xs, *ratios)
+        assert out == expected
+
+
+# Numeric flags per subcommand, and arbitrary floats for them: NaN, +-inf,
+# +-0, subnormals and values near the ends of the double range.
+PHYSICS_FLAGS = ("phi", "mass", "distance", "omega", "dipole", "angle", "temperature")
+NUMERIC_FLAGS = {
+    "rates": PHYSICS_FLAGS,
+    "sweep": PHYSICS_FLAGS + ("x-min", "x-max"),
+    "evolve": PHYSICS_FLAGS + ("t-max",),
+}
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300, 1.0,
+         math.nan, math.inf, -math.inf]
+    ),
+)
+# Values a valid run can have (omega, distance, temperature, ... and a weak
+# phi), so that the exit-0 path is exercised too.
+FLAG_VALUE = st.one_of(ANY_FLOAT, st.floats(0.0, 3.0), st.floats(-0.1, 0.0))
+# Grid and step counts stay small, so that nothing large is allocated.
+SMALL_COUNT = st.integers(-3, 2000)
+CONFIG_VALUE = {
+    key: st.one_of(st.none(), st.booleans(), st.integers(), FLAG_VALUE, st.text(max_size=8))
+    for key in cli._DEFAULTS
+}
+CONFIG_VALUE.update(
+    points=st.one_of(SMALL_COUNT, ANY_FLOAT, st.none()),
+    steps=st.one_of(SMALL_COUNT, ANY_FLOAT, st.none()),
+    format=st.sampled_from(["csv", "json", "svg", "xml"]),
+    initial=st.one_of(
+        st.sampled_from(["excited", "ground", "up"]), FLAG_VALUE.map(lambda p: f"mixed:{p!r}")
+    ),
+)
+CONFIG = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({}, optional=CONFIG_VALUE),
+    st.sampled_from([[], [1.0], 2.5, "omega", True]),
+)
+
+
+@st.composite
+def invocations(draw):
+    mode = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    # A valid omega that the drawn flags may override, so that most draws
+    # fail on one input and the rest reach the numerics.
+    flags = {} if mode == "sweep" else {"omega": draw(st.floats(0.01, 3.0))}
+    flags |= draw(st.dictionaries(st.sampled_from(NUMERIC_FLAGS[mode]), FLAG_VALUE, max_size=3))
+    # `--flag=value`, so that argparse does not read "-inf" as an option.
+    argv = [mode] + [f"--{flag}={value!r}" for flag, value in flags.items()]
+    if mode == "sweep":
+        argv += draw(st.sampled_from([[], ["--linear"], ["--format=svg"]]))
+        argv += draw(st.sampled_from([[], [f"--points={draw(SMALL_COUNT)}"]]))
+    if mode == "evolve":
+        argv += draw(st.sampled_from([[], [f"--steps={draw(SMALL_COUNT)}"]]))
+        argv += draw(st.sampled_from([[], [f"--initial=mixed:{draw(FLAG_VALUE)!r}"]]))
+    return argv, draw(CONFIG)
+
+
+# A printed number, in any of the formats (JSON strings, CSV, SVG coordinates).
+PRINTED_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_input_contract(invocation):
+    """Exit 0 with finite numbers, or exit 2 with nothing on stdout."""
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 2), (argv, config, err.getvalue())
+    if code == 2:
+        assert out == ""
+    else:
+        assert not re.search("nan|inf", out, re.IGNORECASE), (argv, config)
+        assert all(math.isfinite(float(n)) for n in PRINTED_NUMBER.findall(out))

@@ -28,6 +28,13 @@ CASES = {
     "rates_mass": ("rates", "--omega", "1.0", "--mass", "0.05", "--distance", "1.5"),
     "sweep_default": ("sweep", "--points", "25"),
     "sweep_angle_linear": ("sweep", "--angle", "0.7", "--linear", "--points", "25"),
+    "sweep_chunk_boundary": ("sweep", "--points", "1030"),
+    "sweep_three_digit_exponents": (
+        "sweep", "--angle", "0.3", "--x-min", "1e-200", "--x-max", "1e300", "--points", "40",
+    ),
+    "sweep_linear_from_zero": (
+        "sweep", "--linear", "--x-min", "0", "--x-max", "30", "--points", "20",
+    ),
     "sweep_svg": ("sweep", "--format", "svg", "--points", "50"),
     "sweep_svg_angle": ("sweep", "--format", "svg", "--angle", "0.7", "--points", "50"),
     "evolve_default": ("evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", "60"),

@@ -259,6 +259,42 @@ class TestEvolveNumeric:
         )
         assert np.all(traj.states.eg == 0.0)
 
+    def test_unstable_coherence_is_a_step_size_error(self, monkeypatch):
+        # h * offset = 4 with a nonzero coherence: |R| > 1 would make it grow,
+        # so the gate refuses the step before powering anything.
+        from gravatom import lindblad
+
+        rho0, rates = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0)
+
+        def no_power(*args, **kwargs):
+            raise AssertionError("powered a mode before the stability gate")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad.np, "exp", no_power)
+            with pytest.raises(StepSizeError) as err:
+                evolve_numeric(rho0, rates, 10.0, 1000, frequency_offset=400.0)
+        suggested = err.value.suggested_steps
+        assert 1000 < suggested <= lindblad.MAX_STEPS
+        traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=400.0)
+        assert np.all(np.abs(traj.states.eg) <= abs(rho0.eg))
+        # The offset term also enters a suggestion made for h * Gamma alone.
+        with pytest.raises(StepSizeError) as err:
+            evolve_numeric(rho0, rates, 10.0, 10, frequency_offset=400.0)
+        assert err.value.suggested_steps == suggested
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_frequency_offset_rejected(self, offset):
+        with pytest.raises(DomainError, match="frequency_offset"):
+            evolve_numeric(
+                DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0), 1.0, 100,
+                frequency_offset=offset,
+            )
+
+    def test_unrepresentable_suggestion_is_none(self):
+        with pytest.raises(StepSizeError) as err:
+            evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 10.0), 1e308, 10)
+        assert err.value.suggested_steps is None
+
     def test_frequency_offset_hook(self):
         rates = make_rates(0.0, 1.0)
         offset = 2.0
