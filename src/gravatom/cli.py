@@ -308,8 +308,12 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _sweep_grid(cfg):
-    """Validate the grid settings and return the grid as a lazy iterator."""
+def _sweep_grid(cfg) -> tuple[float, float, int]:
+    """Validate the grid settings; return (start, step, n).
+
+    Point i is ``start + i * step`` on a linear grid and ``math.exp`` of
+    that on a log grid.
+    """
     n = cfg["points"]
     if n < 2:
         raise UsageError("points must be >= 2")
@@ -322,23 +326,26 @@ def _sweep_grid(cfg):
         if x_min <= 0.0:
             raise UsageError("x_min must be positive for a log grid")
         log_min = math.log(x_min)
-        step = (math.log(x_max) - log_min) / (n - 1)
-        return (math.exp(log_min + i * step) for i in range(n))
+        return log_min, (math.log(x_max) - log_min) / (n - 1), n
     if x_min < 0.0:
         raise UsageError("x_min must be >= 0")
-    step = (x_max - x_min) / (n - 1)
-    return (x_min + i * step for i in range(n))
+    return x_min, (x_max - x_min) / (n - 1), n
 
 
-def _sweep_chunks(grid, phi, sin2s):
-    """Pull the lazy grid in chunks; yield (xs, ratios) arrays per chunk.
+def _sweep_chunks(grid, log_grid, phi, sin2s):
+    """Build the grid ``ROW_CHUNK`` points at a time; yield (xs, ratios) per chunk.
 
     One ``rate_bracket`` call per chunk: the x column against the row of
     sin^2(psi) values, so f1/f2 are evaluated once per x.
     """
+    start, step, n = grid
     sin2s = np.array(sin2s)
-    while xs := list(itertools.islice(grid, ROW_CHUNK)):
-        xs = np.array(xs)
+    for i in range(0, n, ROW_CHUNK):
+        # Bit for bit ``start + i * step`` in Python floats.
+        xs = start + np.arange(i, min(i + ROW_CHUNK, n)) * step
+        if log_grid:
+            # math.exp, not np.exp: the two differ by an ulp on some points.
+            xs = np.fromiter(map(math.exp, xs.tolist()), float, xs.size)
         yield xs, rate_bracket(xs[:, None], phi, sin2s)
 
 
@@ -358,10 +365,10 @@ def cmd_sweep(args) -> int:
         header = "x,ratio_parallel,ratio_perpendicular"
         labels = ("parallel", "perpendicular")
 
-    chunks = _sweep_chunks(grid, phi, sin2s)
+    chunks = _sweep_chunks(grid, cfg["log_grid"], phi, sin2s)
     if cfg["format"] == "svg":
         rows = [row for xs, ratios in chunks for row in zip(xs.tolist(), ratios.tolist())]
-        _write([_render_svg(rows, labels, phi)], args.out)
+        _write([_render_svg(rows, labels, phi, cfg["log_grid"])], args.out)
         return 0
 
     # Each chunk is formatted and written as it is computed: no row list is held.
@@ -370,17 +377,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _render_svg(rows, labels, phi) -> str:
+def _render_svg(rows, labels, phi, log_x: bool) -> str:
     width, height, margin = 640, 420, 60
-    xs = [math.log10(r[0]) for r in rows]
+    axis = math.log10 if log_x else float
+    xs = [axis(r[0]) for r in rows]
     ys = [v for _, values in rows for v in values]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    # A grid too narrow to resolve collapses to one x: draw it at the left.
+    x_span = x_hi - x_lo or 1.0
 
     def px(x):
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (x - x_lo) / x_span * (width - 2 * margin)
 
     def py(y):
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
@@ -394,13 +404,13 @@ def _render_svg(rows, labels, phi) -> str:
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         f'stroke="black"/>',
         f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="14">x = RΩ (log scale), Φ = {phi:g}</text>',
+        f'font-size="14">x = RΩ ({"log" if log_x else "linear"} scale), Φ = {phi:g}</text>',
         f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 18 {height / 2:.0f})">γ_g/γ</text>',
     ]
     for i, label in enumerate(labels):
         points = " ".join(
-            f"{px(math.log10(x)):.2f},{py(values[i]):.2f}" for x, values in rows
+            f"{px(axis(x)):.2f},{py(values[i]):.2f}" for x, values in rows
         )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{colors[i % 2]}" '

@@ -149,6 +149,44 @@ class TestSweep:
         # f1 -> 3 and f2 -> 0: the ratio plateau 1 + phi at phi = -0.05
         assert rows[-1][1:] == pytest.approx([0.95, 0.95], rel=1e-12)
 
+    @pytest.mark.parametrize("log_grid", [True, False], ids=["log", "linear"])
+    def test_x_column_bit_for_bit(self, log_grid):
+        # Several chunks: the array-built grid equals the per-point Python
+        # floats exactly, with math.exp (not np.exp) on the log grid.
+        points, x_min, x_max = 5000, 0.03, 70.0
+        cfg = {"points": points, "x_min": x_min, "x_max": x_max, "log_grid": log_grid}
+        chunks = list(cli._sweep_chunks(cli._sweep_grid(cfg), log_grid, -0.05, (0.0, 1.0)))
+        assert len(chunks) == -(-points // cli.ROW_CHUNK)
+        xs = np.concatenate([xs for xs, _ in chunks]).tolist()
+        if log_grid:
+            log_min = math.log(x_min)
+            step = (math.log(x_max) - log_min) / (points - 1)
+            expected = [math.exp(log_min + i * step) for i in range(points)]
+        else:
+            step = (x_max - x_min) / (points - 1)
+            expected = [x_min + i * step for i in range(points)]
+        assert xs == expected
+
+    def test_svg_of_a_linear_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--format", "svg", "--linear", "--x-min", "0", "--x-max", "1",
+            "--points", "3",
+        )
+        assert (code, err) == (0, "")
+        assert "x = RΩ (linear scale)" in out
+        # Equally spaced points sit at equal distances on a linear axis.
+        first = re.search(r'<polyline points="([^"]*)"', out).group(1)
+        assert [float(p.split(",")[0]) for p in first.split()] == [60.0, 320.0, 580.0]
+
+    def test_svg_of_a_grid_too_narrow_to_resolve(self, capsys):
+        # log(x_max) - log(x_min) rounds to 0: every point is the same x.
+        code, out, err = run_cli(
+            capsys, "sweep", "--format", "svg", "--x-min", "1e300",
+            "--x-max", "1.0000000000000002e300", "--points", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("<svg")
+
     def test_one_rate_bracket_call_per_chunk(self, capsys, monkeypatch):
         calls = []
         f1 = specfun.f1
@@ -455,7 +493,8 @@ def invocations(draw):
     # `--flag=value`, so that argparse does not read "-inf" as an option.
     argv = [mode] + [f"--{flag}={value!r}" for flag, value in flags.items()]
     if mode == "sweep":
-        argv += draw(st.sampled_from([[], ["--linear"], ["--format=svg"]]))
+        argv += draw(st.sampled_from([[], ["--linear"]]))
+        argv += draw(st.sampled_from([[], ["--format=svg"]]))
         argv += draw(st.sampled_from([[], [f"--points={draw(SMALL_COUNT)}"]]))
     if mode == "evolve":
         argv += draw(st.sampled_from([[], [f"--steps={draw(SMALL_COUNT)}"]]))

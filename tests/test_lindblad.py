@@ -274,13 +274,28 @@ class TestEvolveNumeric:
             with pytest.raises(StepSizeError) as err:
                 evolve_numeric(rho0, rates, 10.0, 1000, frequency_offset=400.0)
         suggested = err.value.suggested_steps
-        assert 1000 < suggested <= lindblad.MAX_STEPS
+        assert suggested == 40_000  # h * offset = 0.1
         traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=400.0)
         assert np.all(np.abs(traj.states.eg) <= abs(rho0.eg))
+        # The suggestion is accurate, not only stable: |rho_eg| within 1e-3
+        # of the analytic value at every step (2.6e-4 at t = 10).
+        ref = analytic_state(rho0, rates, traj.times, frequency_offset=400.0)
+        rel = np.abs(np.abs(traj.states.eg) - np.abs(ref.eg)) / np.abs(ref.eg)
+        assert np.max(rel) <= 1e-3
         # The offset term also enters a suggestion made for h * Gamma alone.
         with pytest.raises(StepSizeError) as err:
             evolve_numeric(rho0, rates, 10.0, 10, frequency_offset=400.0)
         assert err.value.suggested_steps == suggested
+
+    def test_stable_but_inaccurate_coherence_step_is_refused(self):
+        # h * offset = 2.5 is inside the RK4 stability region, but each step
+        # shrinks the coherence by |R| ~ 0.51: by t = 10 nothing is left of an
+        # analytic |rho_eg| of 3.4e-3.
+        rho0, rates = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0)
+        for steps in (1600, 39_999):
+            with pytest.raises(StepSizeError) as err:
+                evolve_numeric(rho0, rates, 10.0, steps, frequency_offset=400.0)
+            assert err.value.suggested_steps == 40_000
 
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
     def test_nonfinite_frequency_offset_rejected(self, offset):

@@ -1,11 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from gravatom import specfun
+from gravatom import _specfun_tables, specfun
 from gravatom.errors import DomainError
 from gravatom.oracle import QuadratureSpec, integrate_adaptive
 
@@ -60,10 +62,10 @@ class TestSineIntegral:
         )
 
     def test_branch_continuity(self):
-        # series/continued-fraction switch at x = 4
+        # Taylor series/auxiliary-function switch at x = 4
         at_switch = np.array([4.0])
-        assert specfun._si_series(at_switch)[0] == pytest.approx(
-            specfun._si_continued_fraction(at_switch)[0], abs=1e-13
+        assert specfun._si_taylor(at_switch)[0] == pytest.approx(
+            specfun._si_large(specfun._aux_chebyshev, at_switch)[0], abs=1e-13
         )
 
 
@@ -96,7 +98,7 @@ class TestF1:
         for x in (cut * 0.999, cut, cut * 1.001):
             closed = specfun.f1_closed(x)
             series = specfun.f1_series(x)
-            assert abs(series - closed) / abs(closed) <= 1e-10
+            assert abs(series - closed) / abs(closed) <= 2e-15
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -128,7 +130,7 @@ class TestF2:
         for x in (cut * 0.999, cut, cut * 1.001):
             closed = specfun.f2_closed(x)
             series = specfun.f2_series(x)
-            assert abs(series - closed) / abs(closed) <= 1e-10
+            assert abs(series - closed) / abs(closed) <= 2e-15
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -179,10 +181,9 @@ class TestBoseOccupation:
 
 
 # Points in every branch of Si, f1 and f2, both sides of each switch.
-BRANCH_POINTS = [
-    0.0, 1e-300, 1e-8, 0.05, specfun.SMALL_CUT, 0.10000000000000002, 0.3, 1.0,
-    specfun.LARGE_CUT, 2.0000000000000004, 3.7, 4.0, 4.000000000000001, 50.0,
-    1e3, 1e16, 1e17, 1.0000000000000002e17, 1e300, 1.7e308,
+SWITCHES = [specfun.SMALL_CUT, specfun.LARGE_CUT, 4.0, 8.0, 16.0, 32.0, 64.0, 1e17]
+BRANCH_POINTS = [0.0, 1e-300, 1e-8, 0.05, 0.3, 3.7, 50.0, 1e3, 1e16, 1e300, 1.7e308] + [
+    float(x) for cut in SWITCHES for x in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf))
 ]
 
 
@@ -232,15 +233,53 @@ class TestArrayCore:
         cut = specfun.LARGE_CUT
         for x in (cut * 0.999, cut, cut * 1.001):
             at = np.array([x])
-            assert specfun._f1_large(at)[0] == pytest.approx(specfun.f1_closed(x), rel=1e-14)
+            f1_large = specfun._f1_large(specfun._aux_chebyshev, at)[0]
+            assert f1_large == pytest.approx(specfun.f1_closed(x), rel=1e-14)
             assert specfun._f2_large(at)[0] == pytest.approx(specfun.f2_closed(x), rel=1e-13)
 
     def test_f1_flat_beyond_cut(self):
         # 3.0 is f1 rounded to double beyond the flat cut; the large-x form
         # agrees there to an ulp.
         at = np.array([specfun._F1_FLAT_CUT])
-        assert specfun._f1_large(at)[0] == pytest.approx(3.0, abs=4.5e-16)
+        assert specfun._f1_large(specfun._aux_asymptotic, at)[0] == pytest.approx(3.0, abs=4.5e-16)
         assert specfun.f1(1.7e308) == 3.0
+
+
+# Two ulps of a value in [1, 2): the most a switch may move a function by.
+SWITCH_TOL = 4.5e-16
+
+
+class TestSwitchContinuity:
+    """The branches on either side of every switch agree at the switch.
+
+    The kernels meet at ``SMALL_CUT`` (``test_branch_agreement_at_cut`` of f1
+    and f2) and at Si's x = 4 (``TestSineIntegral.test_branch_continuity``);
+    the last test bounds each public step across every switch.
+    """
+
+    @pytest.mark.parametrize("octave", [0, 1, 2])
+    def test_chebyshev_octaves_meet(self, octave):
+        # y = 8, 16, 32 is s = -1 on one octave and s = 1 on the next.
+        for table in (specfun._AUX_F, specfun._AUX_G):
+            below = specfun._clenshaw(table[:, octave], -1.0)
+            above = specfun._clenshaw(table[:, octave + 1], 1.0)
+            assert abs(above - below) <= SWITCH_TOL
+
+    def test_chebyshev_meets_asymptotic_at_64(self):
+        at = np.array([specfun.ASYMPTOTIC_CUT])
+        for fit, series in zip(specfun._aux_chebyshev(at), specfun._aux_asymptotic(at)):
+            assert abs(fit[0] - series[0]) <= SWITCH_TOL
+
+    @pytest.mark.parametrize("fn, cut", [
+        (specfun.f1, specfun.SMALL_CUT), (specfun.f2, specfun.SMALL_CUT),
+        (specfun.f1, specfun.LARGE_CUT),
+        *((specfun.sine_integral, cut) for cut in (4.0, 8.0, 16.0, 32.0, 64.0)),
+        *((specfun.f1, cut / 2) for cut in (8.0, 16.0, 32.0, 64.0)),
+    ])
+    def test_public_function_steps_by_an_ulp_at_most(self, fn, cut):
+        at = fn(cut)
+        for side in (0.0, math.inf):
+            assert abs(fn(float(np.nextafter(cut, side))) - at) <= SWITCH_TOL * abs(at)
 
 
 def _mp_dps(x):
@@ -265,14 +304,14 @@ def _mp_reference(x):
 MP_GRID = np.unique(np.concatenate([np.geomspace(1e-8, 1e300, 400),
                                     np.geomspace(1e-3, 1e3, 600)]))
 
-# Worst errors measured on MP_GRID: Si 4.1e-16; f1 2.8e-16 (series),
-# 5.7e-14 (0.1, 0.5], 1.2e-15 (0.5, 2], 6.1e-16 beyond; f2 3.0e-16 (series),
-# 7.2e-13 (0.1, 0.5], 1.1e-15 (0.5, 2], 3.1e-16 beyond.  The (0.1, 0.5]
-# closed-form band is the known weak spot; the other bands hold ~1 ulp.
+# Worst errors measured on MP_GRID: Si 4.1e-16; f1 2.2e-16 (series,
+# x <= 1), 6.5e-16 (1, 2] (closed form), 1.7e-16 beyond; f2 1.9e-16 (series),
+# 1.5e-16 (1, 2], 3.1e-16 beyond.  Every band holds 2e-15 (the closed forms
+# on (1, 2]); the others hold 1e-15.
 MP_BANDS = {
     "si": ((math.inf, 1e-15),),
-    "f1": ((0.1, 1e-15), (0.5, 1e-13), (2.0, 3e-15), (math.inf, 1e-15)),
-    "f2": ((0.1, 1e-15), (0.5, 2e-12), (2.0, 3e-15), (math.inf, 1e-15)),
+    "f1": ((0.1, 1e-15), (0.5, 1e-15), (1.0, 1e-15), (2.0, 2e-15), (math.inf, 1e-15)),
+    "f2": ((0.1, 1e-15), (0.5, 1e-15), (1.0, 1e-15), (2.0, 2e-15), (math.inf, 1e-15)),
 }
 
 
@@ -301,3 +340,65 @@ class TestAgainstMpmath:
             worst = float(err[band].max())
             assert worst <= tol, f"{name} on ({lower}, {upper}]: {worst:.2e} > {tol:.0e}"
             lower = upper
+
+
+def _f2_envelope(x):
+    """min(x^2, 1/x), the scale f2 oscillates within, written not to overflow."""
+    return x * x if x < 1.0 else 1.0 / x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(
+    st.floats(min_value=1e-8, max_value=1e300),
+    st.floats(min_value=-8.0, max_value=300.0).map(lambda e: min(10.0**e, 1e300)),
+))
+def test_against_mpmath_anywhere(x):
+    """Si, f1 and f2 within 2e-15 of mpmath (f2 of its envelope) at any x."""
+    si, f1, f2 = _mp_reference(x)
+    for fn, ref, scale in (
+        (specfun.sine_integral, si, abs(si)),
+        (specfun.f1, f1, abs(f1)),
+        (specfun.f2, f2, max(abs(f2), _f2_envelope(x))),
+    ):
+        value = fn(x)
+        assert abs(value - ref) <= 2e-15 * scale, (fn.__name__, x, value, ref)
+        assert fn(np.array([x]))[0] == value
+
+
+def _load_generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_specfun_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_specfun_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGeneratedTables:
+    @pytest.fixture(scope="class")
+    def generator(self):
+        return _load_generator()
+
+    @pytest.fixture(scope="class")
+    def fresh(self, generator):
+        return generator.tables()
+
+    def test_committed_tables_equal_a_fresh_run_bit_for_bit(self, fresh):
+        def bits(value):
+            if isinstance(value, tuple):
+                return tuple(bits(v) for v in value)
+            return value.hex() if isinstance(value, float) else value
+
+        committed = {name: getattr(_specfun_tables, name) for name in fresh}
+        assert {name: bits(v) for name, v in committed.items()} == {
+            name: bits(v) for name, v in fresh.items()
+        }
+
+    def test_check_mode(self, generator, monkeypatch, tmp_path):
+        text = generator.TARGET.read_text()
+        monkeypatch.setattr(generator, "render", lambda: text)
+        monkeypatch.setattr(generator, "TARGET", tmp_path / "tables.py")
+        assert generator.main(["--check"]) == 1  # missing
+        generator.TARGET.write_text(text.replace("SI_TERMS = ", "SI_TERMS = 1 + "))
+        assert generator.main(["--check"]) == 1  # differs
+        generator.TARGET.write_text(text)
+        assert generator.main(["--check"]) == 0
