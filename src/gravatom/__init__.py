@@ -1,89 +1,11 @@
 """Dissipation of a two-level atom in a weak gravitational field.
 
 Closed-form rates and density-matrix evolution, cross-validated against
-brute-force integral oracles.
+brute-force integral oracles.  The API is module-qualified: import what you
+use from ``gravatom.specfun``, ``gravatom.model``, ``gravatom.rates``,
+``gravatom.lindblad``, ``gravatom.oracle`` and ``gravatom.errors``.  The
+package root imports none of them, so that each command of ``gravatom.cli``
+loads only the layers it runs.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateError,
-    DivergenceError,
-    DomainError,
-    GravatomError,
-    RegimeError,
-    StepSizeError,
-)
-from .lindblad import DensityMatrix2, Trajectory, analytic_state, evolve_numeric
-from .model import (
-    AtomSpec,
-    DimensionlessPoint,
-    GravityEnv,
-    ThermalSpec,
-    dimensionless_point,
-    potential_from_source,
-)
-from .oracle import (
-    QuadratureSpec,
-    angular_identities_check,
-    b1_numeric,
-    b2_numeric,
-    energy_balance_ratio,
-    integrate_adaptive,
-    oscillatory_tail,
-    radiation_power,
-    verification_report,
-)
-from .rates import (
-    RateSet,
-    build_rate_set,
-    emission_rate,
-    flat_rate,
-    redshifted_frequency,
-    thermal_rates,
-    tolman_local_temperature,
-    total_and_steady,
-)
-from .specfun import bose_occupation, f1, f2, sine_integral
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomSpec",
-    "ConvergenceError",
-    "DegenerateError",
-    "DensityMatrix2",
-    "DimensionlessPoint",
-    "DivergenceError",
-    "DomainError",
-    "GravatomError",
-    "GravityEnv",
-    "QuadratureSpec",
-    "RateSet",
-    "RegimeError",
-    "StepSizeError",
-    "ThermalSpec",
-    "Trajectory",
-    "analytic_state",
-    "angular_identities_check",
-    "b1_numeric",
-    "b2_numeric",
-    "bose_occupation",
-    "build_rate_set",
-    "dimensionless_point",
-    "emission_rate",
-    "energy_balance_ratio",
-    "evolve_numeric",
-    "f1",
-    "f2",
-    "flat_rate",
-    "integrate_adaptive",
-    "oscillatory_tail",
-    "potential_from_source",
-    "radiation_power",
-    "redshifted_frequency",
-    "sine_integral",
-    "thermal_rates",
-    "tolman_local_temperature",
-    "total_and_steady",
-    "verification_report",
-]

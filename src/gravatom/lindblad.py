@@ -30,6 +30,13 @@ MAX_STEP_RATE = 0.1
 #: from the analytic one by ~7e-8 (relative) and the phase lags by ~8e-7.
 MAX_STEP_OFFSET = 0.1
 
+#: The coherence accuracy gate, in radians: the phase the RK4 iterate lags
+#: behind the analytic coherence at t_max, t |delta| (h |delta|)^4 / 120 to
+#: leading order (delta = frequency_offset), must not exceed this.  The step
+#: gate alone does not bound it: the lag grows with t |delta| at a fixed
+#: h |delta|.
+MAX_PHASE_LAG = 1e-6
+
 #: Largest step count ``evolve_numeric`` accepts.  The trajectory holds a time
 #: column, two population columns and a complex coherence column: 40 bytes per
 #: step (400 MB at the cap).
@@ -164,9 +171,11 @@ def evolve_numeric(
     with no loop over steps.
 
     The step must satisfy h * Gamma <= 0.1 and, when the initial coherence
-    is nonzero, h * |frequency_offset| <= 0.1; violating either raises
-    ``StepSizeError`` with a step count that passes both.  ``steps`` may not
-    exceed ``MAX_STEPS``; the check comes before any allocation.
+    is nonzero, h * |frequency_offset| <= 0.1 and a phase lag
+    t_max |delta| (h |delta|)^4 / 120 <= ``MAX_PHASE_LAG``; violating any
+    gate raises ``StepSizeError`` with a step count that passes all three.
+    ``steps`` may not exceed ``MAX_STEPS``; the check comes before any
+    allocation.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
@@ -177,18 +186,25 @@ def evolve_numeric(
     h = t_max / steps
     total = rates.gamma_total
     coherent = bool(rho0.eg)
+    turn = t_max * abs(frequency_offset)  # radians the coherence turns by t_max
     ok = h * total <= MAX_STEP_RATE  # False for NaN
     if coherent:
         ok = ok and h * abs(frequency_offset) <= MAX_STEP_OFFSET
+        ok = ok and turn * (h * abs(frequency_offset)) ** 4 / 120.0 <= MAX_PHASE_LAG
     if not ok:
         needed = t_max * total / MAX_STEP_RATE
         if coherent:
-            needed = max(needed, t_max * abs(frequency_offset) / MAX_STEP_OFFSET)
+            needed = max(
+                needed,
+                turn / MAX_STEP_OFFSET,
+                turn * (turn / (120.0 * MAX_PHASE_LAG)) ** 0.25,
+            )
         # `needed` overflows to inf for t_max * Gamma near the top of the range.
         suggested = math.ceil(needed) if math.isfinite(needed) else None
         raise StepSizeError(
             f"step {h} violates h*Gamma <= {MAX_STEP_RATE} or, with a coherence, "
-            f"h*|frequency_offset| <= {MAX_STEP_OFFSET}; use at least "
+            f"h*|frequency_offset| <= {MAX_STEP_OFFSET} or a phase lag <= "
+            f"{MAX_PHASE_LAG} rad; use at least "
             f"{needed if suggested is None else suggested} steps",
             suggested_steps=suggested,
         )

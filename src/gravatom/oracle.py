@@ -14,6 +14,8 @@ accelerated by repeated averaging of the partial sums.
 from __future__ import annotations
 
 import math
+import random
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -537,15 +539,15 @@ def verification_report(
     records.extend(angular_identities_check(spec))
 
     # Energy balance on random valid parameter sets.
-    rng = np.random.default_rng(20240801)
+    rng = random.Random(20240801)
     worst = 0.0
     for _ in range(20):
         atom = AtomSpec(
-            omega=float(rng.uniform(0.1, 5.0)),
-            dipole_mag=float(rng.uniform(0.1, 3.0)),
-            dipole_angle=float(rng.uniform(0.0, math.pi)),
+            omega=rng.uniform(0.1, 5.0),
+            dipole_mag=rng.uniform(0.1, 3.0),
+            dipole_angle=rng.uniform(0.0, math.pi),
         )
-        env = GravityEnv(phi=float(-rng.uniform(1e-4, 0.09)), distance=float(rng.uniform(0.1, 10.0)))
+        env = GravityEnv(phi=-rng.uniform(1e-4, 0.09), distance=rng.uniform(0.1, 10.0))
         worst = max(worst, abs(energy_balance_ratio(atom, env) - 0.25))
     records.append(
         _record(
@@ -651,10 +653,8 @@ def verification_report(
     # Difference between evaluating the correction functions at the proper
     # and at the redshifted frequency (identical to first order in phi).
     atom = AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0)
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         env = GravityEnv(phi=-0.29, distance=1.0)
         point = dimensionless_point(atom, env)
         gamma = rates_mod.flat_rate(atom.dipole_mag, atom.omega)

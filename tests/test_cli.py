@@ -16,6 +16,7 @@ from gravatom.cli import main
 from gravatom.lindblad import MAX_STEPS, DensityMatrix2, analytic_state, evolve_numeric
 from gravatom.model import AtomSpec, GravityEnv, ThermalSpec
 from gravatom.rates import build_rate_set, rate_bracket
+from gravatom.rows import NUMBER, ROW_CHUNK, sweep_chunks
 
 
 def run_cli(capsys, *argv):
@@ -155,8 +156,8 @@ class TestSweep:
         # floats exactly, with math.exp (not np.exp) on the log grid.
         points, x_min, x_max = 5000, 0.03, 70.0
         cfg = {"points": points, "x_min": x_min, "x_max": x_max, "log_grid": log_grid}
-        chunks = list(cli._sweep_chunks(cli._sweep_grid(cfg), log_grid, -0.05, (0.0, 1.0)))
-        assert len(chunks) == -(-points // cli.ROW_CHUNK)
+        chunks = list(sweep_chunks(cli._sweep_grid(cfg), log_grid, -0.05, (0.0, 1.0)))
+        assert len(chunks) == -(-points // ROW_CHUNK)
         xs = np.concatenate([xs for xs, _ in chunks]).tolist()
         if log_grid:
             log_min = math.log(x_min)
@@ -201,7 +202,7 @@ class TestSweep:
             calls.clear()
             code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
             assert code == 0
-            assert len(calls) <= -(-points // cli.ROW_CHUNK)
+            assert len(calls) <= -(-points // ROW_CHUNK)
             assert sum(shape[0] for shape in calls) == points
 
 
@@ -395,7 +396,7 @@ class TestVerify:
 
 def _rows(*columns) -> str:
     """Reference rendering: one `%` template per row."""
-    row = ",".join([cli._NUMBER] * len(columns)) + "\n"
+    row = ",".join([NUMBER] * len(columns)) + "\n"
     return "".join(row % values for values in zip(*columns))
 
 
@@ -404,7 +405,7 @@ class TestMultiChunkOutput:
 
     def test_evolve(self, capsys):
         steps = 3000
-        assert steps > 2 * cli.ROW_CHUNK
+        assert steps > 2 * ROW_CHUNK
         code, out, _ = run_cli(
             capsys, "evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", str(steps),
             "--initial", "mixed:0.3", "--temperature", "0.5",
@@ -440,7 +441,7 @@ class TestMultiChunkOutput:
         else:
             header = "x,ratio"
             ratios = [rate_bracket(xs, phi, math.sin(angle) ** 2)]
-        expected = f"# phi={cli._NUMBER % phi}\n{header}\n" + _rows(xs, *ratios)
+        expected = f"# phi={NUMBER % phi}\n{header}\n" + _rows(xs, *ratios)
         assert out == expected
 
 
@@ -506,11 +507,8 @@ def invocations(draw):
 PRINTED_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
 
 
-@settings(max_examples=300, deadline=None)
-@given(invocations())
-def test_input_contract(invocation):
-    """Exit 0 with finite numbers, or exit 2 with nothing on stdout."""
-    argv, config = invocation
+def run_with_config(argv, config):
+    """``main(argv)``, with ``config`` (when not None) given as ``--config``."""
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = Path(tmp) / "config.json"
@@ -519,10 +517,90 @@ def test_input_contract(invocation):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-    out = out.getvalue()
-    assert code in (0, 2), (argv, config, err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations())
+def test_input_contract(invocation):
+    """Exit 0 with finite numbers, or exit 2 with nothing on stdout."""
+    argv, config = invocation
+    code, out, err = run_with_config(argv, config)
+    assert code in (0, 2), (argv, config, err)
     if code == 2:
         assert out == ""
     else:
         assert not re.search("nan|inf", out, re.IGNORECASE), (argv, config)
         assert all(math.isfinite(float(n)) for n in PRINTED_NUMBER.findall(out))
+
+
+@st.composite
+def workload_invocations(draw):
+    """Valid `rates`, `sweep` and `evolve` inputs in the ranges real runs use.
+
+    Returns (argv, config, shape): the values go on the command line or into
+    a config file, and ``shape`` is (format, data rows, columns) of the
+    output; a JSON object counts its keys as rows and an SVG plot its curves
+    as columns.
+    """
+    mode = draw(st.sampled_from(["rates", "sweep", "evolve"]))
+    phi = draw(st.floats(-0.1, -1e-3))
+    values = {"distance": draw(st.floats(0.2, 5.0))}
+    if draw(st.booleans()):
+        values["phi"] = phi
+    else:
+        values["mass"] = -phi * values["distance"]
+    if mode != "sweep" or draw(st.booleans()):
+        values["angle"] = draw(st.floats(0.0, math.pi))
+    if mode != "sweep":
+        values["omega"] = draw(st.floats(0.1, 5.0))
+        values["temperature"] = draw(st.one_of(st.just(0.0), st.floats(0.05, 5.0)))
+    if mode == "rates":
+        shape = ("json", 8, None)
+    elif mode == "sweep":
+        values["points"] = draw(st.integers(2, 2000))
+        values["log_grid"] = draw(st.booleans())
+        low = 1e-3 if values["log_grid"] else 0.0
+        values["x_min"] = draw(st.floats(low, 1.0))
+        values["x_max"] = values["x_min"] + draw(st.floats(0.01, 100.0))
+        values["format"] = draw(st.sampled_from(["csv", "svg"]))
+        curves = 1 if "angle" in values else 2
+        columns = curves if values["format"] == "svg" else 1 + curves
+        shape = (values["format"], values["points"], columns)
+    else:
+        values["t_max"] = draw(st.floats(0.1, 50.0))
+        # h * Gamma = t_max / steps stays below the 0.1 gate.
+        values["steps"] = draw(st.integers(math.ceil(10.0 * values["t_max"]) + 1, 2000))
+        p = draw(st.floats(0.0, 1.0))
+        values["initial"] = draw(st.sampled_from(["excited", "ground", f"mixed:{p!r}"]))
+        shape = ("csv", values["steps"] + 1, 6)
+    if draw(st.booleans()):
+        return [mode], values, shape
+    argv = [mode]
+    for key, value in values.items():
+        if key == "log_grid":
+            argv += [] if value else ["--linear"]
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv, None, shape
+
+
+@pytest.mark.filterwarnings("ignore:.*first-order corrections are no longer small")
+@settings(max_examples=200, deadline=None)
+@given(workload_invocations())
+def test_workload_inputs_succeed(invocation):
+    """Valid workload-shaped input: exit 0, finite numbers, every row printed."""
+    argv, config, (kind, n_rows, n_columns) = invocation
+    code, out, err = run_with_config(argv, config)
+    assert code == 0, (argv, config, err)
+    numbers = PRINTED_NUMBER.findall(out)
+    assert numbers and all(math.isfinite(float(n)) for n in numbers)
+    if kind == "json":
+        assert len(json.loads(out)) == n_rows
+    elif kind == "svg":
+        curves = re.findall(r'<polyline points="([^"]*)"', out)
+        assert [len(curve.split()) for curve in curves] == [n_rows] * n_columns
+    else:
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + n_rows  # the header and the data rows
+        assert {len(row) for row in rows} == {n_columns}

@@ -1,4 +1,4 @@
-"""`cli._format_rows` against Python's `%` formatting, byte for byte."""
+"""`rows.format_rows` against Python's `%` formatting, byte for byte."""
 
 import math
 import sys
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravatom.cli import _NUMBER, _format_rows
+from gravatom.rows import NUMBER, format_rows
 
 # An overflow or invalid value inside the formatter is a failure, even where
 # the fallback would hide it in the output.
@@ -17,12 +17,12 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 def percent_rows(values: np.ndarray) -> str:
     """Reference: each row of a 2-d array rendered with `%`, one number at a time."""
-    return "".join(",".join(_NUMBER % v for v in row) + "\n" for row in values.tolist())
+    return "".join(",".join(NUMBER % v for v in row) + "\n" for row in values.tolist())
 
 
 def assert_matches_percent(values):
     values = np.asarray(values, dtype=float).reshape(len(values), -1)
-    assert _format_rows(values.T) == percent_rows(values)
+    assert format_rows(values.T) == percent_rows(values)
 
 
 @settings(max_examples=500, deadline=None)
@@ -68,6 +68,6 @@ def test_column_shapes():
     x = np.array([1.0, 2.5e-3, -7.0])
     block = np.array([[0.5, -0.25], [1e100, 3.0], [math.pi, 0.0]])
     expected = percent_rows(np.column_stack((x, block)))
-    assert _format_rows((x, block)) == expected
-    assert _format_rows([x, block[:, 0], block[:, 1]]) == expected
-    assert _format_rows([np.array([42.0])]) == "4.20000000000e+01\n"
+    assert format_rows((x, block)) == expected
+    assert format_rows([x, block[:, 0], block[:, 1]]) == expected
+    assert format_rows([np.array([42.0])]) == "4.20000000000e+01\n"

@@ -274,11 +274,12 @@ class TestEvolveNumeric:
             with pytest.raises(StepSizeError) as err:
                 evolve_numeric(rho0, rates, 10.0, 1000, frequency_offset=400.0)
         suggested = err.value.suggested_steps
-        assert suggested == 40_000  # h * offset = 0.1
+        # The phase-lag gate: ceil(t|d| * (t|d| / 1.2e-4)**0.25) for t|d| = 4000.
+        assert suggested == 303_935
         traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=400.0)
         assert np.all(np.abs(traj.states.eg) <= abs(rho0.eg))
         # The suggestion is accurate, not only stable: |rho_eg| within 1e-3
-        # of the analytic value at every step (2.6e-4 at t = 10).
+        # of the analytic value at every step.
         ref = analytic_state(rho0, rates, traj.times, frequency_offset=400.0)
         rel = np.abs(np.abs(traj.states.eg) - np.abs(ref.eg)) / np.abs(ref.eg)
         assert np.max(rel) <= 1e-3
@@ -295,7 +296,25 @@ class TestEvolveNumeric:
         for steps in (1600, 39_999):
             with pytest.raises(StepSizeError) as err:
                 evolve_numeric(rho0, rates, 10.0, steps, frequency_offset=400.0)
-            assert err.value.suggested_steps == 40_000
+            assert err.value.suggested_steps == 303_935
+
+    def test_suggested_steps_bound_the_phase_lag(self):
+        # h * offset = 0.1 (40 000 steps) passes the step gate, but the phase
+        # lags by t|d| (h|d|)^4 / 120 = 3.3e-3 rad at t = 10: the complex
+        # rho_eg is off by 3.3e-3 relative.  The suggestion caps the lag at
+        # MAX_PHASE_LAG, and one step fewer is refused.
+        from gravatom import lindblad
+
+        rho0, rates, offset = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0), 400.0
+        with pytest.raises(StepSizeError) as err:
+            evolve_numeric(rho0, rates, 10.0, 40_000, frequency_offset=offset)
+        suggested = err.value.suggested_steps
+        with pytest.raises(StepSizeError):
+            evolve_numeric(rho0, rates, 10.0, suggested - 1, frequency_offset=offset)
+        traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=offset)
+        ref = analytic_state(rho0, rates, traj.times, frequency_offset=offset)
+        rel = np.abs(traj.states.eg - ref.eg) / np.abs(ref.eg)
+        assert np.max(rel) <= 2.0 * lindblad.MAX_PHASE_LAG
 
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
     def test_nonfinite_frequency_offset_rejected(self, offset):
