@@ -30,11 +30,11 @@ MAX_STEP_RATE = 0.1
 #: from the analytic one by ~7e-8 (relative) and the phase lags by ~8e-7.
 MAX_STEP_OFFSET = 0.1
 
-#: The coherence accuracy gate, in radians: the phase the RK4 iterate lags
-#: behind the analytic coherence at t_max, t |delta| (h |delta|)^4 / 120 to
-#: leading order (delta = frequency_offset), must not exceed this.  The step
-#: gate alone does not bound it: the lag grows with t |delta| at a fixed
-#: h |delta|.
+#: The coherence accuracy gate, in radians: the phase by which the RK4
+#: iterate lags behind the analytic coherence at t_max, |n Im log R(z) +
+#: t_max delta| for n steps (delta = frequency_offset), must not exceed this.
+#: The step gate alone does not bound it: the lag grows with t |delta| at a
+#: fixed h |delta|.
 MAX_PHASE_LAG = 1e-6
 
 #: Largest step count ``evolve_numeric`` accepts.  The trajectory holds a time
@@ -109,11 +109,6 @@ class Trajectory:
         if not np.all(np.diff(self.times) > 0.0):
             raise DomainError("times must be strictly increasing")
 
-    @property
-    def final(self) -> DensityMatrix2:
-        s = self.states
-        return DensityMatrix2(ee=float(s.ee[-1]), gg=float(s.gg[-1]), eg=complex(s.eg[-1]))
-
 
 def analytic_state(
     rho0: DensityMatrix2,
@@ -153,6 +148,52 @@ def _rk4_log_step(z: complex) -> complex:
     return complex(log_modulus, math.atan2(w.imag, 1.0 + w.real))
 
 
+def _phase_lag(t_max: float, steps: int, total: float, frequency_offset: float) -> float:
+    """Radians by which the RK4 coherence lags the analytic one at t_max.
+
+    Exact: n steps turn the coherence by n Im log R(z), where the analytic
+    coherence turns by -t_max delta.
+    """
+    h = t_max / steps
+    turned = steps * _rk4_log_step(complex(-0.5 * h * total, -h * frequency_offset)).imag
+    return abs(turned + t_max * frequency_offset)
+
+
+def _gates_pass(t_max, steps, total, frequency_offset, coherent) -> bool:
+    """h Gamma, then with a coherence h |delta| and the phase lag, in order.
+
+    The lag is evaluated only past the step gates, where |z| is small.
+    """
+    h = t_max / steps
+    if not h * total <= MAX_STEP_RATE:  # also refuses NaN
+        return False
+    return not coherent or (
+        h * abs(frequency_offset) <= MAX_STEP_OFFSET
+        and _phase_lag(t_max, steps, total, frequency_offset) <= MAX_PHASE_LAG
+    )
+
+
+def _suggested_steps(t_max, total, frequency_offset, coherent) -> int | None:
+    """A step count that passes every gate, or None if it is not a float.
+
+    Starts from the step gates; past them the lag falls about as 1/n^4, so
+    each pass scales n by (lag / MAX_PHASE_LAG)^(1/4).  A count above
+    ``MAX_STEPS``, which no call accepts, is only a lower bound.
+    """
+    needed = max(
+        t_max * total / MAX_STEP_RATE,
+        t_max * abs(frequency_offset) / MAX_STEP_OFFSET if coherent else 0.0,
+    )
+    # `needed` overflows to inf for t_max * Gamma near the top of the range.
+    if not math.isfinite(needed):
+        return None
+    steps = max(1, math.ceil(needed))
+    while steps <= MAX_STEPS and not _gates_pass(t_max, steps, total, frequency_offset, coherent):
+        lag = _phase_lag(t_max, steps, total, frequency_offset) if coherent else 0.0
+        steps = max(steps + 1, math.ceil(steps * (lag / MAX_PHASE_LAG) ** 0.25))
+    return steps
+
+
 def evolve_numeric(
     rho0: DensityMatrix2,
     rates: RateSet,
@@ -171,11 +212,10 @@ def evolve_numeric(
     with no loop over steps.
 
     The step must satisfy h * Gamma <= 0.1 and, when the initial coherence
-    is nonzero, h * |frequency_offset| <= 0.1 and a phase lag
-    t_max |delta| (h |delta|)^4 / 120 <= ``MAX_PHASE_LAG``; violating any
-    gate raises ``StepSizeError`` with a step count that passes all three.
-    ``steps`` may not exceed ``MAX_STEPS``; the check comes before any
-    allocation.
+    is nonzero, h * |frequency_offset| <= 0.1 and a phase lag (see
+    ``MAX_PHASE_LAG``) <= 1e-6 rad; violating any gate raises
+    ``StepSizeError`` with a step count that passes all three.  ``steps``
+    may not exceed ``MAX_STEPS``; the check comes before any allocation.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
@@ -183,32 +223,19 @@ def evolve_numeric(
         raise DomainError(f"t_max must be finite and positive, got {t_max}")
     if not math.isfinite(frequency_offset):
         raise DomainError(f"frequency_offset must be finite, got {frequency_offset}")
-    h = t_max / steps
     total = rates.gamma_total
     coherent = bool(rho0.eg)
-    turn = t_max * abs(frequency_offset)  # radians the coherence turns by t_max
-    ok = h * total <= MAX_STEP_RATE  # False for NaN
-    if coherent:
-        ok = ok and h * abs(frequency_offset) <= MAX_STEP_OFFSET
-        ok = ok and turn * (h * abs(frequency_offset)) ** 4 / 120.0 <= MAX_PHASE_LAG
-    if not ok:
-        needed = t_max * total / MAX_STEP_RATE
-        if coherent:
-            needed = max(
-                needed,
-                turn / MAX_STEP_OFFSET,
-                turn * (turn / (120.0 * MAX_PHASE_LAG)) ** 0.25,
-            )
-        # `needed` overflows to inf for t_max * Gamma near the top of the range.
-        suggested = math.ceil(needed) if math.isfinite(needed) else None
+    if not _gates_pass(t_max, steps, total, frequency_offset, coherent):
+        suggested = _suggested_steps(t_max, total, frequency_offset, coherent)
         raise StepSizeError(
-            f"step {h} violates h*Gamma <= {MAX_STEP_RATE} or, with a coherence, "
-            f"h*|frequency_offset| <= {MAX_STEP_OFFSET} or a phase lag <= "
+            f"step {t_max / steps} violates h*Gamma <= {MAX_STEP_RATE} or, with a "
+            f"coherence, h*|frequency_offset| <= {MAX_STEP_OFFSET} or a phase lag <= "
             f"{MAX_PHASE_LAG} rad; use at least "
-            f"{needed if suggested is None else suggested} steps",
+            f"{'inf' if suggested is None else suggested} steps",
             suggested_steps=suggested,
         )
 
+    h = t_max / steps
     s = rates.steady_excited
     log_decay = _rk4_log_step(-h * total).real
     n = np.arange(steps + 1.0)

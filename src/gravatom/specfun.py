@@ -123,19 +123,14 @@ def _aux_asymptotic(y):
     return _horner(_tables.AUX_F_ASYMPTOTIC, u), _horner(_tables.AUX_G_ASYMPTOTIC, u)
 
 
-def sine_integral(x, odd_extension: bool = False):
+def sine_integral(x):
     """Si(x) = integral of sin(y)/y from 0 to x, elementwise.
 
     Taylor series for x <= 4, Si = pi/2 - f cos x - g sin x from the
     auxiliary functions above; relative error below 1e-15 against mpmath on
-    [1e-8, 1e300].  Negative arguments are rejected unless ``odd_extension``
-    is set, in which case Si(-x) = -Si(x).
+    [1e-8, 1e300].  Negative arguments are rejected.
     """
-    if not odd_extension:
-        return _piecewise("sine_integral", x, _SI_PIECES)
-    x = np.asarray(x, dtype=float)
-    values = np.where(x < 0.0, -1.0, 1.0) * _piecewise("sine_integral", np.abs(x), _SI_PIECES)
-    return float(values) if values.ndim == 0 else values
+    return _piecewise("sine_integral", x, _SI_PIECES)
 
 
 def _si_taylor(x):

@@ -20,18 +20,16 @@ from gravatom.oracle import (
     angular_identities_check,
     b1_numeric,
     b2_numeric,
-    energy_balance_ratio,
+    power_per_quantum,
     verification_report,
 )
 from gravatom.rates import (
     RateSet,
     build_rate_set,
     emission_rate,
-    flat_rate,
+    rate_bracket,
     redshifted_frequency,
-    thermal_rates,
     tolman_local_temperature,
-    total_and_steady,
 )
 from gravatom.specfun import bose_occupation
 
@@ -97,28 +95,36 @@ class TestAcceptance:
         )
 
     def test_04_energy_balance(self):
+        # The pre-truncation power per quantum, from f1/f2 recovered from the
+        # B1/B2 quadratures at x_g, against gamma_g / 4 from rate_bracket.  At
+        # each draw's phi and at phi/100 (same x_g, proper x = x_g/(1 + phi))
+        # the deviation must stay within K phi^2 with K = 20 (8.8 measured
+        # over these draws); a 1% error in any bracket coefficient gives
+        # K > 70.
         start = time.monotonic()
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(50):
-            atom = AtomSpec(
-                omega=float(rng.uniform(0.1, 5.0)),
-                dipole_mag=float(rng.uniform(0.1, 3.0)),
-                dipole_angle=float(rng.uniform(0.0, math.pi)),
-            )
-            env = GravityEnv(
-                phi=float(-rng.uniform(1e-4, 0.09)),
-                distance=float(rng.uniform(0.1, 10.0)),
-            )
-            worst = max(worst, abs(energy_balance_ratio(atom, env) - 0.25))
+            omega = float(rng.uniform(0.1, 5.0))
+            angle = float(rng.uniform(0.0, math.pi))
+            phi = float(-rng.uniform(1e-4, 0.09))
+            R = float(rng.uniform(0.1, 10.0))
+            omega_g = redshifted_frequency(omega, phi)
+            f1_g = -3.0 * R * b1_numeric(R, omega_g) / (math.pi * omega_g)
+            f2_g = -2.0 * R**3 * b2_numeric(R, omega_g) / (math.pi * omega_g)
+            sin2psi = math.sin(angle) ** 2
+            for p in (phi, phi / 100.0):
+                power = power_per_quantum(p, sin2psi, f1_g, f2_g)
+                rate = rate_bracket(R * omega_g / (1.0 + p), p, sin2psi)
+                worst = max(worst, abs(power / rate - 1.0) / p**2)
         angular = angular_identities_check()
         angular_ok = all(r["pass"] for r in angular)
         elapsed = time.monotonic() - start
         report(
-            f"energy balance: worst |ratio - 1/4| {worst:.2e} (<= 1e-12), "
-            f"sphere identities {'ok' if angular_ok else 'failed'}, "
-            f"{elapsed:.1f}s (<= 30s)",
-            worst <= 1e-12 and angular_ok and elapsed <= 30.0,
+            f"energy balance: worst |(P/omega_g)/(gamma_g/4) - 1| / phi^2 "
+            f"{worst:.2f} (<= 20), sphere identities "
+            f"{'ok' if angular_ok else 'failed'}, {elapsed:.1f}s (<= 30s)",
+            worst <= 20.0 and angular_ok and elapsed <= 30.0,
         )
 
     def test_05_gksl_dynamics(self):
@@ -146,9 +152,9 @@ class TestAcceptance:
             ref = analytic_state(rho0, rates, t_max)
             worst_elem = max(
                 worst_elem,
-                abs(traj.final.ee - ref.ee),
-                abs(traj.final.gg - ref.gg),
-                abs(traj.final.eg - ref.eg),
+                abs(traj.states.ee[-1] - ref.ee),
+                abs(traj.states.gg[-1] - ref.gg),
+                abs(traj.states.eg[-1] - ref.eg),
             )
             worst_trace = max(
                 worst_trace, float(np.max(np.abs(traj.states.trace - 1.0)))

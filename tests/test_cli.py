@@ -363,6 +363,24 @@ def test_nonfinite_input_is_a_usage_error(capsys, flag, argv, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+VERIFY_GRID = ("0.3", "0.5", "1", "2", "3.14159", "5", "8")
+VERIFY_RECORD_NAMES = [
+    *(f"B1 quadrature vs closed form, x={x}" for x in VERIFY_GRID),
+    *(f"B2 quadrature vs closed form, x={x}" for x in VERIFY_GRID),
+    "B1 scale invariance, lambda=0.5",
+    "B1 scale invariance, lambda=2",
+    "sphere quadratic moment [0]",
+    "sphere quadratic moment [1]",
+    *(f"sphere {kind}-weighted moment [{i}]" for i in range(4) for kind in ("sin", "cos")),
+    "energy balance |(P/omega_g)/(gamma_g/4) - 1| <= K*phi^2",
+    "rate-ratio plateau at x=0.0001",
+    "rate-ratio plateau at x=1000",
+    "f2 small-x coefficient resolution",
+    "distance-kernel reading resolution",
+    "proper- vs redshifted-frequency argument of f1/f2",
+]
+
+
 @pytest.fixture(scope="module")
 def verify_output():
     import io
@@ -392,6 +410,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--f1-offset", "0.05")
         assert code == 1
         assert json.loads(out)["all_pass"] is False
+
+    def test_small_fault_fails_the_energy_balance(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--f1-offset", "1e-3")
+        assert code == 1
+        failing = [r["name"] for r in json.loads(out)["checks"] if not r["pass"]]
+        assert any(name.startswith("energy balance") for name in failing)
+
+    def test_record_names(self, verify_output):
+        # Pinned so that a renamed, added or dropped record is a visible change.
+        _, out = verify_output
+        names = [r["name"] for r in json.loads(out)["checks"]]
+        assert names == VERIFY_RECORD_NAMES
 
 
 def _rows(*columns) -> str:

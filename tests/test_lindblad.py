@@ -160,14 +160,14 @@ class TestEvolveNumeric:
         rates = make_rates(1e-9, 1e-9)
         rho0 = DensityMatrix2.superposition(0.7)
         traj = evolve_numeric(rho0, rates, 1.0, 10)
-        assert traj.final.ee == pytest.approx(rho0.ee, abs=1e-8)
-        assert abs(traj.final.eg - rho0.eg) < 1e-8
+        assert traj.states.ee[-1] == pytest.approx(rho0.ee, abs=1e-8)
+        assert abs(traj.states.eg[-1] - rho0.eg) < 1e-8
 
     def test_vacuum_decay_against_exponential(self):
         gamma = 1.0
         rates = make_rates(0.0, gamma)
         traj = evolve_numeric(DensityMatrix2.excited(), rates, 5.0, 500)
-        assert traj.final.ee == pytest.approx(math.exp(-5.0), abs=1e-8)
+        assert traj.states.ee[-1] == pytest.approx(math.exp(-5.0), abs=1e-8)
 
     def test_trace_preserved(self):
         rates = make_rates(0.2, 0.8)
@@ -193,9 +193,9 @@ class TestEvolveNumeric:
             steps = max(20, int(20 * t_max * rates.gamma_total / 0.1))
             traj = evolve_numeric(rho0, rates, t_max, steps)
             ref = analytic_state(rho0, rates, t_max)
-            assert traj.final.ee == pytest.approx(ref.ee, abs=1e-8)
-            assert traj.final.gg == pytest.approx(ref.gg, abs=1e-8)
-            assert abs(traj.final.eg - ref.eg) <= 1e-8
+            assert traj.states.ee[-1] == pytest.approx(ref.ee, abs=1e-8)
+            assert traj.states.gg[-1] == pytest.approx(ref.gg, abs=1e-8)
+            assert abs(traj.states.eg[-1] - ref.eg) <= 1e-8
 
     def test_population_monotone_toward_steady_state(self):
         rates = make_rates(0.3, 0.7)
@@ -247,7 +247,6 @@ class TestEvolveNumeric:
 
         monkeypatch.setattr(DensityMatrix2, "__post_init__", counting)
         traj = evolve_numeric(rho0, make_rates(0.1, 0.9), 10.0, 1000)
-        traj.final
         assert len(traj.times) == 1001
         assert len(calls) <= 3
 
@@ -274,7 +273,8 @@ class TestEvolveNumeric:
             with pytest.raises(StepSizeError) as err:
                 evolve_numeric(rho0, rates, 10.0, 1000, frequency_offset=400.0)
         suggested = err.value.suggested_steps
-        # The phase-lag gate: ceil(t|d| * (t|d| / 1.2e-4)**0.25) for t|d| = 4000.
+        # The phase-lag gate (t|d| = 4000): the smallest count whose exact lag
+        # is within MAX_PHASE_LAG.
         assert suggested == 303_935
         traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=400.0)
         assert np.all(np.abs(traj.states.eg) <= abs(rho0.eg))
@@ -316,6 +316,27 @@ class TestEvolveNumeric:
         rel = np.abs(traj.states.eg - ref.eg) / np.abs(ref.eg)
         assert np.max(rel) <= 2.0 * lindblad.MAX_PHASE_LAG
 
+    def test_phase_lag_gate_is_exact_when_damping_dominates(self):
+        # |d| = Gamma / 2: the estimate t|d|(h|d|)^4 / 120 = 2.6e-7 rad misses
+        # the damping terms of Im((Gamma/2 + i d)^5).  At 100 steps the RK4
+        # loop really lags analytic_state by 1.13e-6 rad at t = 10, so the
+        # gate refuses it, and the suggested count passes every gate.
+        from gravatom import lindblad
+
+        rho0, rates, offset = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0), 0.5
+        ref = analytic_state(rho0, rates, 10.0, frequency_offset=offset)
+        _, _, re_eg, im_eg = rk4_loop(rho0, rates, 10.0, 100, offset)[-1]
+        loop_lag = abs(np.angle(complex(re_eg, im_eg) / ref.eg))
+        assert loop_lag == pytest.approx(1.13e-6, rel=1e-2)
+        assert lindblad._phase_lag(10.0, 100, rates.gamma_total, offset) == pytest.approx(
+            loop_lag, rel=1e-6
+        )
+        with pytest.raises(StepSizeError) as err:
+            evolve_numeric(rho0, rates, 10.0, 100, frequency_offset=offset)
+        suggested = err.value.suggested_steps
+        traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=offset)
+        assert abs(np.angle(traj.states.eg[-1] / ref.eg)) <= lindblad.MAX_PHASE_LAG
+
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
     def test_nonfinite_frequency_offset_rejected(self, offset):
         with pytest.raises(DomainError, match="frequency_offset"):
@@ -338,7 +359,7 @@ class TestEvolveNumeric:
         ref = analytic_state(
             DensityMatrix2.superposition(0.5), rates, 1.0, frequency_offset=offset
         )
-        assert abs(traj.final.eg - ref.eg) <= 1e-8
+        assert abs(traj.states.eg[-1] - ref.eg) <= 1e-8
 
 
 class TestClosedFormIterate:

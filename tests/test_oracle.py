@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from gravatom import oracle, specfun
+from gravatom import oracle, rates, specfun
 from gravatom.errors import ConvergenceError, DivergenceError, DomainError
-from gravatom.model import AtomSpec, GravityEnv
+from gravatom.model import AtomSpec, GravityEnv, dimensionless_point
 from gravatom.oracle import (
     QuadratureSpec,
     angular_identities_check,
@@ -14,12 +14,9 @@ from gravatom.oracle import (
     b1_numeric,
     b2_closed,
     b2_numeric,
-    energy_balance_ratio,
     integrate_adaptive,
     oscillatory_tail,
     radiation_power,
-    radiation_power_truncated,
-    tensor_f,
     verification_report,
 )
 
@@ -45,8 +42,6 @@ class TestQuadratureSpec:
             QuadratureSpec(max_depth=0)
         with pytest.raises(DomainError):
             QuadratureSpec(tail_periods=4)
-        with pytest.raises(DomainError):
-            QuadratureSpec(accel_order=1)
 
 
 class TestIntegrateAdaptive:
@@ -223,22 +218,6 @@ class TestAgainstMpmath:
         assert literal == pytest.approx(LITERAL_KERNEL_B1, rel=1e-12, abs=0.0)
 
 
-class TestTensorF:
-    def test_axis_aligned_structure(self):
-        R_vec = [0.0, 0.0, 2.0]
-        T = tensor_f(R_vec, 1.0)
-        R = 2.0
-        b1 = b1_closed(R, 1.0)
-        b2 = b2_closed(R, 1.0)
-        assert T[0, 0] == pytest.approx(b1 - b2 * R * R)
-        assert T[2, 2] == pytest.approx(b1)
-        assert T[0, 1] == 0.0
-
-    def test_symmetry(self):
-        T = tensor_f([0.5, -0.3, 1.1], 1.7)
-        assert np.allclose(T, T.T, atol=1e-15)
-
-
 class TestAngularIdentities:
     def test_all_pass(self):
         records = angular_identities_check()
@@ -252,7 +231,6 @@ class TestRadiationPower:
         env = GravityEnv.flat()
         expected = 2.0**4 * 1.5**2 / (24.0 * math.pi)
         assert radiation_power(atom, env) == pytest.approx(expected, rel=1e-14)
-        assert radiation_power_truncated(atom, env) == pytest.approx(expected, rel=1e-14)
 
     def test_dipole_doubling(self):
         env = GravityEnv(phi=-0.03, distance=1.5)
@@ -260,10 +238,16 @@ class TestRadiationPower:
         p2 = radiation_power(AtomSpec(omega=1.0, dipole_mag=2.0), env)
         assert p2 == pytest.approx(4.0 * p1, rel=1e-14)
 
-    def test_energy_balance_ratio(self):
+    def test_balance_holds_to_second_order(self):
+        # (P / omega_g) / (gamma_g / 4) = 1 + O(phi^2), with phi^2 = 3.6e-3
         atom = AtomSpec(omega=1.3, dipole_mag=0.7, dipole_angle=0.9)
         env = GravityEnv(phi=-0.06, distance=2.2)
-        assert energy_balance_ratio(atom, env) == pytest.approx(0.25, abs=1e-12)
+        omega_g = rates.redshifted_frequency(atom.omega, env.phi)
+        gamma_g = rates.emission_rate(
+            dimensionless_point(atom, env), rates.flat_rate(atom.dipole_mag, atom.omega)
+        )
+        ratio = radiation_power(atom, env) / omega_g / (gamma_g / 4.0)
+        assert 1e-4 < abs(ratio - 1.0) <= 10.0 * env.phi**2
 
     def test_pre_truncation_second_order(self):
         # the untruncated balance deviates from 1/4 only at O(phi^2)
@@ -271,16 +255,9 @@ class TestRadiationPower:
         devs = []
         for phi in (-0.01, -0.02):
             env = GravityEnv(phi=phi, distance=1.0)
-            from gravatom.rates import (
-                emission_rate,
-                flat_rate,
-                redshifted_frequency,
-            )
-            from gravatom.model import dimensionless_point
-
-            omega_g = redshifted_frequency(atom.omega, phi)
-            gamma_g = emission_rate(
-                dimensionless_point(atom, env), flat_rate(atom.dipole_mag, atom.omega)
+            omega_g = rates.redshifted_frequency(atom.omega, phi)
+            gamma_g = rates.emission_rate(
+                dimensionless_point(atom, env), rates.flat_rate(atom.dipole_mag, atom.omega)
             )
             devs.append(abs(radiation_power(atom, env) / omega_g / gamma_g - 0.25))
         assert devs[1] / devs[0] == pytest.approx(4.0, rel=0.2)
@@ -293,6 +270,11 @@ class TestSelfConsistency:
             1.0, 2.0, QuadratureSpec(abs_tol=5e-11, rel_tol=5e-10, tail_periods=300)
         )
         assert tight == pytest.approx(default, rel=1e-9)
+
+
+def _balance_record(records):
+    (rec,) = [r for r in records if r["name"].startswith("energy balance")]
+    return rec
 
 
 @pytest.fixture(scope="module")
@@ -311,11 +293,39 @@ class TestVerificationReport:
         failing = [r["name"] for r in report if not r["pass"]]
         assert failing == []
 
-    def test_energy_balance_is_informational(self, report):
+    def test_energy_balance_is_a_check(self, report):
         (rec,) = [r for r in report if r["name"].startswith("energy balance")]
-        assert rec["tolerance"] == math.inf
-        assert rec["note"].startswith("informational:")
-        assert "by construction" in rec["note"] and "rate_bracket" in rec["note"]
+        assert rec["tolerance"] == oracle.BALANCE_K
+        assert rec["computed"] <= oracle.BALANCE_K and rec["pass"] is True
+        assert not rec["note"].startswith("informational:")
+
+    @pytest.mark.parametrize(
+        "coefficients, passes",
+        [
+            ((7.0, -2.0, 3.0), True),
+            ((7.07, -2.0, 3.0), False),
+            ((7.0, -2.02, 3.0), False),
+            ((7.0, -2.0, 2.97), False),
+        ],
+        ids=["exact", "7", "-2 f1", "3 sin2psi f2"],
+    )
+    def test_energy_balance_catches_a_wrong_bracket_coefficient(
+        self, monkeypatch, coefficients, passes
+    ):
+        # rate_bracket with each coefficient in turn off by 1%.
+        c_phi, c_f1, c_f2 = coefficients
+
+        def bracket(x, phi, sin2psi):
+            return (
+                1.0 + c_phi * phi + c_f1 * phi * specfun.f1(x)
+                + c_f2 * phi * sin2psi * specfun.f2(x)
+            )
+
+        monkeypatch.setattr(rates, "rate_bracket", bracket)
+        assert _balance_record(verification_report())["pass"] is passes
+
+    def test_energy_balance_fails_under_fault_injection(self):
+        assert not _balance_record(verification_report(f1_offset=1e-3))["pass"]
 
     def test_fault_injection_fails(self):
         bad = verification_report(f1_offset=0.05)

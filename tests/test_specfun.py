@@ -56,11 +56,6 @@ class TestSineIntegral:
         with pytest.raises(DomainError):
             specfun.sine_integral(-1.0)
 
-    def test_odd_extension(self):
-        assert specfun.sine_integral(-2.0, odd_extension=True) == pytest.approx(
-            -specfun.sine_integral(2.0), rel=1e-15
-        )
-
     def test_branch_continuity(self):
         # Taylor series/auxiliary-function switch at x = 4
         at_switch = np.array([4.0])
@@ -222,12 +217,6 @@ class TestArrayCore:
             fn(np.array([0.5, bad, 2.0]))
         with pytest.raises(DomainError):
             fn(bad)
-
-    def test_odd_extension_on_arrays(self):
-        xs = np.array([-50.0, -2.0, 0.0, 2.0, 50.0])
-        values = specfun.sine_integral(xs, odd_extension=True)
-        assert values.tolist() == (-values[::-1]).tolist()
-        assert values[3] == specfun.sine_integral(2.0)
 
     def test_large_branch_agreement_at_cut(self):
         cut = specfun.LARGE_CUT
