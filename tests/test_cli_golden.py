@@ -26,6 +26,20 @@ CASES = {
         "rates", "--omega", "1.3", "--phi", "-0.02", "--temperature", "0.8",
     ),
     "rates_mass": ("rates", "--omega", "1.0", "--mass", "0.05", "--distance", "1.5"),
+    # x = R*Omega in every branch of f1 and f2 (the two cases above sit on the
+    # closed forms, 1 < x <= 2), each with sin^2(psi) > 0 so that f2 shows.
+    "rates_series": ("rates", "--omega", "0.5", "--phi", "-0.03", "--angle", "0.9"),
+    "rates_chebyshev_x5": (
+        "rates", "--omega", "2.5", "--distance", "2", "--phi", "-0.01", "--angle", "1.2",
+        "--temperature", "0.3",
+    ),
+    "rates_chebyshev_x20": (
+        "rates", "--omega", "4", "--distance", "5", "--mass", "0.1", "--angle", "0.5",
+    ),
+    "rates_asymptotic": ("rates", "--omega", "2", "--distance", "100", "--phi", "-0.05",
+                         "--angle", "1.5"),
+    "rates_plateau": ("rates", "--omega", "1", "--distance", "1e18", "--phi", "-0.02",
+                      "--angle", "0.6"),
     "sweep_default": ("sweep", "--points", "25"),
     "sweep_angle_linear": ("sweep", "--angle", "0.7", "--linear", "--points", "25"),
     "sweep_chunk_boundary": ("sweep", "--points", "1030"),
