@@ -2,17 +2,20 @@
 
 Subcommands: ``rates`` (one generator as JSON), ``sweep`` (ratio curves as
 CSV/SVG), ``evolve`` (trajectory CSV), ``verify`` (full oracle report).
+``--format`` takes only the formats its subcommand writes (``FORMATS``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
-Outputs are deterministic: every number is ``rows.NUMBER`` (``%.11e``), and
+Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
 CSV rows come from the vectorised formatter ``rows.format_rows``.
 
 Importing this module loads only the standard library, ``errors`` and
 ``model``.  Each handler validates its inputs with ``model`` first and then
-imports the layers it runs: ``rates``, ``sweep`` and ``evolve`` import
-``rows`` and ``rates`` (and with them numpy), ``evolve`` also ``lindblad``,
-and ``verify`` imports ``oracle``.  So ``--help`` and input that fails
-validation never load numpy, and only ``verify`` loads the oracle.
+imports the layers it runs: ``rates`` imports ``rates`` (and with it
+``specfun``, which evaluates one point on Python floats without numpy),
+``sweep`` and ``evolve`` import ``rows`` and ``rates`` (and with them
+numpy), ``evolve`` also ``lindblad``, and ``verify`` imports ``oracle``.
+So ``--help``, input that fails validation and ``rates`` never load numpy,
+and only ``verify`` loads the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,22 @@ import math
 import sys
 
 from .errors import GravatomError
-from .model import AtomSpec, GravityEnv, ThermalSpec, _check_finite, potential_from_source
+from .model import (
+    NUMBER,
+    AtomSpec,
+    GravityEnv,
+    ThermalSpec,
+    _check_finite,
+    potential_from_source,
+)
+
+#: The output formats each subcommand writes; the first is its default.
+FORMATS = {
+    "rates": ("json",),
+    "sweep": ("csv", "svg"),
+    "evolve": ("csv",),
+    "verify": ("json",),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,18 +61,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--angle", type=float, default=None, help="dipole angle psi in radians")
         p.add_argument("--temperature", type=float, default=None, help="distant-observer temperature")
 
-    def add_output(p):
-        p.add_argument("--format", choices=("csv", "json", "svg"), default=None)
+    def add_output(p, formats):
+        p.add_argument("--format", choices=formats, default=None)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--config", default=None, help="JSON config file mirroring flag names")
 
     p_rates = sub.add_parser("rates", help="compute one full rate set")
     add_physics(p_rates)
-    add_output(p_rates)
+    add_output(p_rates, FORMATS["rates"])
 
     p_sweep = sub.add_parser("sweep", help="ratio curve over a grid of x = R*Omega")
     add_physics(p_sweep)
-    add_output(p_sweep)
+    add_output(p_sweep, FORMATS["sweep"])
     p_sweep.add_argument("--x-min", dest="x_min", type=float, default=None)
     p_sweep.add_argument("--x-max", dest="x_max", type=float, default=None)
     p_sweep.add_argument("--points", type=int, default=None)
@@ -64,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="evolve a density matrix")
     add_physics(p_evolve)
-    add_output(p_evolve)
+    add_output(p_evolve, FORMATS["evolve"])
     p_evolve.add_argument("--t-max", dest="t_max", type=float, default=None,
                           help="evolution span in units of 1/Gamma")
     p_evolve.add_argument("--steps", type=int, default=None)
@@ -72,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="excited, ground, or mixed:p")
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    add_output(p_verify)
+    add_output(p_verify, FORMATS["verify"])
     p_verify.add_argument("--f1-offset", dest="f1_offset", type=float, default=0.0,
                           help=argparse.SUPPRESS)
 
@@ -87,7 +105,6 @@ _DEFAULTS = {
     "dipole": 1.0,
     "angle": 0.0,
     "temperature": 0.0,
-    "format": "csv",
     "x_min": 1e-2,
     "x_max": 1e2,
     "points": 200,
@@ -104,13 +121,12 @@ class UsageError(Exception):
     pass
 
 
-def _config_value(key: str, value):
-    """A config-file value, checked against the type of its flag.
+def _config_value(key: str, value, default):
+    """A config-file value, checked against the type of its flag's ``default``.
 
     Keys whose default is None take numbers; ints are accepted where floats
     are expected, bools never stand in for numbers.
     """
-    default = _DEFAULTS[key]
     expected = float if default is None else type(default)
     if expected is float and type(value) is int:
         try:
@@ -125,20 +141,26 @@ def _config_value(key: str, value):
 
 
 def _resolve(args) -> tuple[dict, set]:
-    """Merge flag > config-file > default; also report explicitly set keys."""
+    """Merge flag > config-file > default; also report explicitly set keys.
+
+    The default format is the subcommand's first; a format it does not
+    write is refused.
+    """
+    formats = FORMATS[args.mode]
+    defaults = dict(_DEFAULTS, format=formats[0])
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(config) - set(_DEFAULTS)
+        unknown = set(config) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        config = {key: _config_value(key, value) for key, value in config.items()}
+        config = {key: _config_value(key, value, defaults[key]) for key, value in config.items()}
     merged = {}
     explicit = set()
-    for key, default in _DEFAULTS.items():
+    for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -148,6 +170,10 @@ def _resolve(args) -> tuple[dict, set]:
             explicit.add(key)
         else:
             merged[key] = default
+    if merged["format"] not in formats:
+        raise UsageError(
+            f"{args.mode} writes format {' or '.join(formats)}, got {merged['format']!r}"
+        )
     return merged, explicit
 
 
@@ -185,7 +211,6 @@ def cmd_rates(args) -> int:
     env = _environment(cfg)
     thermal = ThermalSpec.from_distant(cfg["temperature"], env.phi)
     from .rates import build_rate_set
-    from .rows import NUMBER
 
     rateset = build_rate_set(atom, env, thermal)
     payload = {k: NUMBER % v for k, v in rateset.as_dict().items()}
@@ -234,7 +259,7 @@ def cmd_sweep(args) -> int:
         header = "x,ratio_parallel,ratio_perpendicular"
         labels = ("parallel", "perpendicular")
 
-    from .rows import NUMBER, format_rows, sweep_chunks
+    from .rows import format_rows, sweep_chunks
 
     chunks = sweep_chunks(grid, cfg["log_grid"], phi, sin2s)
     if cfg["format"] == "svg":
@@ -344,6 +369,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _resolve(args)  # refuses a bad --config or --format before the oracle loads
     from . import oracle
 
     spec = oracle.QuadratureSpec()

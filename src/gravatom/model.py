@@ -2,7 +2,8 @@
 
 Natural units throughout (hbar = c = 1); Newton's constant G is an explicit
 input with default 1.  All closed forms downstream depend only on the
-dimensionless triple (phi, x = R*Omega, sin^2 psi).
+dimensionless triple (phi, x = R*Omega, sin^2 psi).  ``NUMBER`` is the
+format of every number the command line prints.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .errors import DomainError, RegimeError
 PHI_HARD_LIMIT = 0.3
 #: Soft gate: a warning is issued above this.
 PHI_WARN_LIMIT = 0.1
+
+#: Every number printed: 12 significant digits, scientific notation.
+NUMBER = "%.11e"
 
 
 def _check_finite(name: str, value: float) -> None:

@@ -1,6 +1,6 @@
-"""Printed numbers and the CSV rows of ``sweep`` and ``evolve``.
+"""The CSV rows of ``sweep`` and ``evolve``.
 
-Every number the command line prints is ``NUMBER`` (``%.11e``: 12
+Every number the command line prints is ``model.NUMBER`` (``%.11e``: 12
 significant digits, scientific notation, no locale dependence).  CSV rows
 come from one vectorised formatter, `format_rows`, which renders a chunk of
 rows in a few array passes, is byte-identical to ``NUMBER % x`` and falls
@@ -16,10 +16,8 @@ import math
 
 import numpy as np
 
+from .model import NUMBER
 from .rates import rate_bracket
-
-#: Every number printed: 12 significant digits, scientific notation.
-NUMBER = "%.11e"
 
 #: Rows per chunk in `sweep` and `evolve`: each chunk is one `rate_bracket`
 #: call (sweep), one `format_rows` call and one write.  Enough rows to

@@ -5,11 +5,14 @@ Provides the sine integral Si, the two correction functions ``f1`` and
 Bose-Einstein occupation number.
 
 ``sine_integral``, ``f1`` and ``f2`` take a float or an ndarray of any shape
-through one code path: every element goes to the branch its value selects,
-each branch runs as ufunc arithmetic on its own subset only, and a float
-(0-d) argument returns a float.  Every branch is a fixed sequence of
-operations -- a closed form, or a series of fixed length -- so the work per
-element is bounded and nothing iterates to a convergence test.
+through one set of kernels: every value goes to the branch it selects.  A
+float (or int, numpy scalar, 0-d array) returns a float, and its kernel runs
+on Python floats with ``math.sin``/``math.cos``, so float calls never import
+numpy.  An array runs each branch as ufunc arithmetic on its own subset of
+elements; numpy is imported, and the Chebyshev tables are built as arrays,
+on the first array call.  Every branch is a fixed sequence of operations --
+a closed form, or a series of fixed length -- so the work per element is
+bounded and nothing iterates to a convergence test.
 
 Both correction functions are O(x^3)/O(x^4) differences of O(1)
 trigonometric terms, so each carries a Taylor-series branch below
@@ -24,10 +27,9 @@ coefficients, and the length of each series, are generated by
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-
-import numpy as np
 
 from . import _specfun_tables as _tables
 from .errors import DomainError
@@ -56,31 +58,45 @@ def _piecewise(name: str, x, pieces):
     """Evaluate a function of finite x >= 0 that vanishes at 0, branch by branch.
 
     ``pieces`` is a sequence of (upper, kernel) with increasing ``upper``;
-    each kernel receives the 1-d array of elements in (previous upper,
-    upper] and nothing else, and is not called for an empty subset.  A 0-d
-    ``x`` gives its kernel a numpy scalar, which runs the same operations
-    without the masks, and returns a float.
+    a float x goes, as a Python float, to the kernel of the first ``upper``
+    at or above it, and a float is returned.  An int, a numpy scalar or a
+    0-d array is taken as that float.  An array with dimensions gives each
+    kernel the 1-d array of its elements in (previous upper, upper] and
+    nothing else (a kernel is not called for an empty subset), and returns
+    an array of x's shape.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        value = x[()]
-        if not 0.0 <= value < math.inf:  # NaN fails
-            raise DomainError(f"{name} requires finite x >= 0, got {value}")
-        if value == 0.0:
-            return 0.0
-        return float(next(kernel for upper, kernel in pieces if value <= upper)(value))
-    ok = (x >= 0.0) & (x < math.inf)  # NaN fails both
-    if not ok.all():
-        raise DomainError(f"{name} requires finite x >= 0, got {x[~ok].flat[0]}")
-    flat = x.reshape(-1)
-    out = np.zeros_like(flat)
-    lower = 0.0
-    for upper, kernel in pieces:
-        mask = (flat > lower) & (flat <= upper)
-        if np.count_nonzero(mask):
-            out[mask] = kernel(flat[mask])
-        lower = upper
-    return out.reshape(x.shape)
+    if not isinstance(x, (float, int)):
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            ok = (x >= 0.0) & (x < math.inf)  # NaN fails both
+            if not ok.all():
+                raise DomainError(f"{name} requires finite x >= 0, got {x[~ok].flat[0]}")
+            flat = x.reshape(-1)
+            out = np.zeros_like(flat)
+            lower = 0.0
+            for upper, kernel in pieces:
+                mask = (flat > lower) & (flat <= upper)
+                if np.count_nonzero(mask):
+                    out[mask] = kernel(flat[mask])
+                lower = upper
+            return out.reshape(x.shape)
+    value = float(x)
+    if not 0.0 <= value < math.inf:  # NaN fails
+        raise DomainError(f"{name} requires finite x >= 0, got {value}")
+    if value == 0.0:
+        return 0.0
+    return next(kernel for upper, kernel in pieces if value <= upper)(value)
+
+
+def _trig(x):
+    """The module whose ``sin`` and ``cos`` take x: ``math`` for a float, numpy for an array."""
+    if isinstance(x, float):
+        return math
+    import numpy
+
+    return numpy
 
 
 def _horner(coeffs, t):
@@ -100,20 +116,40 @@ def _clenshaw(coeffs, s):
     return s * b1 - b2 + coeffs[0]
 
 
-# Chebyshev coefficients of y f(y) and y^2 g(y), one column per octave
-# [a, 2a], and the left ends a.
-_AUX_F = np.array(_tables.AUX_F_CHEBYSHEV).T
-_AUX_G = np.array(_tables.AUX_G_CHEBYSHEV).T
-_OCTAVE_LEFT = np.array(_tables.OCTAVES)
+@functools.cache
+def _chebyshev_arrays():
+    """The octave left ends and the Chebyshev coefficients as arrays.
+
+    One coefficient column per octave, terms first.  Built on the first
+    array call, so that float calls never import numpy.
+    """
+    import numpy as np
+
+    return (np.array(_tables.OCTAVES), np.array(_tables.AUX_F_CHEBYSHEV).T,
+            np.array(_tables.AUX_G_CHEBYSHEV).T)
+
+
+def _octave(y):
+    """(a, coefficients of y f(y), of y^2 g(y)) of the fit on y's octave [a, 2a].
+
+    y in (a, 2a] takes the octave [a, 2a]; a y just outside [4, 64] extends
+    the nearest end octave.  A float indexes the coefficient tuples of
+    ``_tables``; an array gets a column of coefficients per element.
+    """
+    if isinstance(y, float):
+        # bisect_left from 1 is searchsorted (left side) on OCTAVES[1:], plus 1.
+        i = bisect.bisect_left(_tables.OCTAVES, y, 1) - 1
+        return _tables.OCTAVES[i], _tables.AUX_F_CHEBYSHEV[i], _tables.AUX_G_CHEBYSHEV[i]
+    left, aux_f, aux_g = _chebyshev_arrays()
+    i = left[1:].searchsorted(y)
+    return left[i], aux_f[:, i], aux_g[:, i]
 
 
 def _aux_chebyshev(y):
     """(y f(y), y^2 g(y)) for 4 < y <= ASYMPTOTIC_CUT, from the fit on y's octave."""
-    # y in (a, 2a] takes the octave [a, 2a]; a y just outside [4, 64] extends
-    # the nearest end octave.
-    octave = _OCTAVE_LEFT[1:].searchsorted(y)
-    s = 4.0 * _OCTAVE_LEFT[octave] / y - 3.0
-    return _clenshaw(_AUX_F[:, octave], s), _clenshaw(_AUX_G[:, octave], s)
+    left, aux_f, aux_g = _octave(y)
+    s = 4.0 * left / y - 3.0
+    return _clenshaw(aux_f, s), _clenshaw(aux_g, s)
 
 
 def _aux_asymptotic(y):
@@ -149,7 +185,8 @@ def _si_taylor(x):
 def _si_large(aux, x):
     # f cos x + g sin x = (F cos x + G sin x / x) / x, with F = x f, G = x^2 g.
     big_f, big_g = aux(x)
-    return 0.5 * math.pi - (big_f * np.cos(x) + big_g * np.sin(x) / x) / x
+    trig = _trig(x)
+    return 0.5 * math.pi - (big_f * trig.cos(x) + big_g * trig.sin(x) / x) / x
 
 
 _SI_PIECES = (
@@ -168,11 +205,12 @@ def f1_series(x):
 def f1_closed(x):
     """Closed form of f1 in terms of Si; cancels badly as x -> 0 and as x grows."""
     x2 = x * x
+    trig = _trig(x)
     bracket = (
         1.0
         + x2 * (math.pi * x + 3.0)
-        - (1.0 + x2) * np.cos(2.0 * x)
-        - 2.0 * x * np.sin(2.0 * x)
+        - (1.0 + x2) * trig.cos(2.0 * x)
+        - 2.0 * x * trig.sin(2.0 * x)
         - 2.0 * x * x2 * sine_integral(2.0 * x)
     )
     return bracket / x2
@@ -186,7 +224,8 @@ def _f1_large(aux, x):
     big_f, big_g = aux(y)
     inv = 1.0 / x
     inv2 = inv * inv
-    return 3.0 + inv2 + (big_f - 1.0 - inv2) * np.cos(y) + (big_g / y - 2.0 * inv) * np.sin(y)
+    trig = _trig(y)
+    return 3.0 + inv2 + (big_f - 1.0 - inv2) * trig.cos(y) + (big_g / y - 2.0 * inv) * trig.sin(y)
 
 
 _F1_PIECES = (
@@ -194,7 +233,7 @@ _F1_PIECES = (
     (LARGE_CUT, f1_closed),
     (0.5 * ASYMPTOTIC_CUT, functools.partial(_f1_large, _aux_chebyshev)),
     (_F1_FLAT_CUT, functools.partial(_f1_large, _aux_asymptotic)),
-    (math.inf, lambda x: np.full_like(x, 3.0)),
+    (math.inf, lambda x: 0.0 * x + 3.0),  # 3.0 as a float, or an array like x
 )
 
 
@@ -212,14 +251,16 @@ def f2_series(x):
 def f2_closed(x):
     """Closed form of f2; cancels badly as x -> 0, x^2 overflows for x > ~1e154."""
     x2 = x * x
-    return (1.0 - x * np.sin(2.0 * x) - np.cos(2.0 * x)) / x2
+    trig = _trig(x)
+    return (1.0 - x * trig.sin(2.0 * x) - trig.cos(2.0 * x)) / x2
 
 
 def _f2_large(x):
     # f2 = (2 sin^2 x / x - 2 sin x cos x) / x: the closed form with
     # 1 - cos 2x = 2 sin^2 x and sin 2x = 2 sin x cos x, finite for every x.
-    sin_x = np.sin(x)
-    return 2.0 * sin_x * (sin_x / x - np.cos(x)) / x
+    trig = _trig(x)
+    sin_x = trig.sin(x)
+    return 2.0 * sin_x * (sin_x / x - trig.cos(x)) / x
 
 
 _F2_PIECES = ((SMALL_CUT, f2_series), (LARGE_CUT, f2_closed), (math.inf, _f2_large))

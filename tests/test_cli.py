@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from gravatom import cli, specfun
 from gravatom.cli import main
 from gravatom.lindblad import MAX_STEPS, DensityMatrix2, analytic_state, evolve_numeric
-from gravatom.model import AtomSpec, GravityEnv, ThermalSpec
+from gravatom.model import NUMBER, AtomSpec, GravityEnv, ThermalSpec
 from gravatom.rates import build_rate_set, rate_bracket
-from gravatom.rows import NUMBER, ROW_CHUNK, sweep_chunks
+from gravatom.rows import ROW_CHUNK, sweep_chunks
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +255,49 @@ class TestConfig:
         _, from_config, _ = run_cli(capsys, "rates", "--config", str(cfg))
         _, from_flags, _ = run_cli(capsys, "rates", "--omega", "2", "--phi", "-0.05")
         assert from_config == from_flags
+
+
+# Each subcommand with a valid input, the formats it writes, and formats it does not.
+FORMAT_CASES = {
+    "rates": (["rates", "--omega", "1.0"], ("json",), ("csv", "svg", "xml")),
+    "sweep": (["sweep", "--points", "5"], ("csv", "svg"), ("json", "xml")),
+    "evolve": (["evolve", "--omega", "1.0", "--steps", "60"], ("csv",), ("json", "svg", "xml")),
+    "verify": (["verify"], ("json",), ("csv", "svg", "xml")),
+}
+
+
+class TestFormat:
+    @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
+    def test_own_formats(self, capsys, tmp_path, mode):
+        argv, formats, _ = FORMAT_CASES[mode]
+        code, default, _ = run_cli(capsys, *argv)
+        assert code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": formats[0]}))
+        assert run_cli(capsys, *argv, "--format", formats[0]) == (0, default, "")
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, default, "")
+        for other in formats[1:]:
+            code, out, _ = run_cli(capsys, *argv, "--format", other)
+            assert code == 0 and out != default
+
+    @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
+    def test_flag_refuses_a_format_the_subcommand_does_not_write(self, capsys, mode):
+        argv, _, wrong = FORMAT_CASES[mode]
+        for fmt in wrong:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", fmt])
+            assert exc.value.code == 2, fmt
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
+    def test_config_refuses_a_format_the_subcommand_does_not_write(self, capsys, tmp_path, mode):
+        argv, _, wrong = FORMAT_CASES[mode]
+        cfg = tmp_path / "cfg.json"
+        for fmt in wrong:
+            cfg.write_text(json.dumps({"format": fmt}))
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert (code, out) == (2, ""), fmt
+            assert f"got {fmt!r}" in err
 
 
 class TestOverflow:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravatom.rows import NUMBER, format_rows
+from gravatom.model import NUMBER
+from gravatom.rows import format_rows
 
 # An overflow or invalid value inside the formatter is a failure, even where
 # the fallback would hide it in the output.

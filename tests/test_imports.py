@@ -1,8 +1,8 @@
 """Each command loads only the layers it runs.
 
 Every case starts a fresh interpreter, runs the command as the ``gravatom``
-console script does (``gravatom.cli.main``) and records ``sys.modules`` at
-the end.
+console script does (``gravatom.cli.main``), or calls ``specfun`` on floats,
+and records ``sys.modules`` at the end.
 """
 
 import json
@@ -28,7 +28,19 @@ if argv:
     except SystemExit as exc:
         code = exc.code
 with open(out, "w") as fh:
-    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+    json.dump({"result": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+# Every branch of Si, f1 and f2, on a float and on an int.
+FLOAT_PROBE = """
+import json, sys
+out = sys.argv[1]
+from gravatom import specfun
+values = [fn(x) for fn in (specfun.sine_integral, specfun.f1, specfun.f2)
+          for x in (0.0, 0.5, 1.5, 3.0, 5.0, 20.0, 40.0, 200.0, 1e18, 7)]
+with open(out, "w") as fh:
+    json.dump({"result": sorted({type(v).__name__ for v in values}),
+               "modules": sorted(sys.modules)}, fh)
 """
 
 NUMERIC = (
@@ -47,7 +59,8 @@ CASES = {
     "help": (["--help"], 0, ("argparse",), NUMERIC),
     "invalid rates": (["rates", "--omega=-1"], 2, ("gravatom.model",), NUMERIC),
     "rates": (["rates", "--omega", "1.3", "--phi", "-0.05"], 0,
-              ("gravatom.rates", "gravatom.rows"), ("gravatom.oracle", "gravatom.lindblad")),
+              ("gravatom.rates", "gravatom.specfun"),
+              ("numpy", "gravatom.rows", "gravatom.oracle", "gravatom.lindblad")),
     "sweep": (["sweep", "--points", "50"], 0,
               ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad")),
     "evolve": (["evolve", "--omega", "1.0", "--steps", "500"], 0,
@@ -56,19 +69,31 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_loaded_modules(case, tmp_path):
-    argv, code, loaded, absent = CASES[case]
+def _probe(tmp_path, script, *argv):
+    """Run ``script`` in a fresh interpreter; return its result and loaded modules."""
     out = tmp_path / "modules.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(out), *argv],
+        [sys.executable, "-c", script, str(out), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(out.read_text())
-    assert probe["code"] == code, proc.stderr
-    modules = set(probe["modules"])
+    return probe["result"], set(probe["modules"])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_loaded_modules(case, tmp_path):
+    argv, code, loaded, absent = CASES[case]
+    got, modules = _probe(tmp_path, PROBE, *argv)
+    assert got == code
     assert set(loaded) <= modules
     assert not set(absent) & modules
+
+
+def test_float_calls_never_import_numpy(tmp_path):
+    types, modules = _probe(tmp_path, FLOAT_PROBE)
+    assert types == ["float"]
+    assert "gravatom.specfun" in modules
+    assert "numpy" not in modules

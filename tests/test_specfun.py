@@ -249,9 +249,9 @@ class TestSwitchContinuity:
     @pytest.mark.parametrize("octave", [0, 1, 2])
     def test_chebyshev_octaves_meet(self, octave):
         # y = 8, 16, 32 is s = -1 on one octave and s = 1 on the next.
-        for table in (specfun._AUX_F, specfun._AUX_G):
-            below = specfun._clenshaw(table[:, octave], -1.0)
-            above = specfun._clenshaw(table[:, octave + 1], 1.0)
+        for table in (_specfun_tables.AUX_F_CHEBYSHEV, _specfun_tables.AUX_G_CHEBYSHEV):
+            below = specfun._clenshaw(table[octave], -1.0)
+            above = specfun._clenshaw(table[octave + 1], 1.0)
             assert abs(above - below) <= SWITCH_TOL
 
     def test_chebyshev_meets_asymptotic_at_64(self):
