@@ -45,8 +45,19 @@ FORMATS = {
 }
 
 
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``UsageError``, like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gravatom",
         description="Dissipation of a two-level atom in a weak gravitational field",
     )
@@ -117,9 +128,6 @@ _DEFAULTS = {
 #: Documented default used by `sweep` when no potential is given.
 SWEEP_DEFAULT_PHI = -0.05
 
-class UsageError(Exception):
-    pass
-
 
 def _config_value(key: str, value, default):
     """A config-file value, checked against the type of its flag's ``default``.
@@ -143,11 +151,16 @@ def _config_value(key: str, value, default):
 def _resolve(args) -> tuple[dict, set]:
     """Merge flag > config-file > default; also report explicitly set keys.
 
-    The default format is the subcommand's first; a format it does not
-    write is refused.
+    Only the subcommand's own flags are resolved, and a config key for any
+    other is refused.  The default format is the subcommand's first; a
+    format it does not write is refused.
     """
     formats = FORMATS[args.mode]
-    defaults = dict(_DEFAULTS, format=formats[0])
+    defaults = {
+        key: default
+        for key, default in dict(_DEFAULTS, format=formats[0]).items()
+        if key in vars(args)
+    }
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -161,7 +174,7 @@ def _resolve(args) -> tuple[dict, set]:
     merged = {}
     explicit = set()
     for key, default in defaults.items():
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
             explicit.add(key)
@@ -381,8 +394,6 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "rates": cmd_rates,
         "sweep": cmd_sweep,
@@ -390,6 +401,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.mode](args)
     except (UsageError, GravatomError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -227,6 +227,21 @@ class TestConfig:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["rates", "--omega", "1"], {"steps": 7, "x_min": 5.0}),
+            (["verify"], {"phi": -0.05}),
+        ],
+        ids=["rates", "verify"],
+    )
+    def test_key_of_another_subcommand(self, capsys, tmp_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown config keys" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "rates", "--omega", "1.0", "--config", "/no/such.json")
         assert code == 2
@@ -284,10 +299,9 @@ class TestFormat:
     def test_flag_refuses_a_format_the_subcommand_does_not_write(self, capsys, mode):
         argv, _, wrong = FORMAT_CASES[mode]
         for fmt in wrong:
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--format", fmt])
-            assert exc.value.code == 2, fmt
-            assert capsys.readouterr().out == ""
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, ""), fmt
+            assert err.startswith("error:")
 
     @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
     def test_config_refuses_a_format_the_subcommand_does_not_write(self, capsys, tmp_path, mode):
@@ -298,6 +312,18 @@ class TestFormat:
             code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
             assert (code, out) == (2, ""), fmt
             assert f"got {fmt!r}" in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["rates", "--bogus"], ["rates", "--omega", "one"], ["sweep", "--points", "2.5"]],
+        ids=["no-subcommand", "unknown-flag", "bad-float", "bad-int"],
+    )
+    def test_parser_error_returns_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "usage:" not in err
 
 
 class TestOverflow:

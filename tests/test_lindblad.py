@@ -30,16 +30,14 @@ def make_rates(gamma_plus, gamma_minus):
     )
 
 
-def _derivative(state, gamma_plus, gamma_minus, frequency_offset):
+def _derivative(state, gamma_plus, gamma_minus):
     ee, gg, re_eg, im_eg = state
     total = gamma_plus + gamma_minus
     d_ee = -gamma_minus * ee + gamma_plus * gg
-    d_re = -0.5 * total * re_eg + frequency_offset * im_eg
-    d_im = -0.5 * total * im_eg - frequency_offset * re_eg
-    return (d_ee, -d_ee, d_re, d_im)
+    return (d_ee, -d_ee, -0.5 * total * re_eg, -0.5 * total * im_eg)
 
 
-def rk4_loop(rho0, rates, t_max, steps, frequency_offset=0.0):
+def rk4_loop(rho0, rates, t_max, steps):
     """Reference: step-by-step RK4, independent of the closed-form iterate.
 
     Returns (steps + 1, 4) rows of (ee, gg, Re eg, Im eg).
@@ -50,13 +48,13 @@ def rk4_loop(rho0, rates, t_max, steps, frequency_offset=0.0):
     rows = np.empty((steps + 1, 4))
     rows[0] = y
     for n in range(steps):
-        k1 = _derivative(y, gp, gm, frequency_offset)
+        k1 = _derivative(y, gp, gm)
         y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
-        k2 = _derivative(y2, gp, gm, frequency_offset)
+        k2 = _derivative(y2, gp, gm)
         y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
-        k3 = _derivative(y3, gp, gm, frequency_offset)
+        k3 = _derivative(y3, gp, gm)
         y4 = tuple(a + h * b for a, b in zip(y, k3))
-        k4 = _derivative(y4, gp, gm, frequency_offset)
+        k4 = _derivative(y4, gp, gm)
         y = tuple(
             a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
@@ -70,10 +68,10 @@ def mp_stability(z):
     return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
 
 
-def mp_modes(rates, h, frequency_offset):
+def mp_modes(rates, h):
     """The population and coherence step exponents z of the generator, exact."""
-    total = mp.mpf(rates.gamma_total)
-    return -mp.mpf(h) * total, mp.mpf(h) * (-total / 2 - 1j * mp.mpf(frequency_offset))
+    z_pop = -mp.mpf(h) * mp.mpf(rates.gamma_total)
+    return z_pop, z_pop / 2
 
 
 class TestDensityMatrix2:
@@ -147,9 +145,9 @@ class TestAnalyticState:
         rates = make_rates(0.2, 0.7)
         rho0 = DensityMatrix2.superposition(0.4)
         ts = np.linspace(0.0, 6.0, 13)
-        column = analytic_state(rho0, rates, ts, frequency_offset=1.5)
+        column = analytic_state(rho0, rates, ts)
         for i, t in enumerate(ts):
-            single = analytic_state(rho0, rates, float(t), frequency_offset=1.5)
+            single = analytic_state(rho0, rates, float(t))
             assert column.ee[i] == single.ee
             assert column.gg[i] == single.gg
             assert column.eg[i] == single.eg
@@ -179,7 +177,7 @@ class TestEvolveNumeric:
         rates = make_rates(0.0, 10.0)
         with pytest.raises(StepSizeError) as err:
             evolve_numeric(DensityMatrix2.excited(), rates, 10.0, 10)
-        assert err.value.suggested_steps >= 1000
+        assert err.value.suggested_steps == 1000
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(7)
@@ -250,116 +248,63 @@ class TestEvolveNumeric:
         assert len(traj.times) == 1001
         assert len(calls) <= 3
 
-    def test_zero_coherence_stays_zero_beyond_rk4_stability(self):
-        # h * offset = 4 puts the coherence mode outside the RK4 stability
-        # region (|R| > 1); with no initial coherence there is nothing to grow.
-        traj = evolve_numeric(
-            DensityMatrix2.excited(), make_rates(0.0, 1.0), 10.0, 1000, frequency_offset=400.0
-        )
-        assert np.all(traj.states.eg == 0.0)
-
-    def test_unstable_coherence_is_a_step_size_error(self, monkeypatch):
-        # h * offset = 4 with a nonzero coherence: |R| > 1 would make it grow,
-        # so the gate refuses the step before powering anything.
+    def test_zero_coherence_is_not_powered(self, monkeypatch):
+        # The zero column is never written, so it costs no resident memory;
+        # powering the coherence mode would write 16 bytes per step.
         from gravatom import lindblad
 
-        rho0, rates = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0)
+        exp = np.exp
+        calls = []
 
-        def no_power(*args, **kwargs):
-            raise AssertionError("powered a mode before the stability gate")
+        def counting(x):
+            calls.append(np.shape(x))
+            return exp(x)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(lindblad.np, "exp", no_power)
-            with pytest.raises(StepSizeError) as err:
-                evolve_numeric(rho0, rates, 10.0, 1000, frequency_offset=400.0)
-        suggested = err.value.suggested_steps
-        # The phase-lag gate (t|d| = 4000): the smallest count whose exact lag
-        # is within MAX_PHASE_LAG.
-        assert suggested == 303_935
-        traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=400.0)
-        assert np.all(np.abs(traj.states.eg) <= abs(rho0.eg))
-        # The suggestion is accurate, not only stable: |rho_eg| within 1e-3
-        # of the analytic value at every step.
-        ref = analytic_state(rho0, rates, traj.times, frequency_offset=400.0)
-        rel = np.abs(np.abs(traj.states.eg) - np.abs(ref.eg)) / np.abs(ref.eg)
-        assert np.max(rel) <= 1e-3
-        # The offset term also enters a suggestion made for h * Gamma alone.
-        with pytest.raises(StepSizeError) as err:
-            evolve_numeric(rho0, rates, 10.0, 10, frequency_offset=400.0)
-        assert err.value.suggested_steps == suggested
-
-    def test_stable_but_inaccurate_coherence_step_is_refused(self):
-        # h * offset = 2.5 is inside the RK4 stability region, but each step
-        # shrinks the coherence by |R| ~ 0.51: by t = 10 nothing is left of an
-        # analytic |rho_eg| of 3.4e-3.
-        rho0, rates = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0)
-        for steps in (1600, 39_999):
-            with pytest.raises(StepSizeError) as err:
-                evolve_numeric(rho0, rates, 10.0, steps, frequency_offset=400.0)
-            assert err.value.suggested_steps == 303_935
-
-    def test_suggested_steps_bound_the_phase_lag(self):
-        # h * offset = 0.1 (40 000 steps) passes the step gate, but the phase
-        # lags by t|d| (h|d|)^4 / 120 = 3.3e-3 rad at t = 10: the complex
-        # rho_eg is off by 3.3e-3 relative.  The suggestion caps the lag at
-        # MAX_PHASE_LAG, and one step fewer is refused.
-        from gravatom import lindblad
-
-        rho0, rates, offset = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0), 400.0
-        with pytest.raises(StepSizeError) as err:
-            evolve_numeric(rho0, rates, 10.0, 40_000, frequency_offset=offset)
-        suggested = err.value.suggested_steps
-        with pytest.raises(StepSizeError):
-            evolve_numeric(rho0, rates, 10.0, suggested - 1, frequency_offset=offset)
-        traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=offset)
-        ref = analytic_state(rho0, rates, traj.times, frequency_offset=offset)
-        rel = np.abs(traj.states.eg - ref.eg) / np.abs(ref.eg)
-        assert np.max(rel) <= 2.0 * lindblad.MAX_PHASE_LAG
-
-    def test_phase_lag_gate_is_exact_when_damping_dominates(self):
-        # |d| = Gamma / 2: the estimate t|d|(h|d|)^4 / 120 = 2.6e-7 rad misses
-        # the damping terms of Im((Gamma/2 + i d)^5).  At 100 steps the RK4
-        # loop really lags analytic_state by 1.13e-6 rad at t = 10, so the
-        # gate refuses it, and the suggested count passes every gate.
-        from gravatom import lindblad
-
-        rho0, rates, offset = DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0), 0.5
-        ref = analytic_state(rho0, rates, 10.0, frequency_offset=offset)
-        _, _, re_eg, im_eg = rk4_loop(rho0, rates, 10.0, 100, offset)[-1]
-        loop_lag = abs(np.angle(complex(re_eg, im_eg) / ref.eg))
-        assert loop_lag == pytest.approx(1.13e-6, rel=1e-2)
-        assert lindblad._phase_lag(10.0, 100, rates.gamma_total, offset) == pytest.approx(
-            loop_lag, rel=1e-6
-        )
-        with pytest.raises(StepSizeError) as err:
-            evolve_numeric(rho0, rates, 10.0, 100, frequency_offset=offset)
-        suggested = err.value.suggested_steps
-        traj = evolve_numeric(rho0, rates, 10.0, suggested, frequency_offset=offset)
-        assert abs(np.angle(traj.states.eg[-1] / ref.eg)) <= lindblad.MAX_PHASE_LAG
-
-    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_frequency_offset_rejected(self, offset):
-        with pytest.raises(DomainError, match="frequency_offset"):
-            evolve_numeric(
-                DensityMatrix2.superposition(0.5), make_rates(0.0, 1.0), 1.0, 100,
-                frequency_offset=offset,
-            )
+        monkeypatch.setattr(lindblad.np, "exp", counting)
+        traj = evolve_numeric(DensityMatrix2.mixed(0.3), make_rates(0.2, 0.8), 5.0, 500)
+        assert calls == [(501,)]
+        assert not np.any(traj.states.eg)
 
     def test_unrepresentable_suggestion_is_none(self):
         with pytest.raises(StepSizeError) as err:
             evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 10.0), 1e308, 10)
         assert err.value.suggested_steps is None
 
-    def test_frequency_offset_hook(self):
-        rates = make_rates(0.0, 1.0)
-        offset = 2.0
-        traj = evolve_numeric(
-            DensityMatrix2.superposition(0.5), rates, 1.0, 200, frequency_offset=offset
-        )
-        ref = analytic_state(
-            DensityMatrix2.superposition(0.5), rates, 1.0, frequency_offset=offset
-        )
-        assert abs(traj.states.eg[-1] - ref.eg) <= 1e-8
+    def test_suggestion_steps_past_a_rounded_up_gate(self):
+        # ceil(t Gamma / 0.1) = 166 522 steps leave h * Gamma at
+        # 0.10000000000000002, one ulp above the gate.
+        rho0, rates, t_max = DensityMatrix2.excited(), make_rates(0.0, 3.34), 4985.688622754492
+        with pytest.raises(StepSizeError) as err:
+            evolve_numeric(rho0, rates, t_max, 166_522)
+        assert err.value.suggested_steps == 166_523
+        traj = evolve_numeric(rho0, rates, t_max, 166_523)
+        assert traj.times[-1] == pytest.approx(t_max, rel=1e-12)
+
+    def test_suggestion_is_accepted(self, monkeypatch):
+        # Spans that are exact multiples of the gate, where rounding decides,
+        # and their neighbours.  Passing the gate reaches np.arange, which is
+        # stubbed out so that nothing is allocated.
+        from gravatom import lindblad
+
+        class Accepted(Exception):
+            pass
+
+        def accepted(*args, **kwargs):
+            raise Accepted
+
+        monkeypatch.setattr(lindblad.np, "arange", accepted)
+        rho0, rng = DensityMatrix2.excited(), random.Random(2024)
+        checked = 0
+        for _ in range(2000):
+            rates = make_rates(0.0, 10 ** rng.uniform(-3.0, 3.0))
+            t0 = rng.randrange(1, 10**7 + 1) * lindblad.MAX_STEP_RATE / rates.gamma_total
+            for t_max in (math.nextafter(t0, 0.0), t0, math.nextafter(t0, math.inf)):
+                suggested = lindblad._suggested_steps(t_max, rates.gamma_total)
+                if suggested <= lindblad.MAX_STEPS:
+                    with pytest.raises(Accepted):
+                        evolve_numeric(rho0, rates, t_max, suggested)
+                    checked += 1
+        assert checked > 5000
 
 
 class TestClosedFormIterate:
@@ -367,15 +312,15 @@ class TestClosedFormIterate:
 
     @pytest.mark.parametrize("steps", [10**3, 10**4, 10**5])
     @pytest.mark.parametrize(
-        "rho0, offset",
-        [(DensityMatrix2.mixed(0.3), 0.0), (DensityMatrix2.superposition(0.6), 0.7)],
+        "rho0",
+        [DensityMatrix2.mixed(0.3), DensityMatrix2.superposition(0.6)],
         ids=["mixed", "superposition"],
     )
-    def test_matches_rk4_loop(self, rho0, offset, steps):
+    def test_matches_rk4_loop(self, rho0, steps):
         rates = make_rates(0.25, 0.6)
         t_max = 6.0 / rates.gamma_total
-        traj = evolve_numeric(rho0, rates, t_max, steps, frequency_offset=offset)
-        rows = rk4_loop(rho0, rates, t_max, steps, offset)
+        traj = evolve_numeric(rho0, rates, t_max, steps)
+        rows = rk4_loop(rho0, rates, t_max, steps)
         s = traj.states
         assert np.max(np.abs(s.ee - rows[:, 0])) <= 1e-13
         assert np.max(np.abs(s.gg - rows[:, 1])) <= 1e-13
@@ -388,11 +333,11 @@ class TestClosedFormIterate:
         # at n = 1 / (h Gamma).
         rates = make_rates(0.3, 0.55)
         rho0 = DensityMatrix2.superposition(0.9)
-        steps, offset = 10**6, 0.7
+        steps = 10**6
         t_max = 6.0 / rates.gamma_total
-        traj = evolve_numeric(rho0, rates, t_max, steps, frequency_offset=offset)
+        traj = evolve_numeric(rho0, rates, t_max, steps)
         with mp.workdps(40):
-            z_pop, z_coh = mp_modes(rates, t_max / steps, offset)
+            z_pop, z_coh = mp_modes(rates, t_max / steps)
             r_pop, r_coh = mp_stability(z_pop), mp_stability(z_coh)
             s = mp.mpf(rates.steady_excited)
             for n in (0, 1, 2, 17, 1000, 12345, 99_999, 166_667, 333_333, 777_777, steps):
@@ -407,12 +352,12 @@ class TestClosedFormIterate:
         # h Gamma = 0.05: the RK4 global error is ~1e-7, far above rounding.
         rates = make_rates(0.2, 0.7)
         rho0 = DensityMatrix2.superposition(0.9)
-        steps, offset = 120, 0.7
+        steps = 120
         t_max = 6.0 / rates.gamma_total
-        traj = evolve_numeric(rho0, rates, t_max, steps, frequency_offset=offset)
-        ref = analytic_state(rho0, rates, traj.times, frequency_offset=offset)
+        traj = evolve_numeric(rho0, rates, t_max, steps)
+        ref = analytic_state(rho0, rates, traj.times)
         with mp.workdps(40):
-            z_pop, z_coh = mp_modes(rates, t_max / steps, offset)
+            z_pop, z_coh = mp_modes(rates, t_max / steps)
             r_pop, r_coh = mp_stability(z_pop), mp_stability(z_coh)
             amp = mp.mpf(rho0.ee) - mp.mpf(rates.steady_excited)
             worst = 0.0
