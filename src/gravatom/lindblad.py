@@ -127,18 +127,26 @@ def _rk4_log_step(z: float) -> float:
 
 
 def _suggested_steps(t_max: float, total: float) -> int | None:
-    """A step count that passes the gate, or None if it is not a float.
+    """The fewest steps that pass the gate, or None if that is not a float.
 
-    n = ceil(t_max Gamma / MAX_STEP_RATE), or n + 1 when rounding leaves
-    (t_max / n) * Gamma one ulp above the gate.  A count above ``MAX_STEPS``,
-    which no call accepts, is only a lower bound.
+    n = ceil(t_max Gamma / MAX_STEP_RATE) is off by one either way when the
+    quotient rounds across an integer: n - 1 when it rounds up past one and
+    (t_max / (n - 1)) * Gamma still passes, n + 1 when (t_max / n) * Gamma
+    lands one ulp above the gate.  The gate is monotone in the step count.
+    A count above ``MAX_STEPS``, which no call accepts, is only a lower bound.
     """
     needed = t_max * total / MAX_STEP_RATE
     # `needed` overflows to inf for t_max * Gamma near the top of the range.
     if not math.isfinite(needed):
         return None
+
+    def passes(n):
+        return (t_max / n) * total <= MAX_STEP_RATE
+
     steps = max(1, math.ceil(needed))
-    return steps if (t_max / steps) * total <= MAX_STEP_RATE else steps + 1
+    if steps > 1 and passes(steps - 1):
+        return steps - 1
+    return steps if passes(steps) else steps + 1
 
 
 def evolve_numeric(rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: int) -> Trajectory:

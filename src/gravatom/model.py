@@ -29,18 +29,13 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _check_phi(phi: float) -> None:
+    """The hard gates on phi; only ``GravityEnv`` applies the soft one."""
     _check_finite("phi", phi)
     if phi > 0.0:
         raise DomainError(f"phi must be <= 0 (attractive source), got {phi}")
     if abs(phi) >= PHI_HARD_LIMIT:
         raise RegimeError(
             f"|phi| = {abs(phi)} >= {PHI_HARD_LIMIT}: weak-field expansion invalid"
-        )
-    if abs(phi) > PHI_WARN_LIMIT:
-        warnings.warn(
-            f"|phi| = {abs(phi)} > {PHI_WARN_LIMIT}: first-order corrections "
-            "are no longer small",
-            stacklevel=3,
         )
 
 
@@ -87,6 +82,14 @@ class GravityEnv:
         if self.distance <= 0.0:
             raise DomainError(f"distance must be positive, got {self.distance}")
         _check_phi(self.phi)
+        # Warned here only, where the environment is built, so that a command
+        # passing phi on to further checks warns once.
+        if abs(self.phi) > PHI_WARN_LIMIT:
+            warnings.warn(
+                f"|phi| = {abs(self.phi)} > {PHI_WARN_LIMIT}: first-order corrections "
+                "are no longer small",
+                stacklevel=3,
+            )
 
     @classmethod
     def from_source(cls, mass: float, distance: float, G: float = 1.0) -> "GravityEnv":

@@ -9,9 +9,12 @@ built from f1 and f2 recovered from the radial quadratures, the rate from
 ``rates.rate_bracket``, and the two must agree up to a remainder of second
 order in phi.
 
-The radial integrands decay like 1/y with oscillation (conditionally
-convergent), so the infinite tails are summed period by period and
-accelerated by repeated averaging of the partial sums.
+The angular moments of the distance kernel come from the closed
+antiderivative or, where it cancels, from one fixed-length binomial series.
+Every radial integral goes through one helper: a head on [0, R] and an
+infinite tail that decays like 1/y with oscillation (conditionally
+convergent), summed period by period and accelerated by repeated averaging
+of the partial sums.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from . import rates as rates_mod
 from . import specfun
@@ -152,11 +156,21 @@ def oscillatory_tail(
 # Angular moments of the 1/|y + R| kernel
 # ---------------------------------------------------------------------------
 
-_BINOM_HALF = np.array(
-    [math.prod((-0.5 - i) / (i + 1.0) for i in range(k)) for k in range(130)]
-)
+#: Even terms of the binomial series in t = b/a <= 1/2 (the first term left
+#: out is below 1e-19), and its weights for the mu^2 moment and for the
+#: mu^2 - 1/3 moment, whose k = 0 weight is exactly 0.
+_SERIES_TERMS = 32
+_EVEN_K = np.arange(0.0, 2.0 * _SERIES_TERMS, 2.0)
+_BINOM_HALF = np.array([math.prod((-0.5 - i) / (i + 1.0) for i in range(int(k))) for k in _EVEN_K])
+_MU2_WEIGHTS = 2.0 / (_EVEN_K + 3.0)
+_MU2_MINUS_ISO_WEIGHTS = _MU2_WEIGHTS - 2.0 / (3.0 * (_EVEN_K + 1.0))
 
 _SERIES_SWITCH = 0.5
+
+
+def _binomial_series(a, t, weights):
+    """sum over even k of binom(-1/2, k) weights[k/2] t^k / sqrt(a), by Horner in t^2."""
+    return polyval(t * t, _BINOM_HALF * weights) / np.sqrt(a)
 
 
 def _mu2_moment(a, b):
@@ -173,14 +187,7 @@ def _mu2_moment(a, b):
     upper = 2.0 * np.sqrt(ad + bd) * (8.0 * ad * ad - 4.0 * ad * bd + 3.0 * bd * bd)
     lower = 2.0 * np.sqrt(ad - bd) * (8.0 * ad * ad + 4.0 * ad * bd + 3.0 * bd * bd)
     out[direct] = (upper - lower) / (15.0 * bd**3)
-    asml, tsml = a[~direct], t[~direct]
-    acc = np.zeros_like(asml)
-    for k in range(0, 128, 2):
-        term = _BINOM_HALF[k] * tsml**k * (2.0 / (k + 3))
-        acc += term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    out[~direct] = acc / np.sqrt(asml)
+    out[~direct] = _binomial_series(a[~direct], t[~direct], _MU2_WEIGHTS)
     return out
 
 
@@ -201,15 +208,7 @@ def _mu2_minus_iso(y, R):
     out = np.empty(y.shape)
     direct = t > _SERIES_SWITCH
     out[direct] = _mu2_moment(a[direct], b[direct]) - _mu0_moment_shifted(y[direct], R) / 3.0
-    asml = a[~direct]
-    tsml = t[~direct]
-    acc = np.zeros_like(asml)
-    for k in range(2, 128, 2):
-        term = _BINOM_HALF[k] * tsml**k * (2.0 / (k + 3) - 2.0 / (3.0 * (k + 1)))
-        acc += term
-        if np.all(np.abs(term) < 1e-20):
-            break
-    out[~direct] = acc / np.sqrt(asml)
+    out[~direct] = _binomial_series(a[~direct], t[~direct], _MU2_MINUS_ISO_WEIGHTS)
     return out
 
 
@@ -224,40 +223,35 @@ def _radial_product(y, omega):
 # ---------------------------------------------------------------------------
 
 
-def b1_numeric(
-    R: float, omega: float, spec: QuadratureSpec | None = None, kernel: str = "shifted"
-) -> float:
-    """First tensor coefficient by direct radial integration.
+def _radial_integral(R, omega, spec, weight, prefactor, r_power=0):
+    """(prefactor / R**r_power) * integral over y > 0 of _radial_product * weight(y) / y^2.
 
-    The angular integral of the cos^2(theta)-weighted 1/|y + R| kernel is
-    done in closed form; the remaining conditionally convergent radial
-    integral is split at y = R with the accelerated oscillatory tail beyond.
-    Matches -(pi*omega / 3R) * f1(R*omega).
-
-    ``kernel`` selects the distance kernel: "shifted" uses
-    sqrt(y^2 + 2*y*R*cos(theta) + R^2) = |y + R|; "literal" drops the factor
-    y in the cross term (kept only to demonstrate that this reading does not
-    reproduce the closed form).
+    ``weight`` is the angular moment of the distance kernel at y.  The
+    conditionally convergent integral is split at y = R, with the
+    accelerated oscillatory tail beyond; both default a None ``spec``.
     """
-    if R <= 0.0 or omega <= 0.0:
-        raise DomainError("R and omega must be positive")
-    if spec is None:
-        spec = QuadratureSpec()
-    if kernel == "shifted":
-        def angular(y):
-            return _mu2_moment(y * y + R * R, 2.0 * y * R)
-    elif kernel == "literal":
-        def angular(y):
-            return _mu2_moment(y * y + R * R, 2.0 * R)
-    else:
-        raise DomainError(f"unknown kernel {kernel!r}")
+    if not (0.0 < R < math.inf and 0.0 < omega < math.inf):  # also refuses NaN
+        raise DomainError(f"R and omega must be positive and finite, got {R}, {omega}")
+    prefactor /= R**r_power  # after the check, so that R = 0 is a DomainError
 
     def integrand(y):
-        return 2.0 * math.pi * _radial_product(y, omega) * angular(y) / y**2
+        return prefactor * _radial_product(y, omega) * weight(y) / y**2
 
     head = integrate_adaptive(integrand, 0.0, R, spec)
     tail = oscillatory_tail(integrand, R, math.pi / omega, spec)
     return head + tail
+
+
+def b1_numeric(R: float, omega: float, spec: QuadratureSpec | None = None) -> float:
+    """First tensor coefficient by direct radial integration.
+
+    The cos^2(theta)-weighted angular integral of the kernel 1/|y + R| =
+    1/sqrt(y^2 + 2*y*R*cos(theta) + R^2) is closed-form; matches
+    -(pi*omega / 3R) * f1(R*omega).
+    """
+    return _radial_integral(
+        R, omega, spec, lambda y: _mu2_moment(y * y + R * R, 2.0 * y * R), 2.0 * math.pi
+    )
 
 
 def b2_numeric(R: float, omega: float, spec: QuadratureSpec | None = None) -> float:
@@ -266,32 +260,29 @@ def b2_numeric(R: float, omega: float, spec: QuadratureSpec | None = None) -> fl
     Uses the (cos^2(theta) - 1/3) angular weight; matches
     -(pi*omega / 2R^3) * f2(R*omega).
     """
-    if R <= 0.0 or omega <= 0.0:
-        raise DomainError("R and omega must be positive")
-    if spec is None:
-        spec = QuadratureSpec()
+    return _radial_integral(
+        R, omega, spec, lambda y: _mu2_minus_iso(y, R), 3.0 * math.pi, r_power=2
+    )
 
-    def integrand(y):
-        return (
-            (3.0 * math.pi / R**2)
-            * _radial_product(y, omega)
-            * _mu2_minus_iso(y, R)
-            / y**2
-        )
 
-    head = integrate_adaptive(integrand, 0.0, R, spec)
-    tail = oscillatory_tail(integrand, R, math.pi / omega, spec)
-    return head + tail
+def _b1_per_f1(R, omega):
+    """B1 / f1(R*omega) = -pi*omega / 3R."""
+    return -(math.pi * omega / (3.0 * R))
+
+
+def _b2_per_f2(R, omega):
+    """B2 / f2(R*omega) = -pi*omega / 2R^3."""
+    return -(math.pi * omega / (2.0 * R**3))
 
 
 def b1_closed(R, omega):
     """Closed form -(pi*omega / 3R) * f1(R*omega); floats or arrays."""
-    return -(math.pi * omega / (3.0 * R)) * specfun.f1(R * omega)
+    return _b1_per_f1(R, omega) * specfun.f1(R * omega)
 
 
 def b2_closed(R, omega):
     """Closed form -(pi*omega / 2R^3) * f2(R*omega); floats or arrays."""
-    return -(math.pi * omega / (2.0 * R**3)) * specfun.f2(R * omega)
+    return _b2_per_f2(R, omega) * specfun.f2(R * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +309,13 @@ def _sphere_quad(g):
     return float(weights @ g(rhat))
 
 
-def _moment_rhs(d_vec, z_vec, omega):
-    """Closed form shared by the sin- and cos-weighted first moments."""
-    z = float(np.linalg.norm(z_vec))
-    zd = float(np.dot(z_vec, d_vec))
-    u = omega * z
-    shape = math.cos(u) - math.sin(u) / u
-    return -4.0 * math.pi * (zd / z) * shape, u
-
-
-def angular_identities_check(spec: QuadratureSpec | None = None) -> list[dict]:
+def angular_identities_check() -> list[dict]:
     """Verify the sphere-average identities used in the power calculation.
 
     Checks, by product quadrature over the sphere, the quadratic moment
     of (rhat . d) and the sin/cos-weighted first moments against their
     closed forms, for several dipole/offset geometries.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     tol = 1e-8
     records = []
 
@@ -361,37 +341,22 @@ def angular_identities_check(spec: QuadratureSpec | None = None) -> list[dict]:
         (np.array([0.5, 0.0, 0.8]), np.array([0.0, 0.0, 2.0]), 1.3),
     ]
     for i, (d_vec, z_vec, omega) in enumerate(moment_cases):
-        base, u = _moment_rhs(d_vec, z_vec, omega)
         z = float(np.linalg.norm(z_vec))
-
-        def weight(rhat, trig):
-            phase = omega * (rhat @ z_vec - z)
-            return (rhat @ d_vec) * trig(phase)
-
-        lhs_sin = _sphere_quad(lambda rhat: weight(rhat, np.sin))
-        rhs_sin = base * math.cos(u) / u
-        records.append(
-            _record(
-                f"sphere sin-weighted moment [{i}]",
-                "sin-weighted first moment of dipole projection",
-                lhs_sin,
-                rhs_sin,
-                tol,
-                abs(lhs_sin - rhs_sin) <= tol,
+        u = omega * z
+        base = -4.0 * math.pi * (float(np.dot(z_vec, d_vec)) / z) * (math.cos(u) - math.sin(u) / u)
+        for label, trig, rhs_trig in (("sin", np.sin, math.cos), ("cos", np.cos, math.sin)):
+            lhs = _sphere_quad(lambda rhat: (rhat @ d_vec) * trig(omega * (rhat @ z_vec - z)))
+            rhs = base * rhs_trig(u) / u
+            records.append(
+                _record(
+                    f"sphere {label}-weighted moment [{i}]",
+                    f"{label}-weighted first moment of dipole projection",
+                    lhs,
+                    rhs,
+                    tol,
+                    abs(lhs - rhs) <= tol,
+                )
             )
-        )
-        lhs_cos = _sphere_quad(lambda rhat: weight(rhat, np.cos))
-        rhs_cos = base * math.sin(u) / u
-        records.append(
-            _record(
-                f"sphere cos-weighted moment [{i}]",
-                "cos-weighted first moment of dipole projection",
-                lhs_cos,
-                rhs_cos,
-                tol,
-                abs(lhs_cos - rhs_cos) <= tol,
-            )
-        )
     return records
 
 
@@ -464,66 +429,36 @@ def verification_report(
     used as reference so the quadrature cross-checks must fail.  Keep it at
     zero outside of tests.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     records: list[dict] = []
 
     def f1_ref(x):
         return specfun.f1(x) + f1_offset
 
-    # Scalar-coefficient grid, R = 1; closed-form references in one array
-    # call each.
+    # B1/B2 at R = 1 on the grid against the closed forms, then the scale
+    # invariance B1(lam*R, omega/lam) = B1(R, omega)/lam^2 at x = 1, each to
+    # a relative 1e-6.  B2 vanishes at x = pi, hence its absolute floor.
+    def radial(name, paper_ref, computed, reference, floor=0.0):
+        passed = abs(computed - reference) <= max(floor, 1e-6 * abs(reference))
+        records.append(_record(name, paper_ref, computed, reference, 1e-6, passed))
+
     R = 1.0
     grid = np.array(GRID_X)
-    b1_refs = (-(math.pi * grid / (3.0 * R)) * f1_ref(grid)).tolist()
-    b2_refs = b2_closed(R, grid).tolist()
     b1_values = [b1_numeric(R, x, spec) for x in GRID_X]
     b2_values = [b2_numeric(R, x, spec) for x in GRID_X]
+    b1_refs = (_b1_per_f1(R, grid) * f1_ref(grid)).tolist()
     for x, computed, reference in zip(GRID_X, b1_values, b1_refs):
-        tol = 1e-6
-        passed = abs(computed - reference) <= tol * abs(reference)
-        records.append(
-            _record(
-                f"B1 quadrature vs closed form, x={x:g}",
-                "first radial coefficient against f1 closed form",
-                computed,
-                reference,
-                tol,
-                passed,
-            )
-        )
-    for x, computed, reference in zip(GRID_X, b2_values, b2_refs):
-        tol = 1e-6
-        passed = abs(computed - reference) <= max(1e-8, tol * abs(reference))
-        records.append(
-            _record(
-                f"B2 quadrature vs closed form, x={x:g}",
-                "second radial coefficient against f2 closed form",
-                computed,
-                reference,
-                tol,
-                passed,
-            )
-        )
-
-    # Scale invariance B1(lam*R, omega/lam) = B1(R, omega)/lam^2 at x = 1.
-    base = b1_numeric(1.0, 1.0, spec)
+        radial(f"B1 quadrature vs closed form, x={x:g}",
+               "first radial coefficient against f1 closed form", computed, reference)
+    for x, computed, reference in zip(GRID_X, b2_values, b2_closed(R, grid).tolist()):
+        radial(f"B2 quadrature vs closed form, x={x:g}",
+               "second radial coefficient against f2 closed form", computed, reference, 1e-8)
+    base = b1_values[GRID_X.index(1.0)]
     for lam in (0.5, 2.0):
-        scaled = b1_numeric(lam, 1.0 / lam, spec)
-        reference = base / lam**2
-        passed = abs(scaled - reference) <= 1e-6 * abs(reference)
-        records.append(
-            _record(
-                f"B1 scale invariance, lambda={lam:g}",
-                "radial coefficient scaling with (R, omega) -> (lam R, omega/lam)",
-                scaled,
-                reference,
-                1e-6,
-                passed,
-            )
-        )
+        radial(f"B1 scale invariance, lambda={lam:g}",
+               "radial coefficient scaling with (R, omega) -> (lam R, omega/lam)",
+               b1_numeric(lam, 1.0 / lam, spec), base / lam**2)
 
-    records.extend(angular_identities_check(spec))
+    records.extend(angular_identities_check())
 
     # Energy balance: the pre-truncation power per quantum, built from f1
     # and f2 recovered from the B1/B2 quadratures at x_g on the grid, against
@@ -532,8 +467,8 @@ def verification_report(
     # as phi^2; a wrong bracket coefficient leaves an O(phi) deviation.
     phis = np.array(BALANCE_PHIS)[:, None, None]
     sin2psi = np.array([0.0, 0.5, 1.0])[:, None]
-    f1_g = -3.0 * R * np.array(b1_values) / (math.pi * grid)
-    f2_g = -2.0 * R**3 * np.array(b2_values) / (math.pi * grid)
+    f1_g = np.array(b1_values) / _b1_per_f1(R, grid)
+    f2_g = np.array(b2_values) / _b2_per_f2(R, grid)
     power = power_per_quantum(phis, sin2psi, f1_g, f2_g)
     # f1_offset shifts the bracket's f1, which enters it as -2 phi f1.
     rate = rates_mod.rate_bracket(grid / (1.0 + phis), phis, sin2psi) - 2.0 * phis * f1_offset
@@ -594,9 +529,11 @@ def verification_report(
     # Distance-kernel reading: only |y + R| (cross term 2*y*R*cos) reproduces
     # the closed form; the literal cross term 2*R*cos does not.
     R3, om3 = 3.0, 1.0 / 3.0
-    shifted = b1_numeric(R3, om3, spec, kernel="shifted")
-    literal = b1_numeric(R3, om3, spec, kernel="literal")
-    reference = -(math.pi * om3 / (3.0 * R3)) * f1_ref(R3 * om3)
+    shifted = b1_numeric(R3, om3, spec)
+    literal = _radial_integral(
+        R3, om3, spec, lambda y: _mu2_moment(y * y + R3 * R3, 2.0 * R3), 2.0 * math.pi
+    )
+    reference = _b1_per_f1(R3, om3) * f1_ref(R3 * om3)
     ok = (
         abs(shifted - reference) <= 1e-6 * abs(reference)
         and abs(literal - reference) > 1e-2 * abs(reference)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -74,6 +75,25 @@ class TestRates:
         code, _, err = run_cli(capsys, "rates", "--omega", "1.0", "--phi", "-0.5")
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--omega", "1"],
+        ["sweep", "--points", "5"],
+        ["evolve", "--omega", "1", "--t-max", "1", "--steps", "100"],
+    ],
+    ids=["rates", "sweep", "evolve"],
+)
+def test_soft_phi_gate_warns_once(capsys, argv):
+    # Every call that warns is recorded, not only the first per location.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, *argv, "--phi", "-0.2")
+    assert code == 0
+    soft = [w for w in caught if "first-order corrections are no longer small" in str(w.message)]
+    assert len(soft) == 1
 
 
 class TestSweep:

@@ -282,8 +282,9 @@ class TestEvolveNumeric:
 
     def test_suggestion_is_accepted(self, monkeypatch):
         # Spans that are exact multiples of the gate, where rounding decides,
-        # and their neighbours.  Passing the gate reaches np.arange, which is
-        # stubbed out so that nothing is allocated.
+        # and their neighbours: the suggestion passes and one step fewer does
+        # not.  Passing the gate reaches np.arange, which is stubbed out so
+        # that nothing is allocated.
         from gravatom import lindblad
 
         class Accepted(Exception):
@@ -303,6 +304,9 @@ class TestEvolveNumeric:
                 if suggested <= lindblad.MAX_STEPS:
                     with pytest.raises(Accepted):
                         evolve_numeric(rho0, rates, t_max, suggested)
+                    if suggested > 1:
+                        with pytest.raises(StepSizeError):
+                            evolve_numeric(rho0, rates, t_max, suggested - 1)
                     checked += 1
         assert checked > 5000
 

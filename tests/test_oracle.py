@@ -144,19 +144,16 @@ class TestB1:
             closed = b1_closed(1.0, x)
             assert abs(num - closed) <= 1e-6 * abs(closed)
 
-    def test_literal_kernel_disagrees(self):
-        R, omega = 3.0, 1.0 / 3.0
-        closed = b1_closed(R, omega)
-        literal = b1_numeric(R, omega, kernel="literal")
+    def test_literal_kernel_disagrees(self, report):
+        closed = b1_closed(3.0, 1.0 / 3.0)
+        literal = _kernel_record(report)["computed"]
         assert abs(literal - closed) > 1e-2 * abs(closed)
-
-    def test_unknown_kernel(self):
-        with pytest.raises(DomainError):
-            b1_numeric(1.0, 1.0, kernel="nope")
 
     def test_domain(self):
         with pytest.raises(DomainError):
             b1_numeric(-1.0, 1.0)
+        with pytest.raises(DomainError):
+            b1_numeric(0.0, 1.0)
 
 
 class TestB2:
@@ -176,6 +173,12 @@ class TestB2:
     def test_domain(self):
         with pytest.raises(DomainError):
             b2_numeric(1.0, -1.0)
+        # R = 0 is refused before the 1/R^2 prefactor is formed, and so are
+        # non-finite R and omega.
+        for R, omega in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                         (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                b2_numeric(R, omega)
 
 
 def _mp_f1(x):
@@ -192,7 +195,8 @@ def _mp_f2(x):
     return (1 - x * mp.sin(2 * x) - mp.cos(2 * x)) / (x * x)
 
 
-# b1_numeric(3, 1/3, kernel="literal"), frozen from mpmath.quad on [0, 3] plus
+# B1(3, 1/3) with the literal kernel (cross term 2*R*cos, not 2*y*R*cos), the
+# value of the distance-kernel record, frozen from mpmath.quad on [0, 3] plus
 # mpmath.quadosc on [3, inf) of the same integrand at 50 significant digits.
 LITERAL_KERNEL_B1 = -0.23780093320113677
 
@@ -213,9 +217,48 @@ class TestAgainstMpmath:
                 ref = float(-(mp.pi * x / 2) * _mp_f2(x))
                 assert abs(b2_numeric(1.0, x) - ref) <= 1e-12 * max(abs(ref), 1e-2)
 
-    def test_literal_kernel_value(self):
-        literal = b1_numeric(3.0, 1.0 / 3.0, kernel="literal")
+    def test_literal_kernel_value(self, report):
+        literal = _kernel_record(report)["computed"]
         assert literal == pytest.approx(LITERAL_KERNEL_B1, rel=1e-12, abs=0.0)
+
+
+# R = 1 offsets y: t = 2y/(y^2 + 1) crosses the series switch t = 1/2 between
+# 0.267949 and 0.2679492 and between 3.73 and 3.74, and nears 1 at y = 0.999.
+MOMENT_YS = (1e-8, 1e-4, 0.01, 0.1, 0.267949, 0.2679492, 0.5, 0.9, 0.999, 1.0,
+             2.0, 3.73, 3.74, 10.0, 100.0, 1e4)
+
+
+def _mp_moment(a, b, weight):
+    """40-digit integral of weight(mu) / sqrt(a + b mu) over [-1, 1] at floats a, b."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    return mp.quad(lambda mu: weight(mu) / mp.sqrt(a + b * mu), [-1, 0, 1])
+
+
+class TestAngularMoments:
+    """The angular moments of the shifted kernel against mpmath.quad.
+
+    The references take the same rounded a = y^2 + R^2 and b = 2yR the
+    oracle forms, so only the evaluation of the moment is measured.  The
+    worst errors sit just above the series switch, on the closed-form side.
+    """
+
+    def test_mu2_moment(self):
+        y = np.array(MOMENT_YS)
+        a, b = y * y + 1.0, 2.0 * y
+        values = oracle._mu2_moment(a, b)
+        with mp.workdps(40):
+            for ai, bi, value in zip(a.tolist(), b.tolist(), values.tolist()):
+                ref = _mp_moment(ai, bi, lambda mu: mu * mu)
+                assert abs(value - ref) <= 5e-15 * abs(ref)
+
+    def test_mu2_minus_iso(self):
+        y = np.array(MOMENT_YS)
+        a, b = y * y + 1.0, 2.0 * y
+        values = oracle._mu2_minus_iso(y, 1.0)
+        with mp.workdps(40):
+            for ai, bi, value in zip(a.tolist(), b.tolist(), values.tolist()):
+                ref = _mp_moment(ai, bi, lambda mu: mu * mu - mp.mpf(1) / 3)
+                assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 class TestAngularIdentities:
@@ -274,6 +317,11 @@ class TestSelfConsistency:
 
 def _balance_record(records):
     (rec,) = [r for r in records if r["name"].startswith("energy balance")]
+    return rec
+
+
+def _kernel_record(records):
+    (rec,) = [r for r in records if r["name"] == "distance-kernel reading resolution"]
     return rec
 
 
