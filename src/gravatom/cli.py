@@ -6,7 +6,11 @@ CSV/SVG), ``evolve`` (trajectory CSV), ``verify`` (full oracle report).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
-CSV rows come from the vectorised formatter ``rows.format_rows``.
+CSV rows come from the vectorised formatter ``rows.format_rows``.  ``sweep``
+computes and writes its rows ``rows.ROW_CHUNK`` at a time, ``evolve`` its
+trajectory ``rows.EVOLVE_BLOCK`` rows at a time, so neither holds its whole
+output; ``evolve`` builds its first block before writing anything, so every
+gate refuses bad input before ``--out`` is opened.
 
 Importing this module loads only the standard library, ``errors`` and
 ``model``.  Each handler validates its inputs with ``model`` first and then
@@ -356,28 +360,37 @@ def cmd_evolve(args) -> int:
     p_excited = _initial_excited(cfg["initial"])
     from .lindblad import DensityMatrix2, analytic_state, evolve_numeric
     from .rates import build_rate_set
-    from .rows import ROW_CHUNK, format_rows
+    from .rows import EVOLVE_BLOCK, ROW_CHUNK, format_rows
 
     rateset = build_rate_set(atom, env, thermal)
     rho0 = DensityMatrix2.mixed(p_excited)
     t_max = cfg["t_max"] / rateset.gamma_total
-    trajectory = evolve_numeric(rho0, rateset, t_max, cfg["steps"])
-    states = trajectory.states
-    reference = analytic_state(rho0, rateset, trajectory.times)
-    columns = (
-        trajectory.times,
-        states.ee,
-        states.gg,
-        abs(states.eg),
-        states.trace - 1.0,
-        reference.ee,
-    )
-    lines = (
-        format_rows([column[i:i + ROW_CHUNK] for column in columns])
-        for i in range(0, len(trajectory.times), ROW_CHUNK)
-    )
+    steps = cfg["steps"]
+
+    def block(start):
+        return evolve_numeric(rho0, rateset, t_max, steps, start, start + EVOLVE_BLOCK)
+
+    # Block 0 is built before anything is written, so that every gate of
+    # `evolve_numeric` refuses bad input before --out is opened.
+    blocks = itertools.chain([block(0)], map(block, range(EVOLVE_BLOCK, steps + 1, EVOLVE_BLOCK)))
+
+    def lines():
+        for trajectory in blocks:
+            states = trajectory.states
+            reference = analytic_state(rho0, rateset, trajectory.times)
+            columns = (
+                trajectory.times,
+                states.ee,
+                states.gg,
+                abs(states.eg),
+                states.trace - 1.0,
+                reference.ee,
+            )
+            for i in range(0, len(trajectory.times), ROW_CHUNK):
+                yield format_rows([column[i:i + ROW_CHUNK] for column in columns])
+
     header = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
-    _write(itertools.chain([header], lines), args.out)
+    _write(itertools.chain([header], lines()), args.out)
     return 0
 
 

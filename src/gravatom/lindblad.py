@@ -24,9 +24,9 @@ _POSITIVITY_SLACK = 1e-12
 #: Step gate for the fixed-step integrator: h * Gamma must not exceed this.
 MAX_STEP_RATE = 0.1
 
-#: Largest step count ``evolve_numeric`` accepts.  The trajectory holds a time
-#: column, two population columns and a complex coherence column: 40 bytes per
-#: step (400 MB at the cap).
+#: Largest step count ``evolve_numeric`` accepts.  ``evolve`` builds and
+#: writes the trajectory one block of rows at a time, so the cap bounds the
+#: output (about 108 bytes of CSV per row, 1.1 GB at the cap), not memory.
 MAX_STEPS = 10_000_000
 
 
@@ -149,27 +149,37 @@ def _suggested_steps(t_max: float, total: float) -> int | None:
     return steps if passes(steps) else steps + 1
 
 
-def evolve_numeric(rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: int) -> Trajectory:
-    """Fixed-step RK4 trajectory of the population/coherence equations.
+def evolve_numeric(
+    rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: int,
+    start: int = 0, stop: int | None = None,
+) -> Trajectory:
+    """Rows ``start`` to ``stop - 1`` of the fixed-step RK4 trajectory.
 
-    The generator is linear with constant coefficients, so the n-th RK4
-    iterate is exact in closed form: each mode is its initial amplitude
+    The trajectory has ``steps + 1`` rows, t = 0 to ``t_max``; the default
+    range is all of them, and ``stop`` is clipped to ``steps + 1`` like a
+    slice.  The generator is linear with constant coefficients, so the n-th
+    RK4 iterate is exact in closed form: each mode is its initial amplitude
     times R(z)^n (Hairer & Wanner, Solving ODEs II, IV.2).  The populations
     relax toward ``steady_excited`` s with z = -h Gamma (``ee`` around s,
     ``gg`` around 1 - s, each from its own mode); the coherence decays with
     z = -h Gamma / 2.  Both z are real, and the energy shift is dropped, so
-    nothing rotates the coherence.  Every step is computed at once, with no
-    loop over steps.
+    nothing rotates the coherence.  Row n is formed from n alone, as
+    exp(n log R(z)) at time h n, elementwise with no loop over steps, so a
+    range is bit for bit that slice of the whole trajectory.
 
-    The step must satisfy h * Gamma <= ``MAX_STEP_RATE`` (0.1), where both z
-    lie well inside the RK4 stability interval; a larger step raises
-    ``StepSizeError`` with a step count that passes.  ``steps`` may not
-    exceed ``MAX_STEPS``; the check comes before any allocation.
+    Every call checks (``t_max``, ``steps``) in full.  The step must satisfy
+    h * Gamma <= ``MAX_STEP_RATE`` (0.1), where both z lie well inside the
+    RK4 stability interval; a larger step raises ``StepSizeError`` with a
+    step count that passes.  ``steps`` may not exceed ``MAX_STEPS``; the
+    check comes before any allocation.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be finite and positive, got {t_max}")
+    stop = steps + 1 if stop is None else min(stop, steps + 1)
+    if not 0 <= start < stop:
+        raise DomainError(f"row range [{start}, {stop}) is empty or outside [0, {steps + 1})")
     total = rates.gamma_total
     h = t_max / steps
     if not h * total <= MAX_STEP_RATE:  # also refuses NaN
@@ -181,18 +191,11 @@ def evolve_numeric(rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: in
         )
 
     s = rates.steady_excited
-    n = np.arange(steps + 1.0)
+    n = np.arange(float(start), float(stop))
     decay = np.exp(n * _rk4_log_step(-h * total))
-    # Without a coherence the column is left as zeros, whose pages are never
-    # written: powering the coherence mode anyway costs 16 bytes per step of
-    # resident memory.
-    if rho0.eg:
-        eg = complex(rho0.eg) * np.exp(n * _rk4_log_step(-0.5 * h * total))
-    else:
-        eg = np.zeros(steps + 1, complex)
     states = DensityMatrix2(
         ee=s + (float(rho0.ee) - s) * decay,
         gg=(1.0 - s) + (float(rho0.gg) - (1.0 - s)) * decay,
-        eg=eg,
+        eg=complex(rho0.eg) * np.exp(n * _rk4_log_step(-0.5 * h * total)),
     )
     return Trajectory(times=h * n, states=states)

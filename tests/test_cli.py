@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,7 +18,7 @@ from gravatom.cli import main
 from gravatom.lindblad import MAX_STEPS, DensityMatrix2, analytic_state, evolve_numeric
 from gravatom.model import NUMBER, AtomSpec, GravityEnv, ThermalSpec
 from gravatom.rates import build_rate_set, rate_bracket
-from gravatom.rows import ROW_CHUNK, sweep_chunks
+from gravatom.rows import EVOLVE_BLOCK, ROW_CHUNK, sweep_chunks
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +388,39 @@ class TestOverflow:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--t-max", "5", "--steps", "10"),  # StepSizeError
+            ("--steps", "0"),
+            ("--steps", str(MAX_STEPS + 1)),
+            ("--t-max=nan",),
+            ("--initial", "mixed:2"),
+        ],
+        ids=["step-size", "no-steps", "steps-cap", "nan-t-max", "bad-initial"],
+    )
+    def test_refused_before_out_is_opened(self, capsys, tmp_path, flags):
+        path = tmp_path / "evolve.csv"
+        code, out, err = run_cli(capsys, "evolve", "--omega", "1.0", *flags, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert not path.exists()
+
+    def test_memory_is_flat_in_steps(self, tmp_path):
+        # Blocks of rows are built, written and freed in turn, so ten times
+        # the steps may not raise the traced peak by more than 1.5 MB.
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                argv = ["evolve", "--omega", "1.0", "--steps", str(steps)]
+                assert main(argv + ["--out", str(tmp_path / "evolve.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # warm-up: builds the formatter's tables
+        assert peak(200_000) - peak(20_000) <= 1.5 * 2**20
+
     def test_trajectory_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", "100"
@@ -523,13 +557,9 @@ class TestMultiChunkOutput:
     """Runs longer than one `ROW_CHUNK` print what per-row `%` printed."""
 
     def test_evolve(self, capsys):
-        steps = 3000
-        assert steps > 2 * ROW_CHUNK
-        code, out, _ = run_cli(
-            capsys, "evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", str(steps),
-            "--initial", "mixed:0.3", "--temperature", "0.5",
-        )
-        assert code == 0
+        # One whole-trajectory `evolve_numeric` and `analytic_state` call is
+        # the reference for the command's blocks.  Row counts: inside one
+        # block, and block - 1, block, block + 1 and 2 block + 5.
         env = GravityEnv(phi=-0.02, distance=1.0)
         rateset = build_rate_set(
             AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0),
@@ -537,13 +567,21 @@ class TestMultiChunkOutput:
             ThermalSpec.from_distant(0.5, env.phi),
         )
         rho0 = DensityMatrix2.mixed(0.3)
-        traj = evolve_numeric(rho0, rateset, 5.0 / rateset.gamma_total, steps)
-        s = traj.states
-        reference = analytic_state(rho0, rateset, traj.times)
-        expected = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n" + _rows(
-            traj.times, s.ee, s.gg, abs(s.eg), s.trace - 1.0, reference.ee
-        )
-        assert out == expected
+        assert 3000 > 2 * ROW_CHUNK
+        for rows in (3001, EVOLVE_BLOCK - 1, EVOLVE_BLOCK, EVOLVE_BLOCK + 1, 2 * EVOLVE_BLOCK + 5):
+            steps = rows - 1
+            code, out, _ = run_cli(
+                capsys, "evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", str(steps),
+                "--initial", "mixed:0.3", "--temperature", "0.5",
+            )
+            assert code == 0
+            traj = evolve_numeric(rho0, rateset, 5.0 / rateset.gamma_total, steps)
+            s = traj.states
+            reference = analytic_state(rho0, rateset, traj.times)
+            expected = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n" + _rows(
+                traj.times, s.ee, s.gg, abs(s.eg), s.trace - 1.0, reference.ee
+            )
+            assert out == expected, rows
 
     @pytest.mark.parametrize("angle", [None, 0.4])
     def test_sweep(self, capsys, angle):

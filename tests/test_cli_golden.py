@@ -60,6 +60,11 @@ CASES = {
         "evolve", "--omega", "1.0", "--phi", "-0.02", "--initial", "ground",
         "--temperature", "1.5", "--angle", "1.1", "--distance", "1.8", "--steps", "60",
     ),
+    # 8193 rows: one past the first block of `evolve` rows.
+    "evolve_block_boundary": (
+        "evolve", "--omega", "1.3", "--phi", "-0.03", "--initial", "mixed:0.6",
+        "--temperature", "0.7", "--t-max", "3", "--steps", "8192",
+    ),
 }
 
 

@@ -248,23 +248,6 @@ class TestEvolveNumeric:
         assert len(traj.times) == 1001
         assert len(calls) <= 3
 
-    def test_zero_coherence_is_not_powered(self, monkeypatch):
-        # The zero column is never written, so it costs no resident memory;
-        # powering the coherence mode would write 16 bytes per step.
-        from gravatom import lindblad
-
-        exp = np.exp
-        calls = []
-
-        def counting(x):
-            calls.append(np.shape(x))
-            return exp(x)
-
-        monkeypatch.setattr(lindblad.np, "exp", counting)
-        traj = evolve_numeric(DensityMatrix2.mixed(0.3), make_rates(0.2, 0.8), 5.0, 500)
-        assert calls == [(501,)]
-        assert not np.any(traj.states.eg)
-
     def test_unrepresentable_suggestion_is_none(self):
         with pytest.raises(StepSizeError) as err:
             evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 10.0), 1e308, 10)
@@ -309,6 +292,54 @@ class TestEvolveNumeric:
                             evolve_numeric(rho0, rates, t_max, suggested - 1)
                     checked += 1
         assert checked > 5000
+
+
+class TestRowRange:
+    """A row range [start, stop) is that slice of the whole trajectory."""
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [DensityMatrix2.superposition(0.3), DensityMatrix2.mixed(0.6)],
+        ids=["coherent", "mixed"],
+    )
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1001, 4096])
+    def test_blocks_are_bit_for_bit_slices(self, rho0, block):
+        rates, t_max, steps = make_rates(0.3, 0.9), 7.5, 1000
+        whole = evolve_numeric(rho0, rates, t_max, steps)
+        blocks = [
+            evolve_numeric(rho0, rates, t_max, steps, start, start + block)
+            for start in range(0, steps + 1, block)
+        ]
+
+        def columns(traj):
+            return traj.times, traj.states.ee, traj.states.gg, traj.states.eg
+
+        for name, parts, column in zip(
+            ("t", "ee", "gg", "eg"), zip(*map(columns, blocks)), columns(whole)
+        ):
+            assert np.concatenate(parts).tobytes() == column.tobytes(), name
+
+    def test_default_and_clipped_stop(self):
+        rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
+        assert len(evolve_numeric(rho0, rates, 1.0, 10).times) == 11
+        tail = evolve_numeric(rho0, rates, 1.0, 10, start=8, stop=10**9)
+        assert tail.times.tolist() == pytest.approx([0.8, 0.9, 1.0], rel=1e-15)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 5), (6, 3), (11, 20)])
+    def test_empty_or_outside_range_rejected(self, start, stop):
+        with pytest.raises(DomainError, match="row range"):
+            evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 1.0), 1.0, 10, start, stop)
+
+    def test_every_range_is_gated_on_the_whole_trajectory(self):
+        # One row passes h * Gamma at any step; the gate is on (t_max, steps).
+        rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
+        with pytest.raises(StepSizeError) as err:
+            evolve_numeric(rho0, rates, 5.0, 49, start=40, stop=41)
+        assert err.value.suggested_steps == 50
+        with pytest.raises(DomainError, match="steps"):
+            evolve_numeric(rho0, rates, 5.0, 10**20, start=0, stop=1)
+        with pytest.raises(DomainError, match="t_max"):
+            evolve_numeric(rho0, rates, math.inf, 50, start=3, stop=4)
 
 
 class TestClosedFormIterate:
