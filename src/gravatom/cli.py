@@ -37,7 +37,6 @@ from .model import (
     GravityEnv,
     ThermalSpec,
     _check_finite,
-    potential_from_source,
 )
 
 #: The output formats each subcommand writes; the first is its default.
@@ -199,8 +198,7 @@ def _environment(cfg, default_phi=0.0) -> GravityEnv:
     if cfg["phi"] is not None and cfg["mass"] is not None:
         raise UsageError("give either --phi or --mass, not both")
     if cfg["mass"] is not None:
-        phi = potential_from_source(cfg["mass"], distance)
-        return GravityEnv(phi=phi, distance=distance, provenance="source")
+        return GravityEnv.from_source(cfg["mass"], distance)
     phi = cfg["phi"] if cfg["phi"] is not None else default_phi
     return GravityEnv(phi=phi, distance=distance)
 
@@ -230,7 +228,7 @@ def cmd_rates(args) -> int:
     from .rates import build_rate_set
 
     rateset = build_rate_set(atom, env, thermal)
-    payload = {k: NUMBER % v for k, v in rateset.as_dict().items()}
+    payload = {k: NUMBER % v for k, v in vars(rateset).items()}
     payload["ratio"] = NUMBER % (rateset.gamma_g / rateset.gamma_flat)
     _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
@@ -280,8 +278,10 @@ def cmd_sweep(args) -> int:
 
     chunks = sweep_chunks(grid, cfg["log_grid"], phi, sin2s)
     if cfg["format"] == "svg":
-        rows = [row for xs, ratios in chunks for row in zip(xs.tolist(), ratios.tolist())]
-        _write([_render_svg(rows, labels, phi, cfg["log_grid"])], args.out)
+        import numpy as np
+
+        xs, ratios = (np.concatenate(parts) for parts in zip(*chunks))
+        _write([_render_svg(xs, ratios, labels, phi, cfg["log_grid"])], args.out)
         return 0
 
     # Each chunk is formatted and written as it is computed: no row list is held.
@@ -290,13 +290,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _render_svg(rows, labels, phi, log_x: bool) -> str:
+def _render_svg(xs, ratios, labels, phi, log_x: bool) -> str:
+    """One polyline per column of ``ratios`` (n, k) over the x column ``xs``.
+
+    Coordinates are computed on Python floats with ``math.log10``: numpy's
+    log10 can differ in the last bit, and the printed digits with it.
+    """
     width, height, margin = 640, 420, 60
     axis = math.log10 if log_x else float
-    xs = [axis(r[0]) for r in rows]
-    ys = [v for _, values in rows for v in values]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    plot_xs = [axis(x) for x in xs.tolist()]
+    x_lo, x_hi = min(plot_xs), max(plot_xs)
+    y_lo, y_hi = float(ratios.min()), float(ratios.max())
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     # A grid too narrow to resolve collapses to one x: draw it at the left.
@@ -323,7 +327,7 @@ def _render_svg(rows, labels, phi, log_x: bool) -> str:
     ]
     for i, label in enumerate(labels):
         points = " ".join(
-            f"{px(axis(x)):.2f},{py(values[i]):.2f}" for x, values in rows
+            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(plot_xs, ratios[:, i].tolist())
         )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{colors[i % 2]}" '

@@ -75,7 +75,6 @@ class GravityEnv:
 
     phi: float
     distance: float
-    provenance: str = "direct"
 
     def __post_init__(self):
         _check_finite("distance", self.distance)
@@ -94,11 +93,7 @@ class GravityEnv:
     @classmethod
     def from_source(cls, mass: float, distance: float, G: float = 1.0) -> "GravityEnv":
         phi = potential_from_source(mass, distance, G=G)
-        return cls(phi=phi, distance=distance, provenance="source")
-
-    @classmethod
-    def flat(cls, distance: float = 1.0) -> "GravityEnv":
-        return cls(phi=0.0, distance=distance)
+        return cls(phi=phi, distance=distance)
 
 
 def potential_from_source(mass: float, distance: float, G: float = 1.0) -> float:
@@ -119,8 +114,8 @@ def potential_from_source(mass: float, distance: float, G: float = 1.0) -> float
 class ThermalSpec:
     """Environment temperature, distant-observer and local values.
 
-    The two are tied by T = T_local * (1 + phi); construct through
-    ``from_distant`` or ``from_local`` so that exactly one is authoritative.
+    The two are tied by the Tolman relation T_local = T / (1 + phi);
+    construct through ``from_distant``, the one place it is written.
     """
 
     temperature_distant: float
@@ -135,50 +130,11 @@ class ThermalSpec:
     @classmethod
     def from_distant(cls, temperature: float, phi: float) -> "ThermalSpec":
         _check_phi(phi)
-        if temperature < 0.0:
-            raise DomainError(f"temperature must be >= 0, got {temperature}")
         return cls(
             temperature_distant=temperature,
             temperature_local=temperature / (1.0 + phi),
         )
 
     @classmethod
-    def from_local(cls, temperature: float, phi: float) -> "ThermalSpec":
-        _check_phi(phi)
-        if temperature < 0.0:
-            raise DomainError(f"temperature must be >= 0, got {temperature}")
-        return cls(
-            temperature_distant=temperature * (1.0 + phi),
-            temperature_local=temperature,
-        )
-
-    @classmethod
     def vacuum(cls) -> "ThermalSpec":
         return cls(temperature_distant=0.0, temperature_local=0.0)
-
-
-@dataclass(frozen=True)
-class DimensionlessPoint:
-    """The (x = R*Omega, phi, sin^2 psi) triple every closed form depends on."""
-
-    x: float
-    phi: float
-    sin2psi: float
-
-    def __post_init__(self):
-        _check_finite("x", self.x)
-        _check_finite("sin2psi", self.sin2psi)
-        if self.x < 0.0:
-            raise DomainError(f"x must be >= 0, got {self.x}")
-        if not 0.0 <= self.sin2psi <= 1.0:
-            raise DomainError(f"sin2psi must lie in [0, 1], got {self.sin2psi}")
-        _check_phi(self.phi)
-
-
-def dimensionless_point(atom: AtomSpec, env: GravityEnv) -> DimensionlessPoint:
-    """Reduce (atom, environment) to the dimensionless triple."""
-    return DimensionlessPoint(
-        x=env.distance * atom.omega,
-        phi=env.phi,
-        sin2psi=atom.sin2psi,
-    )

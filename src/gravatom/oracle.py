@@ -385,7 +385,7 @@ def radiation_power(atom: AtomSpec, env: GravityEnv) -> float:
     Pre-truncation form: the flat-space Larmor-like term carries (1 + 4 phi)
     and the correction term is evaluated at the redshifted frequency.
     """
-    omega_g = rates_mod.redshifted_frequency(atom.omega, env.phi)
+    omega_g = (1.0 + env.phi) * atom.omega
     x_g = env.distance * omega_g
     gamma = rates_mod.flat_rate(atom.dipole_mag, atom.omega)
     ratio = power_per_quantum(env.phi, atom.sin2psi, specfun.f1(x_g), specfun.f2(x_g))

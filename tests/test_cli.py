@@ -77,6 +77,22 @@ class TestRates:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.filterwarnings("ignore:.*first-order corrections are no longer small")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("rates", "--omega", "1e-3", "--phi", "-0.15"), "bracket"),
+            (("evolve", "--omega", "1e-3", "--phi", "-0.2"), "bracket"),
+            (("rates", "--omega", "1", "--dipole", "0"), "no dissipation"),
+            (("rates", "--omega", "1e200", "--distance", "1e200"), "requires finite x"),
+        ],
+        ids=["negative-bracket", "evolve-negative-bracket", "no-dissipation", "x-overflow"],
+    )
+    def test_refused_generator(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -3,14 +3,7 @@ import math
 import pytest
 
 from gravatom.errors import DomainError, RegimeError
-from gravatom.model import (
-    AtomSpec,
-    DimensionlessPoint,
-    GravityEnv,
-    ThermalSpec,
-    dimensionless_point,
-    potential_from_source,
-)
+from gravatom.model import AtomSpec, GravityEnv, ThermalSpec, potential_from_source
 
 
 class TestPotentialFromSource:
@@ -68,7 +61,7 @@ class TestGravityEnv:
     def test_from_source(self):
         env = GravityEnv.from_source(mass=0.05, distance=1.0)
         assert env.phi == pytest.approx(-0.05)
-        assert env.provenance == "source"
+        assert env.distance == 1.0
 
 
 class TestThermalSpec:
@@ -81,35 +74,19 @@ class TestThermalSpec:
         )
 
     def test_involution(self):
+        # From the local temperature back to the distant one: T_local * (1 + phi).
         phi = -0.07
         t1 = ThermalSpec.from_distant(2.5, phi)
-        t2 = ThermalSpec.from_local(t1.temperature_local, phi)
+        t2 = ThermalSpec.from_distant(t1.temperature_local * (1.0 + phi), phi)
         assert t2.temperature_distant == pytest.approx(2.5, rel=1e-14)
+        assert t2.temperature_local == pytest.approx(t1.temperature_local, rel=1e-14)
+
+    def test_negative_temperature_rejected(self):
+        with pytest.raises(DomainError, match="temperatures must be >= 0"):
+            ThermalSpec.from_distant(-1.0, -0.01)
 
     def test_vacuum(self):
         t = ThermalSpec.vacuum()
         assert t.temperature_distant == 0.0
         assert t.temperature_local == 0.0
 
-
-class TestDimensionlessPoint:
-    def test_products(self):
-        atom = AtomSpec(omega=2.0, dipole_angle=0.0)
-        env = GravityEnv(phi=-0.01, distance=3.0)
-        p = dimensionless_point(atom, env)
-        assert p.x == pytest.approx(6.0)
-        assert p.sin2psi == pytest.approx(0.0)
-        assert p.phi == -0.01
-
-    def test_perpendicular(self):
-        atom = AtomSpec(omega=1.0, dipole_angle=math.pi / 2)
-        env = GravityEnv(phi=0.0, distance=1.0)
-        p = dimensionless_point(atom, env)
-        assert p.x == pytest.approx(1.0)
-        assert p.sin2psi == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            DimensionlessPoint(x=-1.0, phi=0.0, sin2psi=0.0)
-        with pytest.raises(DomainError):
-            DimensionlessPoint(x=1.0, phi=0.0, sin2psi=1.5)

@@ -6,7 +6,7 @@ from mpmath import mp
 
 from gravatom import oracle, rates, specfun
 from gravatom.errors import ConvergenceError, DivergenceError, DomainError
-from gravatom.model import AtomSpec, GravityEnv, dimensionless_point
+from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
     QuadratureSpec,
     angular_identities_check,
@@ -271,7 +271,7 @@ class TestAngularIdentities:
 class TestRadiationPower:
     def test_flat_space_larmor_form(self):
         atom = AtomSpec(omega=2.0, dipole_mag=1.5)
-        env = GravityEnv.flat()
+        env = GravityEnv(phi=0.0, distance=1.0)
         expected = 2.0**4 * 1.5**2 / (24.0 * math.pi)
         assert radiation_power(atom, env) == pytest.approx(expected, rel=1e-14)
 
@@ -285,11 +285,8 @@ class TestRadiationPower:
         # (P / omega_g) / (gamma_g / 4) = 1 + O(phi^2), with phi^2 = 3.6e-3
         atom = AtomSpec(omega=1.3, dipole_mag=0.7, dipole_angle=0.9)
         env = GravityEnv(phi=-0.06, distance=2.2)
-        omega_g = rates.redshifted_frequency(atom.omega, env.phi)
-        gamma_g = rates.emission_rate(
-            dimensionless_point(atom, env), rates.flat_rate(atom.dipole_mag, atom.omega)
-        )
-        ratio = radiation_power(atom, env) / omega_g / (gamma_g / 4.0)
+        rs = rates.build_rate_set(atom, env)
+        ratio = radiation_power(atom, env) / rs.omega_g / (rs.gamma_g / 4.0)
         assert 1e-4 < abs(ratio - 1.0) <= 10.0 * env.phi**2
 
     def test_pre_truncation_second_order(self):
@@ -298,11 +295,8 @@ class TestRadiationPower:
         devs = []
         for phi in (-0.01, -0.02):
             env = GravityEnv(phi=phi, distance=1.0)
-            omega_g = rates.redshifted_frequency(atom.omega, phi)
-            gamma_g = rates.emission_rate(
-                dimensionless_point(atom, env), rates.flat_rate(atom.dipole_mag, atom.omega)
-            )
-            devs.append(abs(radiation_power(atom, env) / omega_g / gamma_g - 0.25))
+            rs = rates.build_rate_set(atom, env)
+            devs.append(abs(radiation_power(atom, env) / rs.omega_g / rs.gamma_g - 0.25))
         assert devs[1] / devs[0] == pytest.approx(4.0, rel=0.2)
 
 
