@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 from .errors import GravatomError
 from .model import (
@@ -225,10 +226,10 @@ def cmd_rates(args) -> int:
     atom = _atom(cfg)
     env = _environment(cfg)
     thermal = ThermalSpec.from_distant(cfg["temperature"], env.phi)
-    from .rates import build_rate_set
+    from .rates import RateSet, build_rate_set
 
     rateset = build_rate_set(atom, env, thermal)
-    payload = {k: NUMBER % v for k, v in vars(rateset).items()}
+    payload = {k: NUMBER % getattr(rateset, k) for k in RateSet.__slots__}
     payload["ratio"] = NUMBER % (rateset.gamma_g / rateset.gamma_flat)
     _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     return 0
@@ -379,18 +380,17 @@ def cmd_evolve(args) -> int:
     blocks = itertools.chain([block(0)], map(block, range(EVOLVE_BLOCK, steps + 1, EVOLVE_BLOCK)))
 
     def lines():
-        for trajectory in blocks:
-            states = trajectory.states
-            reference = analytic_state(rho0, rateset, trajectory.times)
+        for times, states in blocks:
+            reference = analytic_state(rho0, rateset, times)
             columns = (
-                trajectory.times,
+                times,
                 states.ee,
                 states.gg,
                 abs(states.eg),
                 states.trace - 1.0,
                 reference.ee,
             )
-            for i in range(0, len(trajectory.times), ROW_CHUNK):
+            for i in range(0, len(times), ROW_CHUNK):
                 yield format_rows([column[i:i + ROW_CHUNK] for column in columns])
 
     header = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
@@ -410,6 +410,11 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A library warning as one ``warning: ...`` line, like the ``error: ...`` lines."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     handlers = {
         "rates": cmd_rates,
@@ -417,12 +422,17 @@ def main(argv=None) -> int:
         "evolve": cmd_evolve,
         "verify": cmd_verify,
     }
+    # Only the formatting changes: the filters still decide whether a
+    # warning shows, and a caller recording warnings still records it.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.mode](args)
     except (UsageError, GravatomError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ frequency parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StepSizeError
+from .model import Record
 from .rates import RateSet
 
 _TRACE_TOL = 1e-12
@@ -30,8 +30,7 @@ MAX_STEP_RATE = 0.1
 MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
-class DensityMatrix2:
+class DensityMatrix2(Record):
     """2x2 density matrix: populations ``ee``/``gg`` and coherence ``eg``.
 
     ``ge`` is stored implicitly as the conjugate.  The fields are scalars
@@ -40,12 +39,11 @@ class DensityMatrix2:
     fails every check.
     """
 
-    ee: float | np.ndarray
-    gg: float | np.ndarray
-    eg: complex | np.ndarray = 0j
+    __slots__ = ("ee", "gg", "eg")
 
-    def __post_init__(self):
-        ee, gg, eg = self.ee, self.gg, self.eg
+    def __init__(
+        self, ee: float | np.ndarray, gg: float | np.ndarray, eg: complex | np.ndarray = 0j
+    ):
         if not np.shape(ee) == np.shape(gg) == np.shape(eg):
             raise DomainError("ee, gg and eg must have equal shapes")
         trace_error = np.abs(ee + gg - 1.0)
@@ -55,6 +53,7 @@ class DensityMatrix2:
             raise DomainError("populations must be non-negative")
         if not np.all(np.abs(eg) ** 2 - ee * gg <= _POSITIVITY_SLACK):
             raise DomainError("state is not positive semidefinite")
+        super().__init__(ee, gg, eg)
 
     @classmethod
     def excited(cls) -> "DensityMatrix2":
@@ -81,20 +80,6 @@ class DensityMatrix2:
     @property
     def trace(self) -> float:
         return self.ee + self.gg
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled evolution: strictly increasing times and one column state."""
-
-    times: np.ndarray
-    states: DensityMatrix2
-
-    def __post_init__(self):
-        if np.ndim(self.times) != 1 or np.shape(self.times) != np.shape(self.states.ee):
-            raise DomainError("times and states must be columns of equal length")
-        if not np.all(np.diff(self.times) > 0.0):
-            raise DomainError("times must be strictly increasing")
 
 
 def analytic_state(rho0: DensityMatrix2, rates: RateSet, t: float | np.ndarray) -> DensityMatrix2:
@@ -152,12 +137,13 @@ def _suggested_steps(t_max: float, total: float) -> int | None:
 def evolve_numeric(
     rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: int,
     start: int = 0, stop: int | None = None,
-) -> Trajectory:
+) -> tuple[np.ndarray, DensityMatrix2]:
     """Rows ``start`` to ``stop - 1`` of the fixed-step RK4 trajectory.
 
-    The trajectory has ``steps + 1`` rows, t = 0 to ``t_max``; the default
-    range is all of them, and ``stop`` is clipped to ``steps + 1`` like a
-    slice.  The generator is linear with constant coefficients, so the n-th
+    Returns ``(times, states)``: the times h n, increasing by construction,
+    and one column ``DensityMatrix2`` of the same length.  The trajectory
+    has ``steps + 1`` rows, t = 0 to ``t_max``; the default range is all of
+    them, and ``stop`` is clipped to ``steps + 1`` like a slice.  The generator is linear with constant coefficients, so the n-th
     RK4 iterate is exact in closed form: each mode is its initial amplitude
     times R(z)^n (Hairer & Wanner, Solving ODEs II, IV.2).  The populations
     relax toward ``steady_excited`` s with z = -h Gamma (``ee`` around s,
@@ -198,4 +184,4 @@ def evolve_numeric(
         gg=(1.0 - s) + (float(rho0.gg) - (1.0 - s)) * decay,
         eg=complex(rho0.eg) * np.exp(n * _rk4_log_step(-0.5 * h * total)),
     )
-    return Trajectory(times=h * n, states=states)
+    return h * n, states

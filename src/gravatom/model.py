@@ -3,14 +3,14 @@
 Natural units throughout (hbar = c = 1); Newton's constant G is an explicit
 input with default 1.  All closed forms downstream depend only on the
 dimensionless triple (phi, x = R*Omega, sin^2 psi).  ``NUMBER`` is the
-format of every number the command line prints.
+format of every number the command line prints.  ``Record`` is the base of
+every read-only record in the package.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
 
@@ -21,6 +21,49 @@ PHI_WARN_LIMIT = 0.1
 
 #: Every number printed: 12 significant digits, scientific notation.
 NUMBER = "%.11e"
+
+
+class Record:
+    """Read-only record whose fields are the ``__slots__`` of its class.
+
+    A subclass validates its arguments in ``__init__`` and then passes them,
+    in ``__slots__`` order, to ``Record.__init__``, the one place fields are
+    set.  An instance has no ``__dict__`` and refuses every later assignment
+    or deletion; the class itself stays open to ``setattr``.  Equality, hash,
+    repr and pickling go by the field values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through ``__init__``: the default slot
+        # state would be restored by ``setattr``, which refuses.
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -39,56 +82,52 @@ def _check_phi(phi: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+class AtomSpec(Record):
     """Two-level atom: proper splitting, dipole magnitude and orientation.
 
     ``dipole_angle`` is the angle psi between the effective dipole and the
     radial direction; the rates depend on it only through sin^2 psi.
     """
 
-    omega: float
-    dipole_mag: float = 1.0
-    dipole_angle: float = 0.0
+    __slots__ = ("omega", "dipole_mag", "dipole_angle")
 
-    def __post_init__(self):
-        _check_finite("omega", self.omega)
-        _check_finite("dipole_mag", self.dipole_mag)
-        _check_finite("dipole_angle", self.dipole_angle)
-        if self.omega <= 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.dipole_mag < 0.0:
-            raise DomainError(f"dipole_mag must be >= 0, got {self.dipole_mag}")
-        if not 0.0 <= self.dipole_angle <= math.pi:
-            raise DomainError(
-                f"dipole_angle must lie in [0, pi], got {self.dipole_angle}"
-            )
+    def __init__(self, omega: float, dipole_mag: float = 1.0, dipole_angle: float = 0.0):
+        _check_finite("omega", omega)
+        _check_finite("dipole_mag", dipole_mag)
+        _check_finite("dipole_angle", dipole_angle)
+        if omega <= 0.0:
+            raise DomainError(f"omega must be positive, got {omega}")
+        if dipole_mag < 0.0:
+            raise DomainError(f"dipole_mag must be >= 0, got {dipole_mag}")
+        if not 0.0 <= dipole_angle <= math.pi:
+            raise DomainError(f"dipole_angle must lie in [0, pi], got {dipole_angle}")
+        super().__init__(omega, dipole_mag, dipole_angle)
 
     @property
     def sin2psi(self) -> float:
         return math.sin(self.dipole_angle) ** 2
 
 
-@dataclass(frozen=True)
-class GravityEnv:
+class GravityEnv(Record):
     """Newtonian potential phi <= 0 at the atom and the source distance R."""
 
-    phi: float
-    distance: float
+    __slots__ = ("phi", "distance")
 
-    def __post_init__(self):
-        _check_finite("distance", self.distance)
-        if self.distance <= 0.0:
-            raise DomainError(f"distance must be positive, got {self.distance}")
-        _check_phi(self.phi)
+    def __init__(self, phi: float, distance: float):
+        _check_finite("distance", distance)
+        if distance <= 0.0:
+            raise DomainError(f"distance must be positive, got {distance}")
+        _check_phi(phi)
         # Warned here only, where the environment is built, so that a command
-        # passing phi on to further checks warns once.
-        if abs(self.phi) > PHI_WARN_LIMIT:
+        # passing phi on to further checks warns once.  Level 2 is the line
+        # that constructs the environment.
+        if abs(phi) > PHI_WARN_LIMIT:
             warnings.warn(
-                f"|phi| = {abs(self.phi)} > {PHI_WARN_LIMIT}: first-order corrections "
+                f"|phi| = {abs(phi)} > {PHI_WARN_LIMIT}: first-order corrections "
                 "are no longer small",
-                stacklevel=3,
+                stacklevel=2,
             )
+        super().__init__(phi, distance)
 
     @classmethod
     def from_source(cls, mass: float, distance: float, G: float = 1.0) -> "GravityEnv":
@@ -110,22 +149,21 @@ def potential_from_source(mass: float, distance: float, G: float = 1.0) -> float
     return phi
 
 
-@dataclass(frozen=True)
-class ThermalSpec:
+class ThermalSpec(Record):
     """Environment temperature, distant-observer and local values.
 
     The two are tied by the Tolman relation T_local = T / (1 + phi);
     construct through ``from_distant``, the one place it is written.
     """
 
-    temperature_distant: float
-    temperature_local: float
+    __slots__ = ("temperature_distant", "temperature_local")
 
-    def __post_init__(self):
-        _check_finite("temperature_distant", self.temperature_distant)
-        _check_finite("temperature_local", self.temperature_local)
-        if self.temperature_distant < 0.0 or self.temperature_local < 0.0:
+    def __init__(self, temperature_distant: float, temperature_local: float):
+        _check_finite("temperature_distant", temperature_distant)
+        _check_finite("temperature_local", temperature_local)
+        if temperature_distant < 0.0 or temperature_local < 0.0:
             raise DomainError("temperatures must be >= 0")
+        super().__init__(temperature_distant, temperature_local)
 
     @classmethod
     def from_distant(cls, temperature: float, phi: float) -> "ThermalSpec":

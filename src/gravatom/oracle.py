@@ -20,7 +20,6 @@ of the partial sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,11 +29,10 @@ from numpy.polynomial.polynomial import polyval
 from . import rates as rates_mod
 from . import specfun
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .model import AtomSpec, GravityEnv
+from .model import AtomSpec, GravityEnv, Record
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Accuracy targets and budgets for the numeric oracles.
 
     ``max_depth`` is the number of panel doublings ``integrate_adaptive``
@@ -42,18 +40,19 @@ class QuadratureSpec:
     ``tail_periods`` counts half-period chunks summed for oscillatory tails.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_depth: int = 10
-    tail_periods: int = 200
+    __slots__ = ("abs_tol", "rel_tol", "max_depth", "tail_periods")
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+    def __init__(
+        self, abs_tol: float = 1e-10, rel_tol: float = 1e-9, max_depth: int = 10,
+        tail_periods: int = 200,
+    ):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):
             raise DomainError("tolerances must be positive")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise DomainError("max_depth must be >= 1")
-        if self.tail_periods < 8:
+        if tail_periods < 8:
             raise DomainError("tail_periods must be >= 8")
+        super().__init__(abs_tol, rel_tol, max_depth, tail_periods)
 
 
 #: Averaging passes applied to the partial sums of an oscillatory tail.

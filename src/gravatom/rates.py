@@ -9,24 +9,30 @@ model types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import specfun
 from .errors import DegenerateError, DomainError, RegimeError
-from .model import AtomSpec, GravityEnv, ThermalSpec
+from .model import AtomSpec, GravityEnv, Record, ThermalSpec
 
 
-@dataclass(frozen=True)
-class RateSet:
-    """Complete generator data for the thermal dissipative evolution."""
+class RateSet(Record):
+    """Complete generator data for the thermal dissipative evolution.
 
-    omega_g: float
-    gamma_flat: float
-    gamma_g: float
-    gamma_plus: float
-    gamma_minus: float
-    gamma_total: float
-    steady_excited: float
+    ``__slots__`` is the field tuple; ``gravatom rates`` prints each field.
+    """
+
+    __slots__ = (
+        "omega_g", "gamma_flat", "gamma_g", "gamma_plus", "gamma_minus",
+        "gamma_total", "steady_excited",
+    )
+
+    def __init__(
+        self, omega_g: float, gamma_flat: float, gamma_g: float, gamma_plus: float,
+        gamma_minus: float, gamma_total: float, steady_excited: float,
+    ):
+        super().__init__(
+            omega_g, gamma_flat, gamma_g, gamma_plus, gamma_minus, gamma_total, steady_excited
+        )
 
 
 def flat_rate(dipole_mag: float, omega: float) -> float:

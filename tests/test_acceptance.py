@@ -142,16 +142,16 @@ class TestAcceptance:
             rho0 = DensityMatrix2.superposition(rng.uniform(0.0, 1.0))
             t_max = rng.uniform(0.5, 4.0) / total
             steps = max(50, math.ceil(t_max * total / 0.02))
-            traj = evolve_numeric(rho0, rates, t_max, steps)
+            _, states = evolve_numeric(rho0, rates, t_max, steps)
             ref = analytic_state(rho0, rates, t_max)
             worst_elem = max(
                 worst_elem,
-                abs(traj.states.ee[-1] - ref.ee),
-                abs(traj.states.gg[-1] - ref.gg),
-                abs(traj.states.eg[-1] - ref.eg),
+                abs(states.ee[-1] - ref.ee),
+                abs(states.gg[-1] - ref.gg),
+                abs(states.eg[-1] - ref.eg),
             )
             worst_trace = max(
-                worst_trace, float(np.max(np.abs(traj.states.trace - 1.0)))
+                worst_trace, float(np.max(np.abs(states.trace - 1.0)))
             )
 
         fit_rates = RateSet(
@@ -163,11 +163,11 @@ class TestAcceptance:
             gamma_total=1.3,
             steady_excited=0.4 / 1.3,
         )
-        traj = evolve_numeric(
+        times, states = evolve_numeric(
             DensityMatrix2.superposition(0.5), fit_rates, 3.0, 600
         )
         slope = np.polyfit(
-            traj.times, np.log(np.abs(traj.states.eg)), 1
+            times, np.log(np.abs(states.eg)), 1
         )[0]
         fit_err = abs(-slope - fit_rates.gamma_total / 2.0) / (
             fit_rates.gamma_total / 2.0

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -111,6 +114,27 @@ def test_soft_phi_gate_warns_once(capsys, argv):
     assert code == 0
     soft = [w for w in caught if "first-order corrections are no longer small" in str(w.message)]
     assert len(soft) == 1
+
+
+@pytest.mark.parametrize("source", [("--phi", "-0.15"), ("--mass", "0.15")], ids=["phi", "mass"])
+def test_soft_phi_gate_prints_one_warning_line(capsys, source):
+    # A fresh interpreter, as the console script runs: in process, pytest
+    # records the warning instead of printing it.
+    argv = ["rates", "--omega", "1", *source]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gravatom.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: |phi| = 0.15 > 0.1: first-order corrections are no longer small\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert proc.stdout == run_cli(capsys, *argv)[1]
 
 
 class TestSweep:
@@ -591,11 +615,10 @@ class TestMultiChunkOutput:
                 "--initial", "mixed:0.3", "--temperature", "0.5",
             )
             assert code == 0
-            traj = evolve_numeric(rho0, rateset, 5.0 / rateset.gamma_total, steps)
-            s = traj.states
-            reference = analytic_state(rho0, rateset, traj.times)
+            times, s = evolve_numeric(rho0, rateset, 5.0 / rateset.gamma_total, steps)
+            reference = analytic_state(rho0, rateset, times)
             expected = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n" + _rows(
-                traj.times, s.ee, s.gg, abs(s.eg), s.trace - 1.0, reference.ee
+                times, s.ee, s.gg, abs(s.eg), s.trace - 1.0, reference.ee
             )
             assert out == expected, rows
 

@@ -11,6 +11,7 @@ CHANGES.md.
 """
 
 import io
+import itertools
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -76,10 +77,31 @@ def _run(argv) -> str:
     return buf.getvalue()
 
 
+def _first_difference(got: str, expected: str) -> str:
+    """The first line where two unequal outputs differ, with both lines.
+
+    A whole-string diff of a long output takes pytest minutes; this takes
+    one pass.  A missing line shows as None.
+    """
+    pairs = itertools.zip_longest(got.splitlines(True), expected.splitlines(True))
+    for number, (got_line, expected_line) in enumerate(pairs, 1):
+        if got_line != expected_line:
+            return f"line {number}: got {got_line!r}, expected {expected_line!r}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
-    assert _run(CASES[name]) == expected
+    got = _run(CASES[name])
+    if got != expected:
+        pytest.fail(f"{name}: {_first_difference(got, expected)}", pytrace=False)
+
+
+def test_first_difference_names_the_first_differing_line():
+    expected = "a\nb\nc\n"
+    assert _first_difference("a\nx\nc\n", expected) == "line 2: got 'x\\n', expected 'b\\n'"
+    assert _first_difference("a\nb\n", expected) == "line 3: got None, expected 'c\\n'"
+    assert _first_difference("a\nb\nc", expected) == "line 3: got 'c', expected 'c\\n'"
 
 
 if __name__ == "__main__":

@@ -53,19 +53,23 @@ NUMERIC = (
     "gravatom.oracle",
 )
 
+# The records are plain classes: no command loads `dataclasses`, and the
+# commands that never load numpy (which imports it) never load `inspect`.
+STARTUP = ("dataclasses", "inspect")
+
 # (argv, exit code, modules that must be loaded, modules that must not be)
 CASES = {
-    "import": ([], None, ("gravatom.cli", "gravatom.model"), NUMERIC),
-    "help": (["--help"], 0, ("argparse",), NUMERIC),
-    "invalid rates": (["rates", "--omega=-1"], 2, ("gravatom.model",), NUMERIC),
+    "import": ([], None, ("gravatom.cli", "gravatom.model"), NUMERIC + STARTUP),
+    "help": (["--help"], 0, ("argparse",), NUMERIC + STARTUP),
+    "invalid rates": (["rates", "--omega=-1"], 2, ("gravatom.model",), NUMERIC + STARTUP),
     "rates": (["rates", "--omega", "1.3", "--phi", "-0.05"], 0,
               ("gravatom.rates", "gravatom.specfun"),
-              ("numpy", "gravatom.rows", "gravatom.oracle", "gravatom.lindblad")),
+              ("numpy", "gravatom.rows", "gravatom.oracle", "gravatom.lindblad") + STARTUP),
     "sweep": (["sweep", "--points", "50"], 0,
-              ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad")),
+              ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad", "dataclasses")),
     "evolve": (["evolve", "--omega", "1.0", "--steps", "500"], 0,
-               ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle",)),
-    "verify": (["verify"], 0, ("gravatom.oracle",), ("numpy.random",)),
+               ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses")),
+    "verify": (["verify"], 0, ("gravatom.oracle",), ("numpy.random", "dataclasses")),
 }
 
 

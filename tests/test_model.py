@@ -1,9 +1,14 @@
+import copy
 import math
+import pickle
 
 import pytest
 
 from gravatom.errors import DomainError, RegimeError
+from gravatom.lindblad import DensityMatrix2
 from gravatom.model import AtomSpec, GravityEnv, ThermalSpec, potential_from_source
+from gravatom.oracle import QuadratureSpec
+from gravatom.rates import RateSet
 
 
 class TestPotentialFromSource:
@@ -55,8 +60,10 @@ class TestGravityEnv:
             GravityEnv(phi=-0.5, distance=1.0)
 
     def test_warning_band(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             GravityEnv(phi=-0.2, distance=1.0)
+        # The warning names the line that built the environment.
+        assert [w.filename for w in caught] == [__file__]
 
     def test_from_source(self):
         env = GravityEnv.from_source(mass=0.05, distance=1.0)
@@ -90,3 +97,61 @@ class TestThermalSpec:
         assert t.temperature_distant == 0.0
         assert t.temperature_local == 0.0
 
+
+
+# Each read-only record with valid arguments for every field, in field order.
+RECORDS = {
+    "AtomSpec": (AtomSpec, (1.3, 2.0, 0.5)),
+    "GravityEnv": (GravityEnv, (-0.05, 2.0)),
+    "ThermalSpec": (ThermalSpec, (1.0, 1.1)),
+    "RateSet": (RateSet, (0.95, 0.1, 0.12, 0.01, 0.13, 0.14, 0.01 / 0.14)),
+    "DensityMatrix2": (DensityMatrix2, (0.6, 0.4, 0.2j)),
+    "QuadratureSpec": (QuadratureSpec, (1e-8, 1e-7, 5, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecords:
+    def test_read_only(self, name):
+        cls, args = RECORDS[name]
+        record = cls(*args)
+        for field, value in zip(cls.__slots__, args):
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+        assert not hasattr(record, "__dict__")
+        assert tuple(getattr(record, field) for field in cls.__slots__) == args
+
+    def test_positional_and_keyword_construction(self, name):
+        cls, args = RECORDS[name]
+        by_position = cls(*args)
+        by_keyword = cls(**dict(zip(cls.__slots__, args)))
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+        assert repr(by_position) == repr(by_keyword)
+        assert repr(by_position).startswith(f"{name}(")
+
+    def test_pickle_and_copy(self, name):
+        cls, args = RECORDS[name]
+        record = cls(*args)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+
+
+def test_record_defaults():
+    assert AtomSpec(1.0) == AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0)
+    assert DensityMatrix2(1.0, 0.0).eg == 0j
+    spec = QuadratureSpec()
+    assert (spec.abs_tol, spec.rel_tol, spec.max_depth, spec.tail_periods) == (
+        1e-10, 1e-9, 10, 200,
+    )
+
+
+def test_record_classes_stay_patchable(monkeypatch):
+    # Instances are read-only, classes are not: wrappers patch methods in place.
+    monkeypatch.setattr(ThermalSpec, "from_distant", classmethod(lambda cls, t, phi: "patched"))
+    assert ThermalSpec.from_distant(1.0, -0.1) == "patched"
