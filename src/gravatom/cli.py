@@ -400,6 +400,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_verify(args) -> int:
     _resolve(args)  # refuses a bad --config or --format before the oracle loads
+    _check_finite("f1_offset", args.f1_offset)
     from . import oracle
 
     spec = oracle.QuadratureSpec()

@@ -586,6 +586,24 @@ class TestVerify:
         names = [r["name"] for r in json.loads(out)["checks"]]
         assert names == VERIFY_RECORD_NAMES
 
+    def test_strict_json(self, verify_output):
+        # RFC 8259 has no NaN or Infinity; an informational record without a
+        # tolerance carries null.
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        _, out = verify_output
+        checks = json.loads(out, parse_constant=refuse)["checks"]
+        (rec,) = [r for r in checks if r["name"] == VERIFY_RECORD_NAMES[-1]]
+        assert rec["tolerance"] is None
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_f1_offset_is_a_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", f"--f1-offset={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: f1_offset must be finite")
+
 
 def _rows(*columns) -> str:
     """Reference rendering: one `%` template per row."""

@@ -69,7 +69,8 @@ CASES = {
               ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad", "dataclasses")),
     "evolve": (["evolve", "--omega", "1.0", "--steps", "500"], 0,
                ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses")),
-    "verify": (["verify"], 0, ("gravatom.oracle",), ("numpy.random", "dataclasses")),
+    "verify": (["verify"], 0, ("gravatom.oracle",),
+               ("numpy.random", "numpy.polynomial", "dataclasses")),
 }
 
 

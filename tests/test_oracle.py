@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
@@ -222,8 +223,8 @@ class TestAgainstMpmath:
         assert literal == pytest.approx(LITERAL_KERNEL_B1, rel=1e-12, abs=0.0)
 
 
-# R = 1 offsets y: t = 2y/(y^2 + 1) crosses the series switch t = 1/2 between
-# 0.267949 and 0.2679492 and between 3.73 and 3.74, and nears 1 at y = 0.999.
+# Offsets y, in units of R: from far inside to far outside the sphere r = R,
+# with y = 0.999 R where the kernel nearly touches zero at mu = -1.
 MOMENT_YS = (1e-8, 1e-4, 0.01, 0.1, 0.267949, 0.2679492, 0.5, 0.9, 0.999, 1.0,
              2.0, 3.73, 3.74, 10.0, 100.0, 1e4)
 
@@ -234,12 +235,19 @@ def _mp_moment(a, b, weight):
     return mp.quad(lambda mu: weight(mu) / mp.sqrt(a + b * mu), [-1, 0, 1])
 
 
-class TestAngularMoments:
-    """The angular moments of the shifted kernel against mpmath.quad.
+def _mp_shifted_moment(y, R, weight):
+    """40-digit integral of weight(mu) / sqrt(y^2 + 2yR mu + R^2) over [-1, 1] at floats y, R."""
+    y, R = mp.mpf(y), mp.mpf(R)
+    return mp.quad(lambda mu: weight(mu) / mp.sqrt(y * y + 2 * y * R * mu + R * R), [-1, 0, 1])
 
-    The references take the same rounded a = y^2 + R^2 and b = 2yR the
-    oracle forms, so only the evaluation of the moment is measured.  The
-    worst errors sit just above the series switch, on the closed-form side.
+
+class TestAngularMoments:
+    """The angular moments of the distance kernel against mpmath.quad.
+
+    The literal-kernel moment takes a and b, so its reference takes the same
+    rounded a = y^2 + R^2 and b = 2yR.  The shifted-kernel moments take y and
+    R, and so do their references: rounding a and b first would move the
+    reference by up to 1e-13 near y = R.
     """
 
     def test_mu2_moment(self):
@@ -251,14 +259,60 @@ class TestAngularMoments:
                 ref = _mp_moment(ai, bi, lambda mu: mu * mu)
                 assert abs(value - ref) <= 5e-15 * abs(ref)
 
+    @staticmethod
+    def _check_shifted(moment, weight):
+        for R in (1.0, 3.0):
+            y = R * np.array(MOMENT_YS)
+            values = moment(y, R)
+            with mp.workdps(40):
+                for yi, value in zip(y.tolist(), values.tolist()):
+                    ref = _mp_shifted_moment(yi, R, weight)
+                    assert abs(value - ref) <= 1e-15 * abs(ref), (R, yi)
+
     def test_mu2_minus_iso(self):
-        y = np.array(MOMENT_YS)
-        a, b = y * y + 1.0, 2.0 * y
-        values = oracle._mu2_minus_iso(y, 1.0)
+        self._check_shifted(oracle._mu2_minus_iso, lambda mu: mu * mu - mp.mpf(1) / 3)
+
+    def test_mu2_shifted(self):
+        self._check_shifted(oracle._mu2_shifted, lambda mu: mu * mu)
+
+
+class TestGaussLegendre:
+    """The in-module Gauss-Legendre rules."""
+
+    @pytest.mark.parametrize("n", [24, 80])
+    def test_against_mpmath(self, n):
+        nodes, weights = oracle._gauss_legendre(n)
         with mp.workdps(40):
-            for ai, bi, value in zip(a.tolist(), b.tolist(), values.tolist()):
-                ref = _mp_moment(ai, bi, lambda mu: mu * mu - mp.mpf(1) / 3)
-                assert abs(value - ref) <= 1e-13 * abs(ref)
+            ref_nodes, ref_weights = mpmath.gauss_quadrature(n, "legendre")
+            ref_nodes = np.array([float(v) for v in ref_nodes])
+            ref_weights = np.array([float(v) for v in ref_weights])
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [24, 80])
+    def test_against_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = oracle._gauss_legendre(n)
+        ref_nodes, ref_weights = leggauss(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+        # leggauss's own weights lie up to 1.5e-15 from the 40-digit rule
+        # (1.3e-15 from this one), hence the wider bound here only.
+        assert np.max(np.abs(weights - ref_weights)) <= 2e-15
+
+    @pytest.mark.parametrize("n", [24, 80])
+    def test_monomials_are_exact(self, n):
+        nodes, weights = oracle._gauss_legendre(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes**k - exact) <= 1e-15, k
+
+    def test_node_counts(self):
+        # 24-point radial panels and the 80 x 64 sphere grid, built once.
+        assert oracle._GL_NODES.shape == oracle._GL_WEIGHTS.shape == (24,)
+        assert oracle._SPHERE_RHAT.shape == (80 * 64, 3)
+        assert np.allclose(np.linalg.norm(oracle._SPHERE_RHAT, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert oracle._SPHERE_WEIGHTS.sum() == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 
 class TestAngularIdentities:
