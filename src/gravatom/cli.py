@@ -7,10 +7,11 @@ CSV/SVG), ``evolve`` (trajectory CSV), ``verify`` (full oracle report).
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
 CSV rows come from the vectorised formatter ``rows.format_rows``.  ``sweep``
-computes and writes its rows ``rows.ROW_CHUNK`` at a time, ``evolve`` its
-trajectory ``rows.EVOLVE_BLOCK`` rows at a time, so neither holds its whole
-output; ``evolve`` builds its first block before writing anything, so every
-gate refuses bad input before ``--out`` is opened.
+computes its rows ``rows.SWEEP_BLOCK`` at a time, ``evolve`` its trajectory
+``rows.EVOLVE_BLOCK`` rows at a time, and both write ``rows.ROW_CHUNK`` rows
+at a time, so neither holds its whole output; ``evolve`` builds its first
+block before writing anything, so every gate refuses bad input before
+``--out`` is opened.
 
 Importing this module loads only the standard library, ``errors`` and
 ``model``.  Each handler validates its inputs with ``model`` first and then
@@ -285,8 +286,9 @@ def cmd_sweep(args) -> int:
         _write([_render_svg(xs, ratios, labels, phi, cfg["log_grid"])], args.out)
         return 0
 
-    # Each chunk is formatted and written as it is computed: no row list is held.
-    lines = (format_rows((xs, ratios)) for xs, ratios in chunks)
+    # Each chunk is formatted and written as it is computed: no row list is
+    # held, nor the last chunk while the next is computed.
+    lines = map(format_rows, chunks)
     _write(itertools.chain([f"# phi={NUMBER % phi}\n", header + "\n"], lines), args.out)
     return 0
 

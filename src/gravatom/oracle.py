@@ -425,12 +425,20 @@ def verification_report(
 
     ``f1_offset`` is a fault-injection hook: it shifts the closed-form f1
     used as reference so the quadrature cross-checks must fail.  Keep it at
-    zero outside of tests.
+    zero outside of tests.  An offset that makes a reference non-finite is a
+    DomainError, raised before any quadrature runs.
     """
     records: list[dict] = []
 
     def f1_ref(x):
         return specfun.f1(x) + f1_offset
+
+    R = 1.0
+    grid = np.array(GRID_X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1_refs = _b1_per_f1(R, grid) * f1_ref(grid)
+    if not np.isfinite(b1_refs).all():
+        raise DomainError(f"f1_offset={f1_offset!r} makes a B1 reference non-finite")
 
     # B1/B2 at R = 1 on the grid against the closed forms, then the scale
     # invariance B1(lam*R, omega/lam) = B1(R, omega)/lam^2 at x = 1, each to
@@ -439,12 +447,9 @@ def verification_report(
         passed = abs(computed - reference) <= max(floor, 1e-6 * abs(reference))
         records.append(_record(name, paper_ref, computed, reference, 1e-6, passed))
 
-    R = 1.0
-    grid = np.array(GRID_X)
     b1_values = [b1_numeric(R, x, spec) for x in GRID_X]
     b2_values = [b2_numeric(R, x, spec) for x in GRID_X]
-    b1_refs = (_b1_per_f1(R, grid) * f1_ref(grid)).tolist()
-    for x, computed, reference in zip(GRID_X, b1_values, b1_refs):
+    for x, computed, reference in zip(GRID_X, b1_values, b1_refs.tolist()):
         radial(f"B1 quadrature vs closed form, x={x:g}",
                "first radial coefficient against f1 closed form", computed, reference)
     for x, computed, reference in zip(GRID_X, b2_values, b2_closed(R, grid).tolist()):

@@ -5,8 +5,9 @@ significant digits, scientific notation, no locale dependence).  CSV rows
 come from one vectorised formatter, `format_rows`, which renders a chunk of
 rows in a few array passes, is byte-identical to ``NUMBER % x`` and falls
 back to ``%`` itself for the few numbers near a rounding tie.
-`sweep_chunks` builds the ``sweep`` grid and its rate ratios one chunk of
-rows at a time; ``evolve`` builds its trajectory one `EVOLVE_BLOCK` of rows
+`sweep_chunks` builds the ``sweep`` grid and its rate ratios one
+`SWEEP_BLOCK` of points at a time, ``evolve`` its trajectory one
+`EVOLVE_BLOCK` of rows at a time; both format and write ``ROW_CHUNK`` rows
 at a time.
 """
 
@@ -20,11 +21,17 @@ import numpy as np
 from .model import NUMBER
 from .rates import rate_bracket
 
-#: Rows per chunk in `sweep` and `evolve`: each chunk is one `rate_bracket`
-#: call (sweep), one `format_rows` call and one write.  Enough rows to
-#: amortise the per-call cost of the array code, few enough to keep the peak
-#: memory of a long run flat.
+#: Rows per chunk in `sweep` and `evolve`: each chunk is one `format_rows`
+#: call and one write.  Enough rows to amortise the per-call cost of the
+#: array code, few enough to keep the peak memory of a long run flat.
 ROW_CHUNK = 1024
+
+#: Points per `sweep` block: one grid and one `rate_bracket` call, formatted
+#: and written ``ROW_CHUNK`` rows at a time.  An f1/f2 call costs mostly per
+#: call, not per point (it builds a mask per branch), so one call per block
+#: does the work of four per-chunk calls for much less.  Larger blocks only
+#: raise the peak (8192-point blocks: +0.4 MB RSS at 1e5 points).
+SWEEP_BLOCK = 4 * ROW_CHUNK
 
 #: Rows per `evolve` block: one `evolve_numeric` and one `analytic_state` call,
 #: formatted and written ``ROW_CHUNK`` rows at a time, so that memory does not
@@ -102,52 +109,89 @@ def format_rows(columns) -> str:
     non-finite value, |x| outside [1e-290, 1e290)) is formatted by ``%``
     itself.
     """
-    pow10, head, quad, tail, exponent = _tables()
     values = np.column_stack(columns).astype(float, copy=False)
-    x = values.ravel()
-    ax = np.abs(x)
-    zero = ax == 0.0
-    exact = (ax >= _EXACT_MIN) & (ax < _EXACT_MAX)  # False for NaN and inf
-    ax = np.where(exact, ax, 1.0)
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    y = ax * pow10[_POW10_BIAS + 11 - e]
-    m = np.rint(y)
-    # log10 can put e one off next to a power of ten, and rounding can carry m
-    # up to 10**12: those elements fall back, like the near-ties.
-    ok = exact & (np.abs(y - np.floor(y) - 0.5) >= _TIE_MARGIN) & (m >= 1e11) & (m < 1e12)
-    m = np.where(ok, m, 0.0).astype(np.int64)  # zero and fallbacks render as 0e+00
-    e = np.where(ok, e, 0)
-
-    words = np.empty((x.size, 5), np.uint32)
-    words[:, 0] = head[100 * np.signbit(x) + m // 10**10]
-    words[:, 1] = quad[m // 10**6 % 10**4]
-    words[:, 2] = quad[m // 100 % 10**4]
-    words[:, 3] = tail[100 * (e < 0) + m % 100]
-    words[:, 4] = exponent[np.abs(e)]
-    slots = words.view(np.uint8).reshape(values.shape + (20,))
+    # The array temporaries are gone once `_slots` returns, before the text is
+    # made: this keeps them out of the peak memory of a chunk.
+    slots = _slots(values.ravel()).reshape(values.shape + (20,))
     slots[..., 19] = ord(",")
     slots[:, -1, 19] = ord("\n")
-    fallback = np.flatnonzero(~(ok | zero))
-    if fallback.size:
-        text = b"".join((NUMBER % v).encode().rjust(19, b"\0") for v in x[fallback].tolist())
-        slots.reshape(-1, 20)[fallback, :19] = np.frombuffer(text, np.uint8).reshape(-1, 19)
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _scientific(x):
+    """(m, e, ok) of the 1-d float array ``x``: |x| = m * 10**(e - 11), rounded.
+
+    ``ok`` marks the elements whose 12-digit mantissa m is proven right;
+    elsewhere m is 0 and e is 0 or the exponent of a number left to `%`.
+    """
+    pow10 = _tables()[0]
+    ax = np.abs(x)
+    exact = (ax >= _EXACT_MIN) & (ax < _EXACT_MAX)  # False for 0, NaN and inf
+    np.copyto(ax, 1.0, where=~exact)  # e = 0 there, so zero renders as 0e+00
+    e = np.log10(ax)
+    e = np.floor(e, out=e).astype(np.intp)
+    y = pow10.take(_POW10_BIAS + 11 - e)
+    y *= ax
+    m = np.rint(y)
+    # log10 can put e one off next to a power of ten, and rounding can carry m
+    # up to 10**12: those elements fall back, like the near-ties.
+    y -= m
+    ok = np.abs(y, out=y) <= 0.5 - _TIE_MARGIN
+    ok &= exact
+    ok &= m >= 1e11
+    ok &= m < 1e12
+    np.copyto(m, 0.0, where=~ok)
+    return m, e, ok
+
+
+def _slots(x) -> np.ndarray:
+    """The 20-byte slots of the 1-d float array ``x``, one row each, separators left NUL."""
+    _, head, quad, tail, exponent = _tables()
+    m, e, ok = _scientific(x)
+    # Digit groups of the integer m < 10**12 by floor division in floats:
+    # n / 10**k for an integer n < 10**12 lies at least 10**-k from the next
+    # integer, far more than its rounding error, so each floor is exact.
+    high = np.floor(m / 1e6)  # d0..d5
+    m -= 1e6 * high  # d6..d11
+    lead = np.floor(high / 1e4)  # d0 d1
+    high -= 1e4 * lead  # d2..d5
+    lead += 100.0 * np.signbit(x)  # the minus sign's half of the head table
+    low = np.floor(m / 100.0)  # d6..d9
+    m -= 100.0 * low  # d10 d11
+    m += 100.0 * (e < 0)  # the negative exponents' half of the tail table
+    words = np.empty((x.size, 5), np.uint32)
+    words[:, 0] = head.take(lead.astype(np.intp))
+    words[:, 1] = quad.take(high.astype(np.intp))
+    words[:, 2] = quad.take(low.astype(np.intp))
+    words[:, 3] = tail.take(m.astype(np.intp))
+    words[:, 4] = exponent.take(np.abs(e))
+    slots = words.view(np.uint8).reshape(-1, 20)
+    fallback = np.flatnonzero(~ok & (x != 0.0))  # zero renders as 0e+00
+    if fallback.size:
+        text = b"".join((NUMBER % v).encode().rjust(19, b"\0") for v in x[fallback].tolist())
+        slots[fallback, :19] = np.frombuffer(text, np.uint8).reshape(-1, 19)
+    return slots
+
+
 def sweep_chunks(grid, log_grid, phi, sin2s):
-    """Build the grid ``ROW_CHUNK`` points at a time; yield (xs, ratios) per chunk.
+    """Build the grid ``SWEEP_BLOCK`` points at a time; yield (xs, ratios) per ``ROW_CHUNK`` rows.
 
     ``grid`` is (start, step, n): point i is ``start + i * step`` on a linear
     grid and ``math.exp`` of that on a log grid.  One ``rate_bracket`` call
-    per chunk: the x column against the row of sin^2(psi) values, so f1/f2
+    per block: the x column against the row of sin^2(psi) values, so f1/f2
     are evaluated once per x.
     """
     start, step, n = grid
     sin2s = np.array(sin2s)
-    for i in range(0, n, ROW_CHUNK):
+    for i in range(0, n, SWEEP_BLOCK):
         # Bit for bit ``start + i * step`` in Python floats.
-        xs = start + np.arange(i, min(i + ROW_CHUNK, n)) * step
+        xs = start + np.arange(i, min(i + SWEEP_BLOCK, n)) * step
         if log_grid:
             # math.exp, not np.exp: the two differ by an ulp on some points.
             xs = np.fromiter(map(math.exp, xs.tolist()), float, xs.size)
-        yield xs, rate_bracket(xs[:, None], phi, sin2s)
+        ratios = rate_bracket(xs[:, None], phi, sin2s)
+        for j in range(0, xs.size, ROW_CHUNK):
+            yield xs[j:j + ROW_CHUNK], ratios[j:j + ROW_CHUNK]
+        # Freed here, not when the next block rebinds the names: the next
+        # rate_bracket call is the peak of a sweep's memory.
+        del xs, ratios

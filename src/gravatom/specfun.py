@@ -9,10 +9,10 @@ through one set of kernels: every value goes to the branch it selects.  A
 float (or int, numpy scalar, 0-d array) returns a float, and its kernel runs
 on Python floats with ``math.sin``/``math.cos``, so float calls never import
 numpy.  An array runs each branch as ufunc arithmetic on its own subset of
-elements; numpy is imported, and the Chebyshev tables are built as arrays,
-on the first array call.  Every branch is a fixed sequence of operations --
-a closed form, or a series of fixed length -- so the work per element is
-bounded and nothing iterates to a convergence test.
+elements; numpy is imported on the first array call.  Every branch is a
+fixed sequence of operations -- a closed form, or a series of fixed length
+-- so the work per element is bounded and nothing iterates to a convergence
+test.
 
 Both correction functions are O(x^3)/O(x^4) differences of O(1)
 trigonometric terms, so each carries a Taylor-series branch below
@@ -20,14 +20,14 @@ trigonometric terms, so each carries a Taylor-series branch below
 large-argument form above ``LARGE_CUT`` that neither cancels nor forms x^2.
 Above x = 4 the sine integral comes from its auxiliary functions f and g
 (Abramowitz & Stegun 5.2.8-5.2.9): Chebyshev series on the octaves up to
-``ASYMPTOTIC_CUT``, their asymptotic series beyond.  The series
-coefficients, and the length of each series, are generated by
-``tools/gen_specfun_tables.py`` into ``_specfun_tables``.
+``ASYMPTOTIC_CUT``, their asymptotic series beyond.  Each octave is a branch
+of its own, so its coefficients enter as Python floats for a float and an
+array alike.  The series coefficients, and the length of each series, are
+generated by ``tools/gen_specfun_tables.py`` into ``_specfun_tables``.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -116,40 +116,10 @@ def _clenshaw(coeffs, s):
     return s * b1 - b2 + coeffs[0]
 
 
-@functools.cache
-def _chebyshev_arrays():
-    """The octave left ends and the Chebyshev coefficients as arrays.
-
-    One coefficient column per octave, terms first.  Built on the first
-    array call, so that float calls never import numpy.
-    """
-    import numpy as np
-
-    return (np.array(_tables.OCTAVES), np.array(_tables.AUX_F_CHEBYSHEV).T,
-            np.array(_tables.AUX_G_CHEBYSHEV).T)
-
-
-def _octave(y):
-    """(a, coefficients of y f(y), of y^2 g(y)) of the fit on y's octave [a, 2a].
-
-    y in (a, 2a] takes the octave [a, 2a]; a y just outside [4, 64] extends
-    the nearest end octave.  A float indexes the coefficient tuples of
-    ``_tables``; an array gets a column of coefficients per element.
-    """
-    if isinstance(y, float):
-        # bisect_left from 1 is searchsorted (left side) on OCTAVES[1:], plus 1.
-        i = bisect.bisect_left(_tables.OCTAVES, y, 1) - 1
-        return _tables.OCTAVES[i], _tables.AUX_F_CHEBYSHEV[i], _tables.AUX_G_CHEBYSHEV[i]
-    left, aux_f, aux_g = _chebyshev_arrays()
-    i = left[1:].searchsorted(y)
-    return left[i], aux_f[:, i], aux_g[:, i]
-
-
-def _aux_chebyshev(y):
-    """(y f(y), y^2 g(y)) for 4 < y <= ASYMPTOTIC_CUT, from the fit on y's octave."""
-    left, aux_f, aux_g = _octave(y)
-    s = 4.0 * left / y - 3.0
-    return _clenshaw(aux_f, s), _clenshaw(aux_g, s)
+def _aux_chebyshev(i, y):
+    """(y f(y), y^2 g(y)) from the fit on octave i, [a, 2a] with a = OCTAVES[i]."""
+    s = 4.0 * _tables.OCTAVES[i] / y - 3.0
+    return _clenshaw(_tables.AUX_F_CHEBYSHEV[i], s), _clenshaw(_tables.AUX_G_CHEBYSHEV[i], s)
 
 
 def _aux_asymptotic(y):
@@ -189,9 +159,14 @@ def _si_large(aux, x):
     return 0.5 * math.pi - (big_f * trig.cos(x) + big_g * trig.sin(x) / x) / x
 
 
+# One piece per Chebyshev octave (a, 2a] of the auxiliary functions.
+_OCTAVE_PIECES = tuple(
+    (2.0 * a, functools.partial(_aux_chebyshev, i)) for i, a in enumerate(_tables.OCTAVES)
+)
+
 _SI_PIECES = (
     (_SI_SWITCH, _si_taylor),
-    (ASYMPTOTIC_CUT, functools.partial(_si_large, _aux_chebyshev)),
+    *((upper, functools.partial(_si_large, aux)) for upper, aux in _OCTAVE_PIECES),
     (math.inf, functools.partial(_si_large, _aux_asymptotic)),
 )
 
@@ -204,6 +179,9 @@ def f1_series(x):
 
 def f1_closed(x):
     """Closed form of f1 in terms of Si; cancels badly as x -> 0 and as x grows."""
+    # Si first, so that its temporaries are gone before the bracket's are
+    # made: on an array this lowers the peak memory, and no rounding changes.
+    si = sine_integral(2.0 * x)
     x2 = x * x
     trig = _trig(x)
     bracket = (
@@ -211,7 +189,7 @@ def f1_closed(x):
         + x2 * (math.pi * x + 3.0)
         - (1.0 + x2) * trig.cos(2.0 * x)
         - 2.0 * x * trig.sin(2.0 * x)
-        - 2.0 * x * x2 * sine_integral(2.0 * x)
+        - 2.0 * x * x2 * si
     )
     return bracket / x2
 
@@ -231,7 +209,7 @@ def _f1_large(aux, x):
 _F1_PIECES = (
     (SMALL_CUT, f1_series),
     (LARGE_CUT, f1_closed),
-    (0.5 * ASYMPTOTIC_CUT, functools.partial(_f1_large, _aux_chebyshev)),
+    *((0.5 * upper, functools.partial(_f1_large, aux)) for upper, aux in _OCTAVE_PIECES),
     (_F1_FLAT_CUT, functools.partial(_f1_large, _aux_asymptotic)),
     (math.inf, lambda x: 0.0 * x + 3.0),  # 3.0 as a float, or an array like x
 )

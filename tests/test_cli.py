@@ -21,7 +21,7 @@ from gravatom.cli import main
 from gravatom.lindblad import MAX_STEPS, DensityMatrix2, analytic_state, evolve_numeric
 from gravatom.model import NUMBER, AtomSpec, GravityEnv, ThermalSpec
 from gravatom.rates import build_rate_set, rate_bracket
-from gravatom.rows import EVOLVE_BLOCK, ROW_CHUNK, sweep_chunks
+from gravatom.rows import EVOLVE_BLOCK, ROW_CHUNK, SWEEP_BLOCK, sweep_chunks
 
 
 def run_cli(capsys, *argv):
@@ -249,7 +249,7 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert out.startswith("<svg")
 
-    def test_one_rate_bracket_call_per_chunk(self, capsys, monkeypatch):
+    def test_one_rate_bracket_call_per_block(self, capsys, monkeypatch):
         calls = []
         f1 = specfun.f1
 
@@ -263,8 +263,23 @@ class TestSweep:
             calls.clear()
             code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
             assert code == 0
-            assert len(calls) <= -(-points // ROW_CHUNK)
+            assert len(calls) == -(-points // SWEEP_BLOCK)
             assert sum(shape[0] for shape in calls) == points
+
+    def test_memory_is_flat_in_points(self, tmp_path):
+        # Blocks of points are built, written and freed in turn, so ten times
+        # the points may not raise the traced peak by more than 1.5 MB.
+        def peak(points):
+            tracemalloc.start()
+            try:
+                argv = ["sweep", "--points", str(points)]
+                assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # warm-up: builds the formatter's tables
+        assert peak(200_000) - peak(20_000) <= 1.5 * 2**20
 
 
 class TestConfig:
@@ -603,6 +618,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: f1_offset must be finite")
+
+    @pytest.mark.parametrize("value", ["1e308", "-1.7e308"])
+    def test_overflowing_f1_offset_is_a_usage_error(self, capsys, value):
+        # Finite, but -pi x / 3 (f1 + offset) overflows: no -Infinity
+        # reference, no overflow warning, one error line.
+        code, out, err = run_cli(capsys, "verify", f"--f1-offset={value}")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: f1_offset=") and "non-finite" in err
 
 
 def _rows(*columns) -> str:

@@ -57,6 +57,27 @@ def test_rounding_boundaries(c):
     assert_matches_percent(np.concatenate([values, -values]))
 
 
+@pytest.mark.parametrize("group", [10**6, 10**4, 10**2])
+def test_digit_group_edges(group):
+    """Mantissas m that are multiples of a digit group's divisor, and one less.
+
+    The formatter splits m < 10**12 into groups by floor(m / 10**k) in
+    floats; these m sit on and just below each floor's step.  Exponents with
+    two and three digits, both signs, and magnitudes down to the edge of the
+    exact range (1e-290) and past it to the subnormals.
+    """
+    rng = np.random.default_rng(group)
+    multiples = rng.integers(10**11 // group, 10**12 // group, size=40) * group
+    mantissas = np.concatenate([multiples, multiples - 1, [10**11, 10**12 - 1]])
+    exponents = [0, 5, -7, 42, -99, 100, -100, 288, -289, -290, -291, -300, -307, -308]
+    values = np.array([float(f"{m}e{e - 11}") for m in mantissas.tolist() for e in exponents])
+    assert_matches_percent(np.concatenate([values, -values]))
+    # Every value is on its intended mantissa, so the test covers what it names.
+    for v, m in zip(values.tolist(), np.repeat(mantissas, len(exponents)).tolist()):
+        if v >= 1e-290:
+            assert (NUMBER % v).replace(".", "").startswith(str(m))
+
+
 def test_random_bit_patterns():
     rng = np.random.default_rng(20261018)
     for _ in range(10):

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 from pathlib import Path
@@ -60,7 +61,8 @@ class TestSineIntegral:
         # Taylor series/auxiliary-function switch at x = 4
         at_switch = np.array([4.0])
         assert specfun._si_taylor(at_switch)[0] == pytest.approx(
-            specfun._si_large(specfun._aux_chebyshev, at_switch)[0], abs=1e-13
+            specfun._si_large(functools.partial(specfun._aux_chebyshev, 0), at_switch)[0],
+            abs=1e-13,
         )
 
 
@@ -222,7 +224,8 @@ class TestArrayCore:
         cut = specfun.LARGE_CUT
         for x in (cut * 0.999, cut, cut * 1.001):
             at = np.array([x])
-            f1_large = specfun._f1_large(specfun._aux_chebyshev, at)[0]
+            # y = 2x lies in (3.996, 4.004]: the first octave's fit, [4, 8].
+            f1_large = specfun._f1_large(functools.partial(specfun._aux_chebyshev, 0), at)[0]
             assert f1_large == pytest.approx(specfun.f1_closed(x), rel=1e-14)
             assert specfun._f2_large(at)[0] == pytest.approx(specfun.f2_closed(x), rel=1e-13)
 
@@ -256,7 +259,7 @@ class TestSwitchContinuity:
 
     def test_chebyshev_meets_asymptotic_at_64(self):
         at = np.array([specfun.ASYMPTOTIC_CUT])
-        for fit, series in zip(specfun._aux_chebyshev(at), specfun._aux_asymptotic(at)):
+        for fit, series in zip(specfun._aux_chebyshev(3, at), specfun._aux_asymptotic(at)):
             assert abs(fit[0] - series[0]) <= SWITCH_TOL
 
     @pytest.mark.parametrize("fn, cut", [
@@ -269,6 +272,47 @@ class TestSwitchContinuity:
         at = fn(cut)
         for side in (0.0, math.inf):
             assert abs(fn(float(np.nextafter(cut, side))) - at) <= SWITCH_TOL * abs(at)
+
+
+# float.hex of Si(x) at x = y^-, y, y^+ (an ulp below, at and an ulp above
+# each Chebyshev octave end y = 4, 8, 16, 32, 64), and of f1 at x/2.  Recorded
+# from the evaluation that gathered each element's octave coefficients, which
+# the per-octave pieces replaced.
+SI_AT_OCTAVE_ENDS = {
+    4.0: ("0x1.c21999d582bf1p+0", "0x1.c21999d582bf0p+0", "0x1.c21999d582befp+0"),
+    8.0: ("0x1.92fde85506871p+0", "0x1.92fde85506871p+0", "0x1.92fde85506872p+0"),
+    16.0: ("0x1.a19d06841c43dp+0", "0x1.a19d06841c43dp+0", "0x1.a19d06841c43cp+0"),
+    32.0: ("0x1.8b536dd995ffep+0", "0x1.8b536dd995ffep+0", "0x1.8b536dd995fffp+0"),
+    64.0: ("0x1.907ff152d074ap+0", "0x1.907ff152d074ap+0", "0x1.907ff152d074bp+0"),
+}
+F1_AT_OCTAVE_ENDS = {
+    4.0: ("0x1.04c02e3b9c2bdp+2", "0x1.04c02e3b9c2bcp+2", "0x1.04c02e3b9c2bcp+2"),
+    8.0: ("0x1.58ff4927f8ed3p+1", "0x1.58ff4927f8ed4p+1", "0x1.58ff4927f8ed5p+1"),
+    16.0: ("0x1.8bcadf57a61edp+1", "0x1.8bcadf57a61eep+1", "0x1.8bcadf57a61f0p+1"),
+    32.0: ("0x1.793f354bf2cc1p+1", "0x1.793f354bf2cc1p+1", "0x1.793f354bf2cc0p+1"),
+    64.0: ("0x1.7a875cc6e00c3p+1", "0x1.7a875cc6e00c3p+1", "0x1.7a875cc6e00c3p+1"),
+}
+
+
+class TestOctavePieces:
+    """Each Chebyshev octave is a piece of its own; the values are pinned bit for bit."""
+
+    @pytest.mark.parametrize("fn, scale, table", [
+        (specfun.sine_integral, 1.0, SI_AT_OCTAVE_ENDS),
+        (specfun.f1, 0.5, F1_AT_OCTAVE_ENDS),
+    ], ids=["sine_integral", "f1"])
+    @pytest.mark.parametrize("end", [4.0, 8.0, 16.0, 32.0, 64.0])
+    def test_octave_ends_bit_for_bit(self, fn, scale, table, end):
+        ys = [math.nextafter(end, 0.0), end, math.nextafter(end, math.inf)]
+        xs = [scale * y for y in ys]  # exact: scale is a power of two
+        assert [fn(x).hex() for x in xs] == list(table[end])
+        assert [v.hex() for v in fn(np.array(xs)).tolist()] == list(table[end])
+
+    @pytest.mark.parametrize("fn", [specfun.sine_integral, specfun.f1, specfun.f2])
+    def test_float_path_equals_array_path(self, fn):
+        rng = np.random.default_rng(20261019)
+        xs = np.exp(rng.uniform(math.log(2.0), math.log(64.0), 2000))
+        assert [fn(x) for x in xs.tolist()] == fn(xs).tolist()
 
 
 def _mp_dps(x):
