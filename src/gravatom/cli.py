@@ -4,6 +4,14 @@ Subcommands: ``rates`` (one generator as JSON), ``sweep`` (ratio curves as
 CSV/SVG), ``evolve`` (trajectory CSV), ``verify`` (full oracle report).
 ``--format`` takes only the formats its subcommand writes (``FORMATS``).
 
+Every setting has its default in one place, the parser.  A ``--config``
+JSON file is read once, before dispatch: its keys are the subcommand's own
+settings (flag names with ``_`` for ``-``; ``log_grid`` for ``--log`` and
+``--linear``), each value is checked against the type of its flag's
+default, and the file's settings then become the subcommand's defaults for
+a second parse, so a flag beats the file and the file beats the default.
+The handlers read the parsed namespace alone.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
 CSV rows come from the vectorised formatter ``rows.format_rows``.  ``sweep``
@@ -61,48 +69,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The parser and its subparsers action; every flag carries its real default."""
     parser = _Parser(
         prog="gravatom",
         description="Dissipation of a two-level atom in a weak gravitational field",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add_physics(p):
+    def add_physics(p, angle=0.0):
         p.add_argument("--phi", type=float, default=None, help="Newtonian potential (<= 0)")
         p.add_argument("--mass", type=float, default=None, help="source mass (G = 1)")
-        p.add_argument("--distance", type=float, default=None, help="distance R to the source")
+        p.add_argument("--distance", type=float, default=1.0, help="distance R to the source")
         p.add_argument("--omega", type=float, default=None, help="proper energy splitting")
-        p.add_argument("--dipole", type=float, default=None, help="effective dipole magnitude")
-        p.add_argument("--angle", type=float, default=None, help="dipole angle psi in radians")
-        p.add_argument("--temperature", type=float, default=None, help="distant-observer temperature")
+        p.add_argument("--dipole", type=float, default=1.0, help="effective dipole magnitude")
+        p.add_argument("--angle", type=float, default=angle, help="dipole angle psi in radians")
+        p.add_argument("--temperature", type=float, default=0.0, help="distant-observer temperature")
 
     def add_output(p, formats):
-        p.add_argument("--format", choices=formats, default=None)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--config", default=None, help="JSON config file mirroring flag names")
+        p.add_argument("--config", default=None,
+                       help="JSON file of settings, keyed by flag name with _ for - (flags win)")
 
     p_rates = sub.add_parser("rates", help="compute one full rate set")
     add_physics(p_rates)
     add_output(p_rates, FORMATS["rates"])
 
     p_sweep = sub.add_parser("sweep", help="ratio curve over a grid of x = R*Omega")
-    add_physics(p_sweep)
+    add_physics(p_sweep, angle=None)  # no angle: both the parallel and perpendicular curve
     add_output(p_sweep, FORMATS["sweep"])
-    p_sweep.add_argument("--x-min", dest="x_min", type=float, default=None)
-    p_sweep.add_argument("--x-max", dest="x_max", type=float, default=None)
-    p_sweep.add_argument("--points", type=int, default=None)
+    p_sweep.add_argument("--x-min", dest="x_min", type=float, default=1e-2)
+    p_sweep.add_argument("--x-max", dest="x_max", type=float, default=1e2)
+    p_sweep.add_argument("--points", type=int, default=200)
     grid = p_sweep.add_mutually_exclusive_group()
-    grid.add_argument("--log", dest="log_grid", action="store_true", default=None)
+    grid.add_argument("--log", dest="log_grid", action="store_true", default=True)
     grid.add_argument("--linear", dest="log_grid", action="store_false")
 
     p_evolve = sub.add_parser("evolve", help="evolve a density matrix")
     add_physics(p_evolve)
     add_output(p_evolve, FORMATS["evolve"])
-    p_evolve.add_argument("--t-max", dest="t_max", type=float, default=None,
+    p_evolve.add_argument("--t-max", dest="t_max", type=float, default=5.0,
                           help="evolution span in units of 1/Gamma")
-    p_evolve.add_argument("--steps", type=int, default=None)
-    p_evolve.add_argument("--initial", default=None,
+    p_evolve.add_argument("--steps", type=int, default=500)
+    p_evolve.add_argument("--initial", default="excited",
                           help="excited, ground, or mixed:p")
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
@@ -110,28 +120,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--f1-offset", dest="f1_offset", type=float, default=0.0,
                           help=argparse.SUPPRESS)
 
-    return parser
+    return parser, sub
 
 
-_DEFAULTS = {
-    "phi": None,
-    "mass": None,
-    "distance": 1.0,
-    "omega": None,
-    "dipole": 1.0,
-    "angle": 0.0,
-    "temperature": 0.0,
-    "x_min": 1e-2,
-    "x_max": 1e2,
-    "points": 200,
-    "log_grid": True,
-    "t_max": 5.0,
-    "steps": 500,
-    "initial": "excited",
-}
+#: Settings a config file may not hold: the subcommand, where the output
+#: goes, the config file itself and `verify`'s fault-injection hook.
+_NOT_CONFIG = frozenset({"mode", "out", "config", "f1_offset"})
 
 #: Documented default used by `sweep` when no potential is given.
 SWEEP_DEFAULT_PHI = -0.05
+
+#: Largest grid `sweep` accepts.  It computes and writes the grid in blocks,
+#: so the cap bounds the output (about 54 bytes of CSV per row, 540 MB at
+#: the cap), not memory.
+MAX_POINTS = 10_000_000
 
 
 def _config_value(key: str, value, default):
@@ -153,64 +155,41 @@ def _config_value(key: str, value, default):
     return value
 
 
-def _resolve(args) -> tuple[dict, set]:
-    """Merge flag > config-file > default; also report explicitly set keys.
+def _read_config(args, subparser) -> dict:
+    """The settings in the ``--config`` file, each checked against its default in ``subparser``.
 
-    Only the subcommand's own flags are resolved, and a config key for any
-    other is refused.  The default format is the subcommand's first; a
-    format it does not write is refused.
+    A key must be one of the subcommand's own settings (``_NOT_CONFIG``
+    aside); a key for any other is refused.
     """
-    formats = FORMATS[args.mode]
-    defaults = {
-        key: default
-        for key, default in dict(_DEFAULTS, format=formats[0]).items()
-        if key in vars(args)
-    }
-    config = {}
-    if getattr(args, "config", None):
+    try:
         with open(args.config) as fh:
             config = json.load(fh)
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        config = {key: _config_value(key, value, defaults[key]) for key, value in config.items()}
-    merged = {}
-    explicit = set()
-    for key, default in defaults.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-            explicit.add(key)
-        elif key in config:
-            merged[key] = config[key]
-            explicit.add(key)
-        else:
-            merged[key] = default
-    if merged["format"] not in formats:
-        raise UsageError(
-            f"{args.mode} writes format {' or '.join(formats)}, got {merged['format']!r}"
-        )
-    return merged, explicit
+    # Malformed JSON, a file that is not UTF-8, a number too long to convert
+    # or nesting deeper than the recursion limit.
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(str(exc)) from None
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    unknown = set(config) - (set(vars(args)) - _NOT_CONFIG)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    return {key: _config_value(key, value, subparser.get_default(key))
+            for key, value in config.items()}
 
 
-def _environment(cfg, default_phi=0.0) -> GravityEnv:
-    distance = cfg["distance"]
-    if cfg["phi"] is not None and cfg["mass"] is not None:
+def _environment(args, default_phi=0.0) -> GravityEnv:
+    if args.phi is not None and args.mass is not None:
         raise UsageError("give either --phi or --mass, not both")
-    if cfg["mass"] is not None:
-        return GravityEnv.from_source(cfg["mass"], distance)
-    phi = cfg["phi"] if cfg["phi"] is not None else default_phi
-    return GravityEnv(phi=phi, distance=distance)
+    if args.mass is not None:
+        return GravityEnv.from_source(args.mass, args.distance)
+    phi = args.phi if args.phi is not None else default_phi
+    return GravityEnv(phi=phi, distance=args.distance)
 
 
-def _atom(cfg) -> AtomSpec:
-    if cfg["omega"] is None:
+def _atom(args) -> AtomSpec:
+    if args.omega is None:
         raise UsageError("omega required")
-    return AtomSpec(
-        omega=cfg["omega"], dipole_mag=cfg["dipole"], dipole_angle=cfg["angle"]
-    )
+    return AtomSpec(omega=args.omega, dipole_mag=args.dipole, dipole_angle=args.angle)
 
 
 def _write(lines, out: str | None) -> None:
@@ -223,10 +202,9 @@ def _write(lines, out: str | None) -> None:
 
 
 def cmd_rates(args) -> int:
-    cfg, _ = _resolve(args)
-    atom = _atom(cfg)
-    env = _environment(cfg)
-    thermal = ThermalSpec.from_distant(cfg["temperature"], env.phi)
+    atom = _atom(args)
+    env = _environment(args)
+    thermal = ThermalSpec.from_distant(args.temperature, env.phi)
     from .rates import RateSet, build_rate_set
 
     rateset = build_rate_set(atom, env, thermal)
@@ -236,21 +214,23 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _sweep_grid(cfg) -> tuple[float, float, int]:
+def _sweep_grid(args) -> tuple[float, float, int]:
     """Validate the grid settings; return (start, step, n).
 
     Point i is ``start + i * step`` on a linear grid and ``math.exp`` of
     that on a log grid.
     """
-    n = cfg["points"]
+    n = args.points
     if n < 2:
         raise UsageError("points must be >= 2")
-    x_min, x_max = cfg["x_min"], cfg["x_max"]
+    if n > MAX_POINTS:
+        raise UsageError(f"points must be <= {MAX_POINTS}")
+    x_min, x_max = args.x_min, args.x_max
     _check_finite("x_min", x_min)
     _check_finite("x_max", x_max)
     if not x_min < x_max:
         raise UsageError("need x_min < x_max")
-    if cfg["log_grid"]:
+    if args.log_grid:
         if x_min <= 0.0:
             raise UsageError("x_min must be positive for a log grid")
         log_min = math.log(x_min)
@@ -261,14 +241,13 @@ def _sweep_grid(cfg) -> tuple[float, float, int]:
 
 
 def cmd_sweep(args) -> int:
-    cfg, explicit = _resolve(args)
-    env = _environment(cfg, default_phi=SWEEP_DEFAULT_PHI)
-    grid = _sweep_grid(cfg)
+    env = _environment(args, default_phi=SWEEP_DEFAULT_PHI)
+    grid = _sweep_grid(args)
     phi = env.phi
 
-    if "angle" in explicit:
-        _check_finite("angle", cfg["angle"])
-        sin2s = (math.sin(cfg["angle"]) ** 2,)
+    if args.angle is not None:
+        _check_finite("angle", args.angle)
+        sin2s = (math.sin(args.angle) ** 2,)
         header = "x,ratio"
         labels = ("ratio",)
     else:
@@ -278,12 +257,12 @@ def cmd_sweep(args) -> int:
 
     from .rows import format_rows, sweep_chunks
 
-    chunks = sweep_chunks(grid, cfg["log_grid"], phi, sin2s)
-    if cfg["format"] == "svg":
+    chunks = sweep_chunks(grid, args.log_grid, phi, sin2s)
+    if args.format == "svg":
         import numpy as np
 
         xs, ratios = (np.concatenate(parts) for parts in zip(*chunks))
-        _write([_render_svg(xs, ratios, labels, phi, cfg["log_grid"])], args.out)
+        _write([_render_svg(xs, ratios, labels, phi, args.log_grid)], args.out)
         return 0
 
     # Each chunk is formatted and written as it is computed: no row list is
@@ -360,19 +339,18 @@ def _initial_excited(name: str) -> float:
 
 
 def cmd_evolve(args) -> int:
-    cfg, _ = _resolve(args)
-    atom = _atom(cfg)
-    env = _environment(cfg)
-    thermal = ThermalSpec.from_distant(cfg["temperature"], env.phi)
-    p_excited = _initial_excited(cfg["initial"])
+    atom = _atom(args)
+    env = _environment(args)
+    thermal = ThermalSpec.from_distant(args.temperature, env.phi)
+    p_excited = _initial_excited(args.initial)
     from .lindblad import DensityMatrix2, analytic_state, evolve_numeric
     from .rates import build_rate_set
     from .rows import EVOLVE_BLOCK, ROW_CHUNK, format_rows
 
     rateset = build_rate_set(atom, env, thermal)
     rho0 = DensityMatrix2.mixed(p_excited)
-    t_max = cfg["t_max"] / rateset.gamma_total
-    steps = cfg["steps"]
+    t_max = args.t_max / rateset.gamma_total
+    steps = args.steps
 
     def block(start):
         return evolve_numeric(rho0, rateset, t_max, steps, start, start + EVOLVE_BLOCK)
@@ -401,12 +379,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _resolve(args)  # refuses a bad --config or --format before the oracle loads
     _check_finite("f1_offset", args.f1_offset)
     from . import oracle
 
-    spec = oracle.QuadratureSpec()
-    records = oracle.verification_report(spec, f1_offset=args.f1_offset)
+    records = oracle.verification_report(f1_offset=args.f1_offset)
     all_pass = all(r["pass"] for r in records)
     report = {"all_pass": all_pass, "checks": records}
     _write([json.dumps(report, indent=2, sort_keys=True) + "\n"], args.out)
@@ -429,9 +405,21 @@ def main(argv=None) -> int:
     # warning shows, and a caller recording warnings still records it.
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        args = _build_parser().parse_args(argv)
+        parser, subparsers = _build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            # The file's settings become the subcommand's defaults, and a
+            # second parse puts the flags over them.
+            subparser = subparsers.choices[args.mode]
+            subparser.set_defaults(**_read_config(args, subparser))
+            args = parser.parse_args(argv)
+        formats = FORMATS[args.mode]
+        if args.format not in formats:  # only a config file can give one
+            raise UsageError(
+                f"{args.mode} writes format {' or '.join(formats)}, got {args.format!r}"
+            )
         return handlers[args.mode](args)
-    except (UsageError, GravatomError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, GravatomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

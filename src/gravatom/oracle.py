@@ -28,31 +28,18 @@ import numpy as np
 from . import rates as rates_mod
 from . import specfun
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .model import AtomSpec, GravityEnv, Record
+from .model import AtomSpec, GravityEnv
 
 
-class QuadratureSpec(Record):
-    """Accuracy targets and budgets for the numeric oracles.
-
-    ``max_depth`` is the number of panel doublings ``integrate_adaptive``
-    may make (1, 2, 4, ... up to 2**max_depth panels) before it gives up;
-    ``tail_periods`` counts half-period chunks summed for oscillatory tails.
-    """
-
-    __slots__ = ("abs_tol", "rel_tol", "max_depth", "tail_periods")
-
-    def __init__(
-        self, abs_tol: float = 1e-10, rel_tol: float = 1e-9, max_depth: int = 10,
-        tail_periods: int = 200,
-    ):
-        if not (abs_tol > 0.0 and rel_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
-        if tail_periods < 8:
-            raise DomainError("tail_periods must be >= 8")
-        super().__init__(abs_tol, rel_tol, max_depth, tail_periods)
-
+#: Accuracy targets and budgets of the numeric oracles.  ``integrate_adaptive``
+#: stops once two successive levels agree to max(ABS_TOL, REL_TOL * |value|)
+#: and gives up after MAX_DEPTH panel doublings (1, 2, 4, ... up to
+#: 2**MAX_DEPTH panels); ``oscillatory_tail`` sums TAIL_PERIODS half-period
+#: chunks.
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_DEPTH = 10
+TAIL_PERIODS = 200
 
 #: Averaging passes applied to the partial sums of an oscillatory tail.
 TAIL_AVERAGING_PASSES = 12
@@ -101,29 +88,22 @@ def _gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> n
     return half * (values @ _GL_WEIGHTS)
 
 
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Composite Gauss-Legendre integration of ``f`` over [a, b].
 
     ``f`` takes an array of abscissae and returns the integrand at each.
     The panel count doubles (1, 2, 4, ...) until two successive levels agree
-    to max(abs_tol, rel_tol * |value|); after ``max_depth`` doublings
-    without agreement it raises ``ConvergenceError`` carrying the best
-    estimate and the last difference as its error bound.
+    to max(``ABS_TOL``, ``REL_TOL`` * |value|); after ``MAX_DEPTH``
+    doublings without agreement it raises ``ConvergenceError`` carrying the
+    best estimate and the last difference as its error bound.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     previous = float(np.sum(_gauss_panels(f, np.array([a, b]))))
-    for depth in range(1, spec.max_depth + 1):
+    for depth in range(1, MAX_DEPTH + 1):
         value = float(np.sum(_gauss_panels(f, np.linspace(a, b, 2**depth + 1))))
         err = abs(value - previous)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+        if err <= max(ABS_TOL, REL_TOL * abs(value)):
             return value
         previous = value
     raise ConvergenceError(
@@ -133,33 +113,27 @@ def integrate_adaptive(
     )
 
 
-def oscillatory_tail(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    period: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def oscillatory_tail(f: Callable[[np.ndarray], np.ndarray], a: float, period: float) -> float:
     """Integrate ``f`` from ``a`` to infinity for eventually oscillatory f.
 
     ``f`` takes and returns arrays, as for ``integrate_adaptive``.
     ``period`` is the asymptotic period of the oscillation.  The integral is
-    evaluated in half-period chunks whose contributions eventually alternate
-    in sign; repeated averaging of the partial sums then converges
-    geometrically.  Non-decaying chunk magnitudes raise ``DivergenceError``.
+    evaluated in ``TAIL_PERIODS`` half-period chunks whose contributions
+    eventually alternate in sign; repeated averaging of the partial sums then
+    converges geometrically.  Non-decaying chunk magnitudes raise
+    ``DivergenceError``.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if period <= 0.0:
         raise DomainError(f"period must be positive, got {period}")
     h = 0.5 * period
-    n = spec.tail_periods
+    n = TAIL_PERIODS
     chunks = _gauss_panels(f, a + h * np.arange(n + 1))
     mags = np.abs(chunks)
     if not np.any(mags > 0.0):
         return 0.0
-    head_mag = float(np.mean(mags[: n // 4])) + spec.abs_tol
+    head_mag = float(np.mean(mags[: n // 4])) + ABS_TOL
     tail_mag = float(np.mean(mags[-(n // 4) :]))
-    if tail_mag >= head_mag and tail_mag > 10.0 * spec.abs_tol:
+    if tail_mag >= head_mag and tail_mag > 10.0 * ABS_TOL:
         raise DivergenceError(
             "tail contributions do not decay",
             best_estimate=float(np.sum(chunks)),
@@ -222,12 +196,12 @@ def _radial_product(y, omega):
 # ---------------------------------------------------------------------------
 
 
-def _radial_integral(R, omega, spec, weight, prefactor, r_power=0):
+def _radial_integral(R, omega, weight, prefactor, r_power=0):
     """(prefactor / R**r_power) * integral over y > 0 of _radial_product * weight(y) / y^2.
 
     ``weight`` is the angular moment of the distance kernel at y.  The
-    conditionally convergent integral is split at y = R, with the
-    accelerated oscillatory tail beyond; both default a None ``spec``.
+    conditionally convergent integral is split at y = R: an adaptive head on
+    [0, R] and the accelerated oscillatory tail beyond.
     """
     if not (0.0 < R < math.inf and 0.0 < omega < math.inf):  # also refuses NaN
         raise DomainError(f"R and omega must be positive and finite, got {R}, {omega}")
@@ -236,30 +210,28 @@ def _radial_integral(R, omega, spec, weight, prefactor, r_power=0):
     def integrand(y):
         return prefactor * _radial_product(y, omega) * weight(y) / y**2
 
-    head = integrate_adaptive(integrand, 0.0, R, spec)
-    tail = oscillatory_tail(integrand, R, math.pi / omega, spec)
+    head = integrate_adaptive(integrand, 0.0, R)
+    tail = oscillatory_tail(integrand, R, math.pi / omega)
     return head + tail
 
 
-def b1_numeric(R: float, omega: float, spec: QuadratureSpec | None = None) -> float:
+def b1_numeric(R: float, omega: float) -> float:
     """First tensor coefficient by direct radial integration.
 
     The cos^2(theta)-weighted angular integral of the kernel 1/|y + R| =
     1/sqrt(y^2 + 2*y*R*cos(theta) + R^2) is its multipole sum
     ``_mu2_shifted``; matches -(pi*omega / 3R) * f1(R*omega).
     """
-    return _radial_integral(R, omega, spec, lambda y: _mu2_shifted(y, R), 2.0 * math.pi)
+    return _radial_integral(R, omega, lambda y: _mu2_shifted(y, R), 2.0 * math.pi)
 
 
-def b2_numeric(R: float, omega: float, spec: QuadratureSpec | None = None) -> float:
+def b2_numeric(R: float, omega: float) -> float:
     """Second tensor coefficient by direct radial integration.
 
     Uses the (cos^2(theta) - 1/3) angular weight, the l = 2 multipole
     term alone; matches -(pi*omega / 2R^3) * f2(R*omega).
     """
-    return _radial_integral(
-        R, omega, spec, lambda y: _mu2_minus_iso(y, R), 3.0 * math.pi, r_power=2
-    )
+    return _radial_integral(R, omega, lambda y: _mu2_minus_iso(y, R), 3.0 * math.pi, r_power=2)
 
 
 def _b1_per_f1(R, omega):
@@ -418,9 +390,7 @@ def _record(name, ref, computed, reference, tolerance, passed, note=None):
     return rec
 
 
-def verification_report(
-    spec: QuadratureSpec | None = None, f1_offset: float = 0.0
-) -> list[dict]:
+def verification_report(f1_offset: float = 0.0) -> list[dict]:
     """Run the full oracle suite and return one record per check.
 
     ``f1_offset`` is a fault-injection hook: it shifts the closed-form f1
@@ -447,8 +417,8 @@ def verification_report(
         passed = abs(computed - reference) <= max(floor, 1e-6 * abs(reference))
         records.append(_record(name, paper_ref, computed, reference, 1e-6, passed))
 
-    b1_values = [b1_numeric(R, x, spec) for x in GRID_X]
-    b2_values = [b2_numeric(R, x, spec) for x in GRID_X]
+    b1_values = [b1_numeric(R, x) for x in GRID_X]
+    b2_values = [b2_numeric(R, x) for x in GRID_X]
     for x, computed, reference in zip(GRID_X, b1_values, b1_refs.tolist()):
         radial(f"B1 quadrature vs closed form, x={x:g}",
                "first radial coefficient against f1 closed form", computed, reference)
@@ -459,7 +429,7 @@ def verification_report(
     for lam in (0.5, 2.0):
         radial(f"B1 scale invariance, lambda={lam:g}",
                "radial coefficient scaling with (R, omega) -> (lam R, omega/lam)",
-               b1_numeric(lam, 1.0 / lam, spec), base / lam**2)
+               b1_numeric(lam, 1.0 / lam), base / lam**2)
 
     records.extend(angular_identities_check())
 
@@ -532,9 +502,9 @@ def verification_report(
     # Distance-kernel reading: only |y + R| (cross term 2*y*R*cos) reproduces
     # the closed form; the literal cross term 2*R*cos does not.
     R3, om3 = 3.0, 1.0 / 3.0
-    shifted = b1_numeric(R3, om3, spec)
+    shifted = b1_numeric(R3, om3)
     literal = _radial_integral(
-        R3, om3, spec, lambda y: _mu2_moment(y * y + R3 * R3, 2.0 * R3), 2.0 * math.pi
+        R3, om3, lambda y: _mu2_moment(y * y + R3 * R3, 2.0 * R3), 2.0 * math.pi
     )
     reference = _b1_per_f1(R3, om3) * f1_ref(R3 * om3)
     ok = (

@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def as_flags(settings):
+    """The command-line flags for ``settings`` keyed as in a config file."""
+    argv = []
+    for key, value in settings.items():
+        if key == "log_grid":
+            argv.append("--log" if value else "--linear")
+        else:
+            # `--flag=value`, so that argparse does not read "-0.02" as an option.
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
+
+
+def config_keys(mode):
+    """The settings a config file may hold for ``mode``, read from the parser."""
+    parser, _ = cli._build_parser()
+    return set(vars(parser.parse_args([mode]))) - cli._NOT_CONFIG
 
 
 class TestRates:
@@ -174,15 +193,19 @@ class TestSweep:
         assert xs == pytest.approx([1.0, 2.0, 3.0])
 
     def test_bad_grid(self, capsys):
-        for grid in (
-            ("--x-min", "5", "--x-max", "1"),
-            ("--x-min", "0", "--x-max", "1"),
-            ("--linear", "--x-min=-1", "--x-max", "1"),
+        for grid, message in (
+            (("--x-min", "5", "--x-max", "1"), "x_min"),
+            (("--x-min", "0", "--x-max", "1"), "x_min"),
+            (("--linear", "--x-min=-1", "--x-max", "1"), "x_min"),
+            (("--points", "1"), "points must be >= 2"),
+            (("--points", str(cli.MAX_POINTS + 1)), f"points must be <= {cli.MAX_POINTS}"),
+            # Refused before the grid step (x_max - x_min) / (n - 1) overflows.
+            (("--points", "1" + "0" * 400), f"points must be <= {cli.MAX_POINTS}"),
         ):
             code, out, err = run_cli(capsys, "sweep", *grid)
             assert code == 2
             assert out == ""
-            assert "x_min" in err
+            assert message in err
 
     def test_svg_output(self, capsys, tmp_path):
         target = tmp_path / "sweep.svg"
@@ -216,8 +239,8 @@ class TestSweep:
         # Several chunks: the array-built grid equals the per-point Python
         # floats exactly, with math.exp (not np.exp) on the log grid.
         points, x_min, x_max = 5000, 0.03, 70.0
-        cfg = {"points": points, "x_min": x_min, "x_max": x_max, "log_grid": log_grid}
-        chunks = list(sweep_chunks(cli._sweep_grid(cfg), log_grid, -0.05, (0.0, 1.0)))
+        args = SimpleNamespace(points=points, x_min=x_min, x_max=x_max, log_grid=log_grid)
+        chunks = list(sweep_chunks(cli._sweep_grid(args), log_grid, -0.05, (0.0, 1.0)))
         assert len(chunks) == -(-points // ROW_CHUNK)
         xs = np.concatenate([xs for xs, _ in chunks]).tolist()
         if log_grid:
@@ -282,7 +305,57 @@ class TestSweep:
         assert peak(200_000) - peak(20_000) <= 1.5 * 2**20
 
 
+# Settings every run below has besides the config key under test.
+BASE_SETTINGS = {
+    "rates": {"omega": 1.0},
+    "sweep": {"points": 20},
+    "evolve": {"omega": 1.0, "steps": 60},
+    "verify": {},
+}
+PHYSICS_VALUES = {
+    "phi": (-0.02, -0.03),
+    "mass": (0.02, 0.03),
+    "distance": (2.0, 1.5),
+    "omega": (1.5, 2.0),
+    "dipole": (0.5, 2.0),
+    "angle": (0.7, 0.2),
+    "temperature": (0.5, 0.3),
+}
+# Every config key of every subcommand, with a value and another value; the
+# other format is one the subcommand does not write, where it writes one.
+CONFIG_VALUES = {
+    "rates": dict(PHYSICS_VALUES, format=("json", "csv")),
+    "sweep": dict(
+        PHYSICS_VALUES, format=("svg", "csv"), x_min=(0.1, 0.2), x_max=(20.0, 30.0),
+        points=(7, 9), log_grid=(False, True),
+    ),
+    "evolve": dict(
+        PHYSICS_VALUES, format=("csv", "json"), t_max=(2.0, 3.0), steps=(70, 80),
+        initial=("ground", "mixed:0.3"),
+    ),
+    "verify": {"format": ("json", "csv")},
+}
+CONFIG_CASES = [(mode, key) for mode in sorted(CONFIG_VALUES) for key in sorted(CONFIG_VALUES[mode])]
+
+
 class TestConfig:
+    @pytest.mark.parametrize("mode", sorted(CONFIG_VALUES))
+    def test_cases_cover_every_key(self, mode):
+        assert set(CONFIG_VALUES[mode]) == config_keys(mode)
+
+    @pytest.mark.parametrize("mode, key", CONFIG_CASES, ids=[f"{m}-{k}" for m, k in CONFIG_CASES])
+    def test_key_matches_its_flag_and_loses_to_it(self, capsys, tmp_path, mode, key):
+        value, other = CONFIG_VALUES[mode][key]
+        base = [mode] + as_flags({k: v for k, v in BASE_SETTINGS[mode].items() if k != key})
+        flag = as_flags({key: value})
+        from_flag = run_cli(capsys, *base, *flag)
+        assert from_flag[0] == 0, from_flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(capsys, *base, "--config", str(cfg)) == from_flag
+        cfg.write_text(json.dumps({key: other}))
+        assert run_cli(capsys, *base, "--config", str(cfg), *flag) == from_flag
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"omega": 2.0, "phi": -0.05}))
@@ -325,20 +398,23 @@ class TestConfig:
     def test_malformed_json(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         for text in (
-            "{not json",
-            '{"omega": "1"}',
-            '{"omega": true}',
-            '{"distance": null}',
-            '{"distance": 1e999999}',
-            '{"omega": 1' + "0" * 400 + "}",
-            '{"steps": 2.5}',
-            '{"log_grid": 1}',
-            "[1, 2]",
+            b"{not json",
+            b'{"omega": "1"}',
+            b'{"omega": true}',
+            b'{"distance": null}',
+            b'{"distance": 1e999999}',
+            b'{"omega": 1' + b"0" * 400 + b"}",
+            b'{"omega": 1' + b"0" * 5000 + b"}",  # past the int-to-str digit limit
+            b'{"steps": 2.5}',
+            b'{"log_grid": 1}',
+            b"[1, 2]",
+            b"\xff\xfe{",  # not UTF-8
+            b"[" * 100000 + b"]" * 100000,  # deeper than the recursion limit
         ):
-            cfg.write_text(text)
-            code, out, _ = run_cli(capsys, "rates", "--omega", "1.0", "--config", str(cfg))
-            assert code == 2, text
-            assert out == ""
+            cfg.write_bytes(text)
+            code, out, err = run_cli(capsys, "rates", "--omega", "1.0", "--config", str(cfg))
+            assert (code, out) == (2, ""), text[:40]
+            assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_integer_config_value_is_a_float(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -706,7 +782,7 @@ FLAG_VALUE = st.one_of(ANY_FLOAT, st.floats(0.0, 3.0), st.floats(-0.1, 0.0))
 SMALL_COUNT = st.integers(-3, 2000)
 CONFIG_VALUE = {
     key: st.one_of(st.none(), st.booleans(), st.integers(), FLAG_VALUE, st.text(max_size=8))
-    for key in cli._DEFAULTS
+    for key in sorted(set().union(*map(config_keys, cli.FORMATS)))
 }
 CONFIG_VALUE.update(
     points=st.one_of(SMALL_COUNT, ANY_FLOAT, st.none()),
@@ -815,13 +891,7 @@ def workload_invocations(draw):
         shape = ("csv", values["steps"] + 1, 6)
     if draw(st.booleans()):
         return [mode], values, shape
-    argv = [mode]
-    for key, value in values.items():
-        if key == "log_grid":
-            argv += [] if value else ["--linear"]
-        else:
-            argv.append(f"--{key.replace('_', '-')}={value}")
-    return argv, None, shape
+    return [mode] + as_flags(values), None, shape
 
 
 @pytest.mark.filterwarnings("ignore:.*first-order corrections are no longer small")

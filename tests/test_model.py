@@ -7,7 +7,6 @@ import pytest
 from gravatom.errors import DomainError, RegimeError
 from gravatom.lindblad import DensityMatrix2
 from gravatom.model import AtomSpec, GravityEnv, ThermalSpec, potential_from_source
-from gravatom.oracle import QuadratureSpec
 from gravatom.rates import RateSet
 
 
@@ -106,7 +105,6 @@ RECORDS = {
     "ThermalSpec": (ThermalSpec, (1.0, 1.1)),
     "RateSet": (RateSet, (0.95, 0.1, 0.12, 0.01, 0.13, 0.14, 0.01 / 0.14)),
     "DensityMatrix2": (DensityMatrix2, (0.6, 0.4, 0.2j)),
-    "QuadratureSpec": (QuadratureSpec, (1e-8, 1e-7, 5, 16)),
 }
 
 
@@ -145,10 +143,6 @@ class TestRecords:
 def test_record_defaults():
     assert AtomSpec(1.0) == AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0)
     assert DensityMatrix2(1.0, 0.0).eg == 0j
-    spec = QuadratureSpec()
-    assert (spec.abs_tol, spec.rel_tol, spec.max_depth, spec.tail_periods) == (
-        1e-10, 1e-9, 10, 200,
-    )
 
 
 def test_record_classes_stay_patchable(monkeypatch):
