@@ -2,7 +2,11 @@
 
 Subcommands: ``rates`` (one generator as JSON), ``sweep`` (ratio curves as
 CSV/SVG), ``evolve`` (trajectory CSV), ``verify`` (full oracle report).
-``--format`` takes only the formats its subcommand writes (``FORMATS``).
+Each takes only the settings its output reads: ``sweep``'s ratio depends
+on phi, x = R*Omega and the angle alone, so it takes the source flags and
+its own ``--angle`` (default: both curves), not the atom flags of ``rates``
+and ``evolve``.  ``--format`` takes only the formats its subcommand writes
+(``FORMATS``).
 
 Every setting has its default in one place, the parser.  A ``--config``
 JSON file is read once, before dispatch: its keys are the subcommand's own
@@ -27,8 +31,9 @@ imports the layers it runs: ``rates`` imports ``rates`` (and with it
 ``specfun``, which evaluates one point on Python floats without numpy),
 ``sweep`` and ``evolve`` import ``rows`` and ``rates`` (and with them
 numpy), ``evolve`` also ``lindblad``, and ``verify`` imports ``oracle``.
-So ``--help``, input that fails validation and ``rates`` never load numpy,
-and only ``verify`` loads the oracle.
+So ``--help``, input that fails validation before those imports and
+``rates`` never load numpy, and only ``verify`` loads the oracle;
+``evolve``'s rate-set, ``mixed:p`` and step gates run after them.
 """
 
 from __future__ import annotations
@@ -40,12 +45,13 @@ import math
 import sys
 import warnings
 
-from .errors import GravatomError
+from .errors import DomainError, GravatomError
 from .model import (
     NUMBER,
     AtomSpec,
     GravityEnv,
     ThermalSpec,
+    _check_angle,
     _check_finite,
 )
 
@@ -77,13 +83,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add_physics(p, angle=0.0):
+    def add_source(p):
         p.add_argument("--phi", type=float, default=None, help="Newtonian potential (<= 0)")
         p.add_argument("--mass", type=float, default=None, help="source mass (G = 1)")
         p.add_argument("--distance", type=float, default=1.0, help="distance R to the source")
+
+    def add_atom(p):
         p.add_argument("--omega", type=float, default=None, help="proper energy splitting")
         p.add_argument("--dipole", type=float, default=1.0, help="effective dipole magnitude")
-        p.add_argument("--angle", type=float, default=angle, help="dipole angle psi in radians")
+        p.add_argument("--angle", type=float, default=0.0, help="dipole angle psi in radians")
         p.add_argument("--temperature", type=float, default=0.0, help="distant-observer temperature")
 
     def add_output(p, formats):
@@ -93,11 +101,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                        help="JSON file of settings, keyed by flag name with _ for - (flags win)")
 
     p_rates = sub.add_parser("rates", help="compute one full rate set")
-    add_physics(p_rates)
+    add_source(p_rates)
+    add_atom(p_rates)
     add_output(p_rates, FORMATS["rates"])
 
-    p_sweep = sub.add_parser("sweep", help="ratio curve over a grid of x = R*Omega")
-    add_physics(p_sweep, angle=None)  # no angle: both the parallel and perpendicular curve
+    p_sweep = sub.add_parser("sweep", help="ratio curve over a grid of x = R*Omega",
+                             description="--distance matters only with --mass.")
+    add_source(p_sweep)
+    p_sweep.add_argument("--angle", type=float, default=None,
+                         help="dipole angle psi in radians (default: the psi = 0 and pi/2 curves)")
     add_output(p_sweep, FORMATS["sweep"])
     p_sweep.add_argument("--x-min", dest="x_min", type=float, default=1e-2)
     p_sweep.add_argument("--x-max", dest="x_max", type=float, default=1e2)
@@ -107,7 +119,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     grid.add_argument("--linear", dest="log_grid", action="store_false")
 
     p_evolve = sub.add_parser("evolve", help="evolve a density matrix")
-    add_physics(p_evolve)
+    add_source(p_evolve)
+    add_atom(p_evolve)
     add_output(p_evolve, FORMATS["evolve"])
     p_evolve.add_argument("--t-max", dest="t_max", type=float, default=5.0,
                           help="evolution span in units of 1/Gamma")
@@ -246,7 +259,7 @@ def cmd_sweep(args) -> int:
     phi = env.phi
 
     if args.angle is not None:
-        _check_finite("angle", args.angle)
+        _check_angle("angle", args.angle)
         sin2s = (math.sin(args.angle) ** 2,)
         header = "x,ratio"
         labels = ("ratio",)
@@ -343,6 +356,9 @@ def cmd_evolve(args) -> int:
     env = _environment(args)
     thermal = ThermalSpec.from_distant(args.temperature, env.phi)
     p_excited = _initial_excited(args.initial)
+    # Checked as given, in units of 1/Gamma: the library sees t_max / Gamma.
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise DomainError(f"t_max must be finite and positive, got {args.t_max}")
     from .lindblad import DensityMatrix2, analytic_state, evolve_numeric
     from .rates import build_rate_set
     from .rows import EVOLVE_BLOCK, ROW_CHUNK, format_rows
@@ -350,6 +366,9 @@ def cmd_evolve(args) -> int:
     rateset = build_rate_set(atom, env, thermal)
     rho0 = DensityMatrix2.mixed(p_excited)
     t_max = args.t_max / rateset.gamma_total
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max / Gamma is out of range for t_max = {args.t_max}, "
+                          f"Gamma = {rateset.gamma_total}")
     steps = args.steps
 
     def block(start):

@@ -71,6 +71,13 @@ def _check_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _check_angle(name: str, angle: float) -> None:
+    """The dipole angle psi is finite and lies in [0, pi]."""
+    _check_finite(name, angle)
+    if not 0.0 <= angle <= math.pi:
+        raise DomainError(f"{name} must lie in [0, pi], got {angle}")
+
+
 def _check_phi(phi: float) -> None:
     """The hard gates on phi; only ``GravityEnv`` applies the soft one."""
     _check_finite("phi", phi)
@@ -94,13 +101,11 @@ class AtomSpec(Record):
     def __init__(self, omega: float, dipole_mag: float = 1.0, dipole_angle: float = 0.0):
         _check_finite("omega", omega)
         _check_finite("dipole_mag", dipole_mag)
-        _check_finite("dipole_angle", dipole_angle)
         if omega <= 0.0:
             raise DomainError(f"omega must be positive, got {omega}")
         if dipole_mag < 0.0:
             raise DomainError(f"dipole_mag must be >= 0, got {dipole_mag}")
-        if not 0.0 <= dipole_angle <= math.pi:
-            raise DomainError(f"dipole_angle must lie in [0, pi], got {dipole_angle}")
+        _check_angle("dipole_angle", dipole_angle)
         super().__init__(omega, dipole_mag, dipole_angle)
 
     @property

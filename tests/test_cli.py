@@ -178,6 +178,17 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[1] == "x,ratio"
 
+    def test_angle_must_lie_in_0_pi(self, capsys):
+        # The rule `rates` and `evolve` apply to the dipole angle.
+        for angle in ("5", "-1"):
+            code, out, err = run_cli(capsys, "sweep", "--points", "3", f"--angle={angle}")
+            assert (code, out) == (2, "")
+            assert err == f"error: angle must lie in [0, pi], got {float(angle)}\n"
+        for angle in ("0", repr(math.pi)):
+            code, out, err = run_cli(capsys, "sweep", "--points", "3", "--angle", angle)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1] == "x,ratio"
+
     def test_flat_space_is_unity(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "--points", "20", "--phi", "0.0")
         for line in out.strip().splitlines()[2:]:
@@ -312,10 +323,12 @@ BASE_SETTINGS = {
     "evolve": {"omega": 1.0, "steps": 60},
     "verify": {},
 }
-PHYSICS_VALUES = {
+SOURCE_VALUES = {
     "phi": (-0.02, -0.03),
     "mass": (0.02, 0.03),
     "distance": (2.0, 1.5),
+}
+ATOM_VALUES = {
     "omega": (1.5, 2.0),
     "dipole": (0.5, 2.0),
     "angle": (0.7, 0.2),
@@ -324,18 +337,20 @@ PHYSICS_VALUES = {
 # Every config key of every subcommand, with a value and another value; the
 # other format is one the subcommand does not write, where it writes one.
 CONFIG_VALUES = {
-    "rates": dict(PHYSICS_VALUES, format=("json", "csv")),
+    "rates": dict(SOURCE_VALUES, **ATOM_VALUES, format=("json", "csv")),
     "sweep": dict(
-        PHYSICS_VALUES, format=("svg", "csv"), x_min=(0.1, 0.2), x_max=(20.0, 30.0),
-        points=(7, 9), log_grid=(False, True),
+        SOURCE_VALUES, angle=ATOM_VALUES["angle"], format=("svg", "csv"), x_min=(0.1, 0.2),
+        x_max=(20.0, 30.0), points=(7, 9), log_grid=(False, True),
     ),
     "evolve": dict(
-        PHYSICS_VALUES, format=("csv", "json"), t_max=(2.0, 3.0), steps=(70, 80),
+        SOURCE_VALUES, **ATOM_VALUES, format=("csv", "json"), t_max=(2.0, 3.0), steps=(70, 80),
         initial=("ground", "mixed:0.3"),
     ),
     "verify": {"format": ("json", "csv")},
 }
 CONFIG_CASES = [(mode, key) for mode in sorted(CONFIG_VALUES) for key in sorted(CONFIG_VALUES[mode])]
+# `format` is left out: its other value is one the subcommand does not write.
+OUTPUT_CASES = [(mode, key) for mode, key in CONFIG_CASES if key != "format"]
 
 
 class TestConfig:
@@ -355,6 +370,18 @@ class TestConfig:
         assert run_cli(capsys, *base, "--config", str(cfg)) == from_flag
         cfg.write_text(json.dumps({key: other}))
         assert run_cli(capsys, *base, "--config", str(cfg), *flag) == from_flag
+
+    @pytest.mark.parametrize("mode, key", OUTPUT_CASES, ids=[f"{m}-{k}" for m, k in OUTPUT_CASES])
+    def test_every_setting_changes_the_output(self, capsys, mode, key):
+        settings = dict(BASE_SETTINGS[mode])
+        if key in ("angle", "distance"):
+            # R and psi enter only the first-order terms, which vanish at
+            # phi = 0; `sweep` reads R only through phi = -M/R.
+            settings["mass"] = 0.02
+        base = [mode] + as_flags(settings)
+        runs = [run_cli(capsys, *base, *as_flags({key: v})) for v in CONFIG_VALUES[mode][key]]
+        assert [code for code, _, _ in runs] == [0, 0], runs
+        assert runs[0][1] != runs[1][1]
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -381,15 +408,19 @@ class TestConfig:
         [
             (["rates", "--omega", "1"], {"steps": 7, "x_min": 5.0}),
             (["verify"], {"phi": -0.05}),
+            # The ratio curve depends on phi, x and the angle alone.
+            (["sweep"], {"omega": 1.0}),
+            (["sweep"], {"dipole": 1.0}),
+            (["sweep"], {"temperature": 0.0}),
         ],
-        ids=["rates", "verify"],
+        ids=["rates", "verify", "sweep-omega", "sweep-dipole", "sweep-temperature"],
     )
     def test_key_of_another_subcommand(self, capsys, tmp_path, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
-        assert "unknown config keys" in err
+        assert err.startswith("error: unknown config keys") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "rates", "--omega", "1.0", "--config", "/no/such.json")
@@ -469,13 +500,15 @@ class TestFormat:
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
-        [[], ["rates", "--bogus"], ["rates", "--omega", "one"], ["sweep", "--points", "2.5"]],
-        ids=["no-subcommand", "unknown-flag", "bad-float", "bad-int"],
+        [[], ["rates", "--bogus"], ["rates", "--omega", "one"], ["sweep", "--points", "2.5"],
+         ["sweep", "--omega", "1"], ["sweep", "--dipole", "1"], ["sweep", "--temperature", "0"]],
+        ids=["no-subcommand", "unknown-flag", "bad-float", "bad-int",
+             "sweep-omega", "sweep-dipole", "sweep-temperature"],
     )
     def test_parser_error_returns_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and "usage:" not in err
+        assert err.startswith("error:") and "usage:" not in err and err.count("\n") == 1
 
 
 class TestOverflow:
@@ -520,21 +553,27 @@ class TestOverflow:
 
 class TestEvolve:
     @pytest.mark.parametrize(
-        "flags",
+        "flags, message",
         [
-            ("--t-max", "5", "--steps", "10"),  # StepSizeError
-            ("--steps", "0"),
-            ("--steps", str(MAX_STEPS + 1)),
-            ("--t-max=nan",),
-            ("--initial", "mixed:2"),
+            (("--t-max", "5", "--steps", "10"), "h*Gamma = "),  # StepSizeError
+            (("--steps", "0"), "steps must lie in"),
+            (("--steps", str(MAX_STEPS + 1)), "steps must lie in"),
+            (("--t-max=nan",), "t_max must be finite and positive, got nan\n"),
+            (("--initial", "mixed:2"), "p_excited must lie in [0, 1]"),
+            # The span as given, not t_max / Gamma.
+            (("--t-max=-1",), "t_max must be finite and positive, got -1.0\n"),
+            # Finite, but t_max / Gamma overflows.
+            (("--omega", "1e-3", "--t-max", "1e308", "--steps", "10"),
+             "t_max / Gamma is out of range for t_max = 1e+308, Gamma = "),
         ],
-        ids=["step-size", "no-steps", "steps-cap", "nan-t-max", "bad-initial"],
+        ids=["step-size", "no-steps", "steps-cap", "nan-t-max", "bad-initial",
+             "negative-t-max", "overflowing-t-max"],
     )
-    def test_refused_before_out_is_opened(self, capsys, tmp_path, flags):
+    def test_refused_before_out_is_opened(self, capsys, tmp_path, flags, message):
         path = tmp_path / "evolve.csv"
         code, out, err = run_cli(capsys, "evolve", "--omega", "1.0", *flags, "--out", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert err.startswith("error: ") and message in err, err
         assert not path.exists()
 
     def test_memory_is_flat_in_steps(self, tmp_path):
@@ -760,14 +799,22 @@ class TestMultiChunkOutput:
         assert out == expected
 
 
+def float_flags(mode):
+    """The flags of ``mode`` that take a float, read from the parser.
+
+    As for a config value, a default of None stands for a float.
+    """
+    parser, _ = cli._build_parser()
+    defaults = vars(parser.parse_args([mode]))
+    return tuple(
+        key.replace("_", "-") for key in sorted(config_keys(mode))
+        if defaults[key] is None or type(defaults[key]) is float
+    )
+
+
 # Numeric flags per subcommand, and arbitrary floats for them: NaN, +-inf,
 # +-0, subnormals and values near the ends of the double range.
-PHYSICS_FLAGS = ("phi", "mass", "distance", "omega", "dipole", "angle", "temperature")
-NUMERIC_FLAGS = {
-    "rates": PHYSICS_FLAGS,
-    "sweep": PHYSICS_FLAGS + ("x-min", "x-max"),
-    "evolve": PHYSICS_FLAGS + ("t-max",),
-}
+NUMERIC_FLAGS = {mode: flags for mode in cli.FORMATS if (flags := float_flags(mode))}
 ANY_FLOAT = st.one_of(
     st.floats(),
     st.sampled_from(

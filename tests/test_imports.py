@@ -62,6 +62,9 @@ CASES = {
     "import": ([], None, ("gravatom.cli", "gravatom.model"), NUMERIC + STARTUP),
     "help": (["--help"], 0, ("argparse",), NUMERIC + STARTUP),
     "invalid rates": (["rates", "--omega=-1"], 2, ("gravatom.model",), NUMERIC + STARTUP),
+    "invalid sweep": (["sweep", "--angle", "5"], 2, ("gravatom.model",), NUMERIC + STARTUP),
+    "invalid evolve": (["evolve", "--omega", "1", "--t-max", "-1"], 2, ("gravatom.model",),
+                       NUMERIC + STARTUP),
     "rates": (["rates", "--omega", "1.3", "--phi", "-0.05"], 0,
               ("gravatom.rates", "gravatom.specfun"),
               ("numpy", "gravatom.rows", "gravatom.oracle", "gravatom.lindblad") + STARTUP),
