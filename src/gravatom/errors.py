@@ -17,14 +17,6 @@ class DegenerateError(GravatomError, ValueError):
     """The dissipative generator is degenerate (no dissipation at all)."""
 
 
-class StepSizeError(GravatomError, ValueError):
-    """Requested integrator step violates the stability gate."""
-
-    def __init__(self, message, suggested_steps=None):
-        super().__init__(message)
-        self.suggested_steps = suggested_steps
-
-
 class ConvergenceError(GravatomError, RuntimeError):
     """A quadrature did not reach the requested accuracy.
 

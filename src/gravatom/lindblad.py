@@ -3,7 +3,10 @@
 The generator is the paper's GKSL master equation without the
 environment-induced energy shift: the populations relax toward the thermal
 steady state at Gamma and the coherence decays at Gamma/2, with no rotation
-(interaction picture).  Reinstating the shift needs its closed form from
+(interaction picture).  `analytic_state` is the closed-form solution
+(Lindblad, Commun. Math. Phys. 48 (1976) 119; Breuer and Petruccione, The
+Theory of Open Quantum Systems (2002), 3.4), and `evolve_numeric` samples
+it on a grid of times.  Reinstating the shift needs its closed form from
 that master equation and a command-line path that sets it, not a free
 frequency parameter.
 """
@@ -14,15 +17,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, StepSizeError
+from .errors import DomainError
 from .model import Record
 from .rates import RateSet
 
 _TRACE_TOL = 1e-12
 _POSITIVITY_SLACK = 1e-12
-
-#: Step gate for the fixed-step integrator: h * Gamma must not exceed this.
-MAX_STEP_RATE = 0.1
 
 #: Largest step count ``evolve_numeric`` accepts.  ``evolve`` builds and
 #: writes the trajectory one block of rows at a time, so the cap bounds the
@@ -98,66 +98,23 @@ def analytic_state(rho0: DensityMatrix2, rates: RateSet, t: float | np.ndarray) 
     return DensityMatrix2(ee=ee, gg=1.0 - ee, eg=eg)
 
 
-def _rk4_log_step(z: float) -> float:
-    """log R(z) for the RK4 stability polynomial R at a real z (R > 0 there).
-
-    One RK4 step multiplies a mode of eigenvalue z/h by
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so n steps multiply it by
-    exp(n log R).  The log is taken from w = R - 1 without forming R, as
-    log1p(R^2 - 1) / 2, so it keeps full relative accuracy when |z| is
-    tiny (R**n would carry the rounding of R into every power).
-    """
-    w = z * (1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0)
-    return 0.5 * math.log1p(w * (2.0 + w))
-
-
-def _suggested_steps(t_max: float, total: float) -> int | None:
-    """The fewest steps that pass the gate, or None if that is not a float.
-
-    n = ceil(t_max Gamma / MAX_STEP_RATE) is off by one either way when the
-    quotient rounds across an integer: n - 1 when it rounds up past one and
-    (t_max / (n - 1)) * Gamma still passes, n + 1 when (t_max / n) * Gamma
-    lands one ulp above the gate.  The gate is monotone in the step count.
-    A count above ``MAX_STEPS``, which no call accepts, is only a lower bound.
-    """
-    needed = t_max * total / MAX_STEP_RATE
-    # `needed` overflows to inf for t_max * Gamma near the top of the range.
-    if not math.isfinite(needed):
-        return None
-
-    def passes(n):
-        return (t_max / n) * total <= MAX_STEP_RATE
-
-    steps = max(1, math.ceil(needed))
-    if steps > 1 and passes(steps - 1):
-        return steps - 1
-    return steps if passes(steps) else steps + 1
-
-
 def evolve_numeric(
     rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: int,
     start: int = 0, stop: int | None = None,
 ) -> tuple[np.ndarray, DensityMatrix2]:
-    """Rows ``start`` to ``stop - 1`` of the fixed-step RK4 trajectory.
+    """Rows ``start`` to ``stop - 1`` of the trajectory sampled at ``steps + 1`` times.
 
-    Returns ``(times, states)``: the times h n, increasing by construction,
-    and one column ``DensityMatrix2`` of the same length.  The trajectory
-    has ``steps + 1`` rows, t = 0 to ``t_max``; the default range is all of
-    them, and ``stop`` is clipped to ``steps + 1`` like a slice.  The generator is linear with constant coefficients, so the n-th
-    RK4 iterate is exact in closed form: each mode is its initial amplitude
-    times R(z)^n (Hairer & Wanner, Solving ODEs II, IV.2).  The populations
-    relax toward ``steady_excited`` s with z = -h Gamma (``ee`` around s,
-    ``gg`` around 1 - s, each from its own mode); the coherence decays with
-    z = -h Gamma / 2.  Both z are real, and the energy shift is dropped, so
-    nothing rotates the coherence.  Row n is formed from n alone, as
-    exp(n log R(z)) at time h n, elementwise with no loop over steps, so a
-    range is bit for bit that slice of the whole trajectory.
+    Returns ``(times, states)``: the times h n with h = ``t_max / steps``,
+    increasing by construction, and the exact GKSL states there, one column
+    ``DensityMatrix2`` of `analytic_state`.  The trajectory has
+    ``steps + 1`` rows, t = 0 to ``t_max``; the default range is all of
+    them, and ``stop`` is clipped to ``steps + 1`` like a slice.  Row n is
+    formed from n alone, so a range is bit for bit that slice of the whole
+    trajectory.
 
-    Every call checks (``t_max``, ``steps``) in full.  The step must satisfy
-    h * Gamma <= ``MAX_STEP_RATE`` (0.1), where both z lie well inside the
-    RK4 stability interval; a larger step raises ``StepSizeError`` with a
-    step count that passes.  ``steps`` may not exceed ``MAX_STEPS``; the
-    check comes before any allocation.
+    Every call checks (``t_max``, ``steps``) in full: ``t_max`` must be
+    finite and positive, and ``steps`` may not exceed ``MAX_STEPS``; the
+    checks come before any allocation.
     """
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
@@ -166,22 +123,5 @@ def evolve_numeric(
     stop = steps + 1 if stop is None else min(stop, steps + 1)
     if not 0 <= start < stop:
         raise DomainError(f"row range [{start}, {stop}) is empty or outside [0, {steps + 1})")
-    total = rates.gamma_total
-    h = t_max / steps
-    if not h * total <= MAX_STEP_RATE:  # also refuses NaN
-        suggested = _suggested_steps(t_max, total)
-        raise StepSizeError(
-            f"h*Gamma = {h * total} exceeds {MAX_STEP_RATE}; use at least "
-            f"{'inf' if suggested is None else suggested} steps",
-            suggested_steps=suggested,
-        )
-
-    s = rates.steady_excited
-    n = np.arange(float(start), float(stop))
-    decay = np.exp(n * _rk4_log_step(-h * total))
-    states = DensityMatrix2(
-        ee=s + (float(rho0.ee) - s) * decay,
-        gg=(1.0 - s) + (float(rho0.gg) - (1.0 - s)) * decay,
-        eg=complex(rho0.eg) * np.exp(n * _rk4_log_step(-0.5 * h * total)),
-    )
-    return h * n, states
+    times = (t_max / steps) * np.arange(float(start), float(stop))
+    return times, analytic_state(rho0, rates, times)

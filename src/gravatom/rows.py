@@ -33,7 +33,7 @@ ROW_CHUNK = 1024
 #: raise the peak (8192-point blocks: +0.4 MB RSS at 1e5 points).
 SWEEP_BLOCK = 4 * ROW_CHUNK
 
-#: Rows per `evolve` block: one `evolve_numeric` and one `analytic_state` call,
+#: Rows per `evolve` block: one `evolve_numeric` call (one exact state column),
 #: formatted and written ``ROW_CHUNK`` rows at a time, so that memory does not
 #: grow with ``--steps``.  Smaller blocks are slower: freeing a block's
 #: temporaries at the top of the heap trims it, and the next block faults the

@@ -65,6 +65,11 @@ CASES = {
     "invalid sweep": (["sweep", "--angle", "5"], 2, ("gravatom.model",), NUMERIC + STARTUP),
     "invalid evolve": (["evolve", "--omega", "1", "--t-max", "-1"], 2, ("gravatom.model",),
                        NUMERIC + STARTUP),
+    # The rate set is refused after `rates` is loaded, before numpy is.
+    "refused evolve rate set": (["evolve", "--omega", "1e-3", "--phi", "-0.2"], 2,
+                                ("gravatom.rates",),
+                                ("numpy", "gravatom.rows", "gravatom.lindblad", "gravatom.oracle")
+                                + STARTUP),
     "rates": (["rates", "--omega", "1.3", "--phi", "-0.05"], 0,
               ("gravatom.rates", "gravatom.specfun"),
               ("numpy", "gravatom.rows", "gravatom.oracle", "gravatom.lindblad") + STARTUP),
