@@ -1,28 +1,27 @@
 """Cancellation-safe special functions on floats and arrays.
 
-Provides the sine integral Si, the two correction functions ``f1`` and
-``f2`` entering the gravity-corrected spontaneous emission rate, and the
-Bose-Einstein occupation number.
+Provides the two correction functions ``f1`` and ``f2`` entering the
+gravity-corrected spontaneous emission rate, and the Bose-Einstein
+occupation number.
 
-``sine_integral``, ``f1`` and ``f2`` take a float or an ndarray of any shape
-through one set of kernels: every value goes to the branch it selects.  A
-float (or int, numpy scalar, 0-d array) returns a float, and its kernel runs
-on Python floats with ``math.sin``/``math.cos``, so float calls never import
-numpy.  An array runs each branch as ufunc arithmetic on its own subset of
-elements; numpy is imported on the first array call.  Every branch is a
-fixed sequence of operations -- a closed form, or a series of fixed length
--- so the work per element is bounded and nothing iterates to a convergence
-test.
+``f1`` and ``f2`` take a float or an ndarray of any shape through one set of
+kernels: every value goes to the branch it selects.  A float (or int, numpy
+scalar, 0-d array) returns a float, and its kernel runs on Python floats with
+``math.sin``/``math.cos``, so float calls never import numpy.  An array runs
+each branch as ufunc arithmetic on its own subset of elements; numpy is
+imported on the first array call.  Every branch is a fixed sequence of
+operations -- a closed form, or a series of fixed length -- so the work per
+element is bounded and nothing iterates to a convergence test.
 
 Both correction functions are O(x^3)/O(x^4) differences of O(1)
-trigonometric terms, so each carries a Taylor-series branch below
-``SMALL_CUT`` where the closed form loses precision to cancellation, and a
-large-argument form above ``LARGE_CUT`` that neither cancels nor forms x^2.
-Above x = 4 the sine integral comes from its auxiliary functions f and g
-(Abramowitz & Stegun 5.2.8-5.2.9): Chebyshev series on the octaves up to
-``ASYMPTOTIC_CUT``, their asymptotic series beyond.  Each octave is a branch
-of its own, so its coefficients enter as Python floats for a float and an
-array alike.  The series coefficients, and the length of each series, are
+trigonometric terms, so both switch once, at ``SMALL_CUT`` (x = 2): a Taylor
+series below it, where their closed forms lose precision to cancellation,
+and above it a large-argument form that neither cancels nor forms x^2.
+That of f1 takes pi/2 - Si(2x) from the auxiliary functions f and g of the
+sine integral (Abramowitz & Stegun 5.2.8-5.2.9): Chebyshev series on the
+octaves of 2x from 4 up to ``ASYMPTOTIC_CUT``, their asymptotic series
+beyond.  Each octave is a branch of its own, so its coefficients enter as
+Python floats for a float and an array alike.  The series coefficients are
 generated by ``tools/gen_specfun_tables.py`` into ``_specfun_tables``.
 """
 
@@ -34,17 +33,10 @@ import math
 from . import _specfun_tables as _tables
 from .errors import DomainError
 
-#: Taylor-series/closed-form crossover of f1 and f2.  The series are cut
-#: where what they leave out is 1/16 ulp at this x; the closed forms above it
-#: hold ~1e-15 relative (their cancellation grows as x falls).
+#: Taylor-series/large-argument crossover of f1 and f2, half the first
+#: octave's left end: above it f1 takes the auxiliary functions at 2x > 4.
+#: The series are cut where what they leave out is 1/16 ulp at this x.
 SMALL_CUT = _tables.SMALL_CUT
-
-# Si: Taylor series up to here, auxiliary functions above.
-_SI_SWITCH = _tables.SI_SWITCH
-
-#: Closed-form/large-argument crossover of f1 and f2: above it pi/2 - Si(2x)
-#: comes straight from the auxiliary functions at 2x > 4.
-LARGE_CUT = 0.5 * _SI_SWITCH
 
 #: Auxiliary functions from their asymptotic series above this argument.
 ASYMPTOTIC_CUT = _tables.ASYMPTOTIC_CUT
@@ -129,69 +121,10 @@ def _aux_asymptotic(y):
     return _horner(_tables.AUX_F_ASYMPTOTIC, u), _horner(_tables.AUX_G_ASYMPTOTIC, u)
 
 
-def sine_integral(x):
-    """Si(x) = integral of sin(y)/y from 0 to x, elementwise.
-
-    Taylor series for x <= 4, Si = pi/2 - f cos x - g sin x from the
-    auxiliary functions above; relative error below 1e-15 against mpmath on
-    [1e-8, 1e300].  Negative arguments are rejected.
-    """
-    return _piecewise("sine_integral", x, _SI_PIECES)
-
-
-def _si_taylor(x):
-    # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!), summed by the term
-    # recurrence through k = SI_TERMS for every x.  What that leaves out is
-    # below 1/16 ulp at x = 4 and smaller below, so each omitted term would
-    # leave the sum unchanged.
-    minus_x2 = -(x * x)
-    term = total = x
-    for n in range(3, 2 * _tables.SI_TERMS + 2, 2):
-        term = term * (minus_x2 / ((n - 1) * n))
-        total = total + term / n
-    return total
-
-
-def _si_large(aux, x):
-    # f cos x + g sin x = (F cos x + G sin x / x) / x, with F = x f, G = x^2 g.
-    big_f, big_g = aux(x)
-    trig = _trig(x)
-    return 0.5 * math.pi - (big_f * trig.cos(x) + big_g * trig.sin(x) / x) / x
-
-
-# One piece per Chebyshev octave (a, 2a] of the auxiliary functions.
-_OCTAVE_PIECES = tuple(
-    (2.0 * a, functools.partial(_aux_chebyshev, i)) for i, a in enumerate(_tables.OCTAVES)
-)
-
-_SI_PIECES = (
-    (_SI_SWITCH, _si_taylor),
-    *((upper, functools.partial(_si_large, aux)) for upper, aux in _OCTAVE_PIECES),
-    (math.inf, functools.partial(_si_large, _aux_asymptotic)),
-)
-
-
 def f1_series(x):
     """Small-argument expansion of f1; leading term pi*x."""
     x2 = x * x
     return math.pi * x + x2 * x2 * _horner(_tables.F1_TAYLOR, x2)
-
-
-def f1_closed(x):
-    """Closed form of f1 in terms of Si; cancels badly as x -> 0 and as x grows."""
-    # Si first, so that its temporaries are gone before the bracket's are
-    # made: on an array this lowers the peak memory, and no rounding changes.
-    si = sine_integral(2.0 * x)
-    x2 = x * x
-    trig = _trig(x)
-    bracket = (
-        1.0
-        + x2 * (math.pi * x + 3.0)
-        - (1.0 + x2) * trig.cos(2.0 * x)
-        - 2.0 * x * trig.sin(2.0 * x)
-        - 2.0 * x * x2 * si
-    )
-    return bracket / x2
 
 
 def _f1_large(aux, x):
@@ -208,8 +141,9 @@ def _f1_large(aux, x):
 
 _F1_PIECES = (
     (SMALL_CUT, f1_series),
-    (LARGE_CUT, f1_closed),
-    *((0.5 * upper, functools.partial(_f1_large, aux)) for upper, aux in _OCTAVE_PIECES),
+    # One piece per Chebyshev octave: y = 2x in (a, 2a], so x in (a/2, a].
+    *((a, functools.partial(_f1_large, functools.partial(_aux_chebyshev, i)))
+      for i, a in enumerate(_tables.OCTAVES)),
     (_F1_FLAT_CUT, functools.partial(_f1_large, _aux_asymptotic)),
     (math.inf, lambda x: 0.0 * x + 3.0),  # 3.0 as a float, or an array like x
 )
@@ -241,7 +175,7 @@ def _f2_large(x):
     return 2.0 * sin_x * (sin_x / x - trig.cos(x)) / x
 
 
-_F2_PIECES = ((SMALL_CUT, f2_series), (LARGE_CUT, f2_closed), (math.inf, _f2_large))
+_F2_PIECES = ((SMALL_CUT, f2_series), (math.inf, _f2_large))
 
 
 def f2(x):
@@ -256,9 +190,9 @@ def bose_occupation(energy: float, temperature: float) -> float:
     for E/T >> 1 the overflow-free asymptote e^(-E/T) is returned.  An
     occupation too large for a double (E/T below ~1e-308) is a DomainError.
     """
-    if energy <= 0.0:
+    if not energy > 0.0:  # NaN fails
         raise DomainError(f"energy must be positive, got {energy}")
-    if temperature < 0.0:
+    if not temperature >= 0.0:  # NaN fails
         raise DomainError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:
         return 0.0

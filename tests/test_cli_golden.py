@@ -28,7 +28,7 @@ CASES = {
     ),
     "rates_mass": ("rates", "--omega", "1.0", "--mass", "0.05", "--distance", "1.5"),
     # x = R*Omega in every branch of f1 and f2 (the two cases above sit on the
-    # closed forms, 1 < x <= 2), each with sin^2(psi) > 0 so that f2 shows.
+    # series, 1 < x <= 2), each with sin^2(psi) > 0 so that f2 shows.
     "rates_series": ("rates", "--omega", "0.5", "--phi", "-0.03", "--angle", "0.9"),
     "rates_chebyshev_x5": (
         "rates", "--omega", "2.5", "--distance", "2", "--phi", "-0.01", "--angle", "1.2",

@@ -4,15 +4,14 @@
     python tools/gen_specfun_tables.py --check   # exit 1 if the committed module differs
 
 Taylor coefficients are exact rationals (``fractions``), each rounded once to
-a double; the Taylor series of Si is summed by its term recurrence, so only
-its length is written.  The auxiliary functions of the sine integral (Abramowitz & Stegun
+a double.  The auxiliary functions of the sine integral (Abramowitz & Stegun
 5.2.6-5.2.9),
 
     f(y) = Ci(y) sin y - (Si(y) - pi/2) cos y,
     g(y) = -Ci(y) cos y - (Si(y) - pi/2) sin y,
 
 are fitted as Chebyshev series in 1/y of F = y f(y) and G = y^2 g(y), one
-series per octave [a, 2a] between ``SI_SWITCH`` and ``ASYMPTOTIC_CUT``, by
+series per octave [a, 2a] between ``OCTAVES[0]`` and ``ASYMPTOTIC_CUT``, by
 interpolation at ``NODES`` Chebyshev points in 40-digit ``mpmath``.  Beyond
 ``ASYMPTOTIC_CUT`` F and G are their asymptotic series in 1/y^2,
 sum (-1)^k (2k)! / y^(2k) and sum (-1)^k (2k+1)! / y^(2k).
@@ -36,12 +35,11 @@ from mpmath import mp
 
 TARGET = Path(__file__).resolve().parents[1] / "src" / "gravatom" / "_specfun_tables.py"
 
-#: Si: Taylor series on [0, SI_SWITCH], auxiliary functions above.
-SI_SWITCH = 4.0
-#: f1 and f2: Taylor series on [0, SMALL_CUT], closed forms above.
-SMALL_CUT = 1.0
 #: Left ends a of the Chebyshev octaves [a, 2a] of F and G.
 OCTAVES = (4.0, 8.0, 16.0, 32.0)
+#: f1 and f2: Taylor series on [0, SMALL_CUT], large-argument forms above.
+#: That of f1 takes F and G at y = 2x, so the cut is where the first octave starts.
+SMALL_CUT = OCTAVES[0] / 2
 #: F and G from their asymptotic series above this y.
 ASYMPTOTIC_CUT = 2.0 * OCTAVES[-1]
 ASYMPTOTIC_TERMS = 11
@@ -51,11 +49,6 @@ NODES = 40
 #: Largest omitted part of any series, relative to its value: 1/16 ulp.
 TAIL = 2.0**-56
 DIGITS = 40
-
-
-def _si_taylor() -> list[Fraction]:
-    """c_k of Si(x) = sum_k c_k x^(2k+1): c_k = (-1)^k / ((2k+1) (2k+1)!)."""
-    return [Fraction((-1) ** k, (2 * k + 1) * math.factorial(2 * k + 1)) for k in range(60)]
 
 
 def _f1_f2_taylor() -> tuple[list[Fraction], list[Fraction]]:
@@ -150,7 +143,6 @@ def _asymptotic() -> tuple[tuple[float, ...], tuple[float, ...]]:
 def tables() -> dict:
     """Every constant of the generated module, by name, in module order."""
     with mp.workdps(DIGITS):
-        si_terms = len(_cut(_si_taylor(), SI_SWITCH, mp.si(SI_SWITCH), lead=1)) - 1
         f1_coeffs, f2_coeffs = _f1_f2_taylor()
         x = mp.mpf(SMALL_CUT)
         f1_cut = (1 + x * x * (mp.pi * x + 3) - (1 + x * x) * mp.cos(2 * x)
@@ -161,8 +153,6 @@ def tables() -> dict:
         aux_f, aux_g = _chebyshev_octaves()
     asym_f, asym_g = _asymptotic()
     return {
-        "SI_SWITCH": SI_SWITCH,
-        "SI_TERMS": si_terms,
         "SMALL_CUT": SMALL_CUT,
         "F1_TAYLOR": f1,
         "F2_TAYLOR": f2,
@@ -185,8 +175,6 @@ floats and tuples: importing this module computes nothing.
 '''
 
 _DOCS = {
-    "SI_SWITCH": "Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!), k = 0 .. SI_TERMS, "
-                 "on 0 <= x <= SI_SWITCH.",
     "SMALL_CUT": "f1 = pi x + x^4 sum_k F1_TAYLOR[k] x^(2k) and "
                  "f2 = x^2 sum_k F2_TAYLOR[k] x^(2k) on 0 <= x <= SMALL_CUT.",
     "OCTAVES": "AUX_F_CHEBYSHEV[i] and AUX_G_CHEBYSHEV[i] are the Chebyshev coefficients "
@@ -210,7 +198,7 @@ def render() -> str:
         if name in _DOCS:
             parts.extend(f"#: {line}\n" for line in textwrap.wrap(_DOCS[name], 76))
         parts.append(f"{name} = {_literal(value)}\n")
-        if name in ("SI_TERMS", "F2_TAYLOR", "AUX_G_CHEBYSHEV"):
+        if name in ("F2_TAYLOR", "AUX_G_CHEBYSHEV"):
             parts.append("\n")
     return "".join(parts)
 
