@@ -19,22 +19,24 @@ The handlers read the parsed namespace alone.
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
 CSV rows come from the vectorised formatter ``rows.format_rows``.  ``sweep``
-computes its rows ``rows.SWEEP_BLOCK`` at a time, ``evolve`` its trajectory
-``rows.EVOLVE_BLOCK`` rows at a time, and both write ``rows.ROW_CHUNK`` rows
-at a time, so neither holds its whole output; ``evolve`` builds its first
-block before writing anything, so every check refuses bad input before
-``--out`` is opened.
+and ``evolve`` take the same path: a generator in ``rows``
+(``sweep_chunks``, ``evolve_chunks``) computes ``rows.SWEEP_BLOCK`` points
+or ``rows.EVOLVE_BLOCK`` rows at a time and yields ``rows.ROW_CHUNK`` rows
+at a time, each formatted and written as it comes, so neither holds its
+whole output.  Every check runs before the first write, so bad input is
+refused before ``--out`` is opened.
 
 Importing this module loads only the standard library, ``errors`` and
 ``model``.  Each handler validates its inputs with ``model`` first and then
 imports the layers it runs: ``rates`` imports ``rates`` (and with it
 ``specfun``, which evaluates one point on Python floats without numpy),
 ``sweep`` and ``evolve`` import ``rows`` (and with it numpy), ``evolve``
-also ``lindblad``, once its rate set is built, and ``verify`` imports
-``oracle``.  So ``--help``, input that fails validation before those
-imports (a refused rate set included) and ``rates`` never load numpy,
-and only ``verify`` loads the oracle; ``evolve``'s ``mixed:p`` and
-``--steps`` checks run after them.
+also ``lindblad``, once its rate set and ``--steps`` are checked, and
+``verify`` imports ``oracle``.  So ``--help``, input that fails validation
+before those imports (a refused rate set and the ``--points`` and
+``--steps`` caps included) and ``rates`` never load numpy, and only
+``verify`` loads the oracle; only ``evolve``'s ``mixed:p`` range check runs
+after numpy is loaded.
 """
 
 from __future__ import annotations
@@ -144,10 +146,12 @@ _NOT_CONFIG = frozenset({"mode", "out", "config", "f1_offset"})
 #: Documented default used by `sweep` when no potential is given.
 SWEEP_DEFAULT_PHI = -0.05
 
-#: Largest grid `sweep` accepts.  It computes and writes the grid in blocks,
-#: so the cap bounds the output (about 54 bytes of CSV per row, 540 MB at
-#: the cap), not memory.
+#: Largest grid `sweep` accepts and largest step count `evolve` accepts.
+#: Both compute and write their rows in blocks, so the caps bound the output
+#: (about 54 bytes of CSV per `sweep` row, 540 MB at the cap; about 108 per
+#: `evolve` row, 1.1 GB), not memory.
 MAX_POINTS = 10_000_000
+MAX_STEPS = 10_000_000
 
 
 def _config_value(key: str, value, default):
@@ -353,7 +357,7 @@ def _initial_excited(name: str) -> float:
 
 
 def cmd_evolve(args) -> int:
-    """The exact GKSL trajectory, one state column per block of rows.
+    """The exact GKSL trajectory, written as `rows.evolve_chunks` builds it.
 
     Columns: the time t, the populations ``rho_ee`` and ``rho_gg``, the
     coherence ``abs_rho_eg``, ``trace_error`` = rho_ee + rho_gg - 1 and
@@ -375,27 +379,15 @@ def cmd_evolve(args) -> int:
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max / Gamma is out of range for t_max = {args.t_max}, "
                           f"Gamma = {rateset.gamma_total}")
-    from .lindblad import DensityMatrix2, evolve_numeric
-    from .rows import EVOLVE_BLOCK, ROW_CHUNK, format_rows
-
-    rho0 = DensityMatrix2.mixed(p_excited)
     steps = args.steps
+    if not 1 <= steps <= MAX_STEPS:
+        raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
+    from .lindblad import DensityMatrix2
+    from .rows import evolve_chunks, format_rows
 
-    def block(start):
-        return evolve_numeric(rho0, rateset, t_max, steps, start, start + EVOLVE_BLOCK)
-
-    # Block 0 is built before anything is written, so that every check of
-    # `evolve_numeric` refuses bad input before --out is opened.
-    blocks = itertools.chain([block(0)], map(block, range(EVOLVE_BLOCK, steps + 1, EVOLVE_BLOCK)))
-
-    def lines():
-        for times, states in blocks:
-            columns = (times, states.ee, states.gg, abs(states.eg), states.trace - 1.0, states.ee)
-            for i in range(0, len(times), ROW_CHUNK):
-                yield format_rows([column[i:i + ROW_CHUNK] for column in columns])
-
+    chunks = evolve_chunks(DensityMatrix2.mixed(p_excited), rateset, t_max, steps)
     header = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
-    _write(itertools.chain([header], lines()), args.out)
+    _write(itertools.chain([header], map(format_rows, chunks)), args.out)
     return 0
 
 

@@ -5,10 +5,10 @@ environment-induced energy shift: the populations relax toward the thermal
 steady state at Gamma and the coherence decays at Gamma/2, with no rotation
 (interaction picture).  `analytic_state` is the closed-form solution
 (Lindblad, Commun. Math. Phys. 48 (1976) 119; Breuer and Petruccione, The
-Theory of Open Quantum Systems (2002), 3.4), and `evolve_numeric` samples
-it on a grid of times.  Reinstating the shift needs its closed form from
-that master equation and a command-line path that sets it, not a free
-frequency parameter.
+Theory of Open Quantum Systems (2002), 3.4) at one time or a column of
+times; ``rows.evolve_chunks`` samples it on the ``evolve`` grid.
+Reinstating the shift needs its closed form from that master equation and
+a command-line path that sets it, not a free frequency parameter.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from .rates import RateSet
 
 _TRACE_TOL = 1e-12
 _POSITIVITY_SLACK = 1e-12
-
-#: Largest step count ``evolve_numeric`` accepts.  ``evolve`` builds and
-#: writes the trajectory one block of rows at a time, so the cap bounds the
-#: output (about 108 bytes of CSV per row, 1.1 GB at the cap), not memory.
-MAX_STEPS = 10_000_000
 
 
 class DensityMatrix2(Record):
@@ -96,32 +91,3 @@ def analytic_state(rho0: DensityMatrix2, rates: RateSet, t: float | np.ndarray) 
     ee = (rho0.ee - a_s) * decay + a_s
     eg = rho0.eg * np.exp(-0.5 * total * t)
     return DensityMatrix2(ee=ee, gg=1.0 - ee, eg=eg)
-
-
-def evolve_numeric(
-    rho0: DensityMatrix2, rates: RateSet, t_max: float, steps: int,
-    start: int = 0, stop: int | None = None,
-) -> tuple[np.ndarray, DensityMatrix2]:
-    """Rows ``start`` to ``stop - 1`` of the trajectory sampled at ``steps + 1`` times.
-
-    Returns ``(times, states)``: the times h n with h = ``t_max / steps``,
-    increasing by construction, and the exact GKSL states there, one column
-    ``DensityMatrix2`` of `analytic_state`.  The trajectory has
-    ``steps + 1`` rows, t = 0 to ``t_max``; the default range is all of
-    them, and ``stop`` is clipped to ``steps + 1`` like a slice.  Row n is
-    formed from n alone, so a range is bit for bit that slice of the whole
-    trajectory.
-
-    Every call checks (``t_max``, ``steps``) in full: ``t_max`` must be
-    finite and positive, and ``steps`` may not exceed ``MAX_STEPS``; the
-    checks come before any allocation.
-    """
-    if not 1 <= steps <= MAX_STEPS:
-        raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise DomainError(f"t_max must be finite and positive, got {t_max}")
-    stop = steps + 1 if stop is None else min(stop, steps + 1)
-    if not 0 <= start < stop:
-        raise DomainError(f"row range [{start}, {stop}) is empty or outside [0, {steps + 1})")
-    times = (t_max / steps) * np.arange(float(start), float(stop))
-    return times, analytic_state(rho0, rates, times)

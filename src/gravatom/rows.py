@@ -6,9 +6,10 @@ come from one vectorised formatter, `format_rows`, which renders a chunk of
 rows in a few array passes, is byte-identical to ``NUMBER % x`` and falls
 back to ``%`` itself for the few numbers near a rounding tie.
 `sweep_chunks` builds the ``sweep`` grid and its rate ratios one
-`SWEEP_BLOCK` of points at a time, ``evolve`` its trajectory one
-`EVOLVE_BLOCK` of rows at a time; both format and write ``ROW_CHUNK`` rows
-at a time.
+`SWEEP_BLOCK` of points at a time, `evolve_chunks` the ``evolve``
+trajectory one `EVOLVE_BLOCK` of rows at a time; both yield ``ROW_CHUNK``
+rows at a time, each formatted and written as it comes.  `evolve_chunks`
+imports ``lindblad`` when it runs, so ``sweep`` never loads it.
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ ROW_CHUNK = 1024
 #: raise the peak (8192-point blocks: +0.4 MB RSS at 1e5 points).
 SWEEP_BLOCK = 4 * ROW_CHUNK
 
-#: Rows per `evolve` block: one `evolve_numeric` call (one exact state column),
+#: Rows per `evolve` block: one `analytic_state` call (one exact state column),
 #: formatted and written ``ROW_CHUNK`` rows at a time, so that memory does not
 #: grow with ``--steps``.  Smaller blocks are slower: freeing a block's
 #: temporaries at the top of the heap trims it, and the next block faults the
 #: pages back in (1024-row blocks took 3x the page faults and 14% more time at
-#: 1e5 steps).  Larger blocks only raise the peak (+2 MB at 16384 rows).
+#: 1e5 steps).  For the same reason `evolve_chunks`, unlike `sweep_chunks`,
+#: holds a block until the next replaces it: freeing it first doubled the page
+#: faults.  Larger blocks only raise the peak (+2 MB at 16384 rows).
 EVOLVE_BLOCK = 8 * ROW_CHUNK
 
 
@@ -195,3 +198,23 @@ def sweep_chunks(grid, log_grid, phi, sin2s):
         # Freed here, not when the next block rebinds the names: the next
         # rate_bracket call is the peak of a sweep's memory.
         del xs, ratios
+
+
+def evolve_chunks(rho0, rates, t_max, steps):
+    """Build the trajectory ``EVOLVE_BLOCK`` rows at a time; yield six columns per ``ROW_CHUNK`` rows.
+
+    Row n, for n = 0 to ``steps``, is the exact state `analytic_state` at
+    t = h n with h = ``t_max / steps``.  It is formed from n alone, so the
+    chunks are bit for bit the rows of one call over the whole grid.  The
+    columns: t, rho_ee, rho_gg, |rho_eg|, the trace error
+    rho_ee + rho_gg - 1 and rho_ee again (``evolve``'s ``analytic_rho_ee``).
+    """
+    from .lindblad import analytic_state
+
+    h = t_max / steps
+    for i in range(0, steps + 1, EVOLVE_BLOCK):
+        times = h * np.arange(i, min(i + EVOLVE_BLOCK, steps + 1))
+        states = analytic_state(rho0, rates, times)
+        columns = (times, states.ee, states.gg, abs(states.eg), states.trace - 1.0, states.ee)
+        for j in range(0, times.size, ROW_CHUNK):
+            yield [column[j:j + ROW_CHUNK] for column in columns]

@@ -160,13 +160,6 @@ def f2_series(x):
     return x2 * _horner(_tables.F2_TAYLOR, x2)
 
 
-def f2_closed(x):
-    """Closed form of f2; cancels badly as x -> 0, x^2 overflows for x > ~1e154."""
-    x2 = x * x
-    trig = _trig(x)
-    return (1.0 - x * trig.sin(2.0 * x) - trig.cos(2.0 * x)) / x2
-
-
 def _f2_large(x):
     # f2 = (2 sin^2 x / x - 2 sin x cos x) / x: the closed form with
     # 1 - cos 2x = 2 sin^2 x and sin 2x = 2 sin x cos x, finite for every x.

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravatom import cli, specfun
-from gravatom.cli import main
-from gravatom.lindblad import MAX_STEPS, DensityMatrix2, evolve_numeric
+from gravatom.cli import MAX_STEPS, main
+from gravatom.lindblad import DensityMatrix2, analytic_state
 from gravatom.model import NUMBER, AtomSpec, GravityEnv, ThermalSpec
 from gravatom.rates import build_rate_set, rate_bracket
 from gravatom.rows import EVOLVE_BLOCK, ROW_CHUNK, SWEEP_BLOCK, sweep_chunks
@@ -789,8 +789,8 @@ class TestMultiChunkOutput:
     """Runs longer than one `ROW_CHUNK` print what per-row `%` printed."""
 
     def test_evolve(self, capsys):
-        # One whole-trajectory `evolve_numeric` call is the reference for the
-        # command's blocks.  Row counts: inside one block, and block - 1,
+        # One `analytic_state` call over the whole grid is the reference for
+        # the command's blocks.  Row counts: inside one block, and block - 1,
         # block, block + 1 and 2 block + 5.
         env = GravityEnv(phi=-0.02, distance=1.0)
         rateset = build_rate_set(
@@ -807,7 +807,8 @@ class TestMultiChunkOutput:
                 "--initial", "mixed:0.3", "--temperature", "0.5",
             )
             assert code == 0
-            times, s = evolve_numeric(rho0, rateset, 5.0 / rateset.gamma_total, steps)
+            times = (5.0 / rateset.gamma_total / steps) * np.arange(steps + 1)
+            s = analytic_state(rho0, rateset, times)
             expected = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n" + _rows(
                 times, s.ee, s.gg, abs(s.eg), s.trace - 1.0, s.ee
             )

@@ -65,6 +65,12 @@ CASES = {
     "invalid sweep": (["sweep", "--angle", "5"], 2, ("gravatom.model",), NUMERIC + STARTUP),
     "invalid evolve": (["evolve", "--omega", "1", "--t-max", "-1"], 2, ("gravatom.model",),
                        NUMERIC + STARTUP),
+    # The --steps range is checked beside the rate set, before numpy is loaded.
+    "evolve without steps": (["evolve", "--omega", "1", "--steps", "0"], 2, ("gravatom.rates",),
+                             ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
+    "evolve past the steps cap": (["evolve", "--omega", "1", "--steps", "10000001"], 2,
+                                  ("gravatom.rates",),
+                                  ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
     # The rate set is refused after `rates` is loaded, before numpy is.
     "refused evolve rate set": (["evolve", "--omega", "1e-3", "--phi", "-0.2"], 2,
                                 ("gravatom.rates",),

@@ -4,13 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from gravatom import cli
 from gravatom.errors import DomainError
-from gravatom.lindblad import (
-    DensityMatrix2,
-    analytic_state,
-    evolve_numeric,
-)
+from gravatom.lindblad import DensityMatrix2, analytic_state
 from gravatom.rates import RateSet
+from gravatom.rows import EVOLVE_BLOCK, ROW_CHUNK, evolve_chunks
 
 # An overflow or invalid value in the powered modes is a failure, not an inf.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -27,6 +25,12 @@ def make_rates(gamma_plus, gamma_minus):
         gamma_total=total,
         steady_excited=gamma_plus / total,
     )
+
+
+def evolve(rho0, rates, t_max, steps):
+    """(times, states) on the ``evolve`` grid: the ``steps + 1`` times h n, h = t_max / steps."""
+    times = (t_max / steps) * np.arange(steps + 1)
+    return times, analytic_state(rho0, rates, times)
 
 
 class TestDensityMatrix2:
@@ -109,22 +113,24 @@ class TestAnalyticState:
 
 
 class TestEvolveNumeric:
+    """The exact trajectory on the ``evolve`` grid."""
+
     def test_near_zero_generator(self):
         rates = make_rates(1e-9, 1e-9)
         rho0 = DensityMatrix2.superposition(0.7)
-        _, states = evolve_numeric(rho0, rates, 1.0, 10)
+        _, states = evolve(rho0, rates, 1.0, 10)
         assert states.ee[-1] == pytest.approx(rho0.ee, abs=1e-8)
         assert abs(states.eg[-1] - rho0.eg) < 1e-8
 
     def test_vacuum_decay_against_exponential(self):
         gamma = 1.0
         rates = make_rates(0.0, gamma)
-        _, states = evolve_numeric(DensityMatrix2.excited(), rates, 5.0, 500)
+        _, states = evolve(DensityMatrix2.excited(), rates, 5.0, 500)
         assert states.ee[-1] == pytest.approx(math.exp(-5.0), abs=1e-8)
 
     def test_trace_preserved(self):
         rates = make_rates(0.2, 0.8)
-        _, states = evolve_numeric(DensityMatrix2.superposition(0.6), rates, 4.0, 400)
+        _, states = evolve(DensityMatrix2.superposition(0.6), rates, 4.0, 400)
         worst = np.max(np.abs(states.trace - 1.0))
         assert worst <= 1e-12
 
@@ -138,7 +144,7 @@ class TestEvolveNumeric:
             rates = make_rates(gp, gm)
             rho0 = DensityMatrix2.superposition(rng.uniform(0.0, 1.0))
             t_max = rng.uniform(0.1, 5.0) / rates.gamma_total
-            times, states = evolve_numeric(rho0, rates, t_max, rng.randint(1, 2000))
+            times, states = evolve(rho0, rates, t_max, rng.randint(1, 2000))
             ee, gg, eg = gksl_reference(rho0, gp, gm, times[-1])
             assert states.ee[-1] == pytest.approx(ee, abs=1e-14)
             assert states.gg[-1] == pytest.approx(gg, abs=1e-14)
@@ -147,39 +153,35 @@ class TestEvolveNumeric:
     def test_population_monotone_toward_steady_state(self):
         rates = make_rates(0.3, 0.7)
         for rho0 in (DensityMatrix2.excited(), DensityMatrix2.ground()):
-            _, states = evolve_numeric(rho0, rates, 6.0, 600)
+            _, states = evolve(rho0, rates, 6.0, 600)
             ees = states.ee
             gaps = [abs(e - rates.steady_excited) for e in ees]
             assert all(b <= a + 1e-14 for a, b in zip(gaps, gaps[1:]))
 
     def test_coherence_decay_rate_fit(self):
         rates = make_rates(0.4, 0.9)
-        ts, states = evolve_numeric(DensityMatrix2.superposition(0.5), rates, 3.0, 600)
+        ts, states = evolve(DensityMatrix2.superposition(0.5), rates, 3.0, 600)
         amps = np.abs(states.eg)
         slope = np.polyfit(ts, np.log(amps), 1)[0]
         assert -slope == pytest.approx(rates.gamma_total / 2.0, rel=1e-6)
 
     def test_positivity_along_trajectory(self):
         rates = make_rates(0.2, 1.0)
-        _, s = evolve_numeric(DensityMatrix2.superposition(0.8), rates, 5.0, 500)
+        _, s = evolve(DensityMatrix2.superposition(0.8), rates, 5.0, 500)
         assert np.all(s.ee * s.gg - np.abs(s.eg) ** 2 >= -1e-12)
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_t_max_rejected(self, t_max):
-        with pytest.raises(DomainError):
-            evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 1.0), t_max, 10)
+    def test_bad_t_max_rejected(self, capsys, t_max):
+        assert cli.main(["evolve", "--omega", "1", f"--t-max={t_max}"]) == 2
+        assert "t_max must be finite and positive" in capsys.readouterr().err
 
     def test_steps_cap_checked_before_allocating(self, monkeypatch):
-        from gravatom import lindblad
-
         def no_allocation(*args, **kwargs):
             raise AssertionError("allocated before the steps check")
 
-        rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
-        monkeypatch.setattr(lindblad.np, "arange", no_allocation)
-        for steps in (lindblad.MAX_STEPS + 1, 10**20):
-            with pytest.raises(DomainError, match="steps"):
-                evolve_numeric(rho0, rates, 1.0, steps)
+        monkeypatch.setattr(np, "arange", no_allocation)
+        for steps in (cli.MAX_STEPS + 1, 10**20):
+            assert cli.main(["evolve", "--omega", "1", "--steps", str(steps)]) == 2
 
     def test_no_state_object_per_step(self, monkeypatch):
         rho0 = DensityMatrix2.superposition(0.3)
@@ -191,53 +193,33 @@ class TestEvolveNumeric:
             construct(self, *args, **kwargs)
 
         monkeypatch.setattr(DensityMatrix2, "__init__", counting)
-        times, _ = evolve_numeric(rho0, make_rates(0.1, 0.9), 10.0, 1000)
-        assert len(times) == 1001
-        assert len(calls) <= 3
+        steps = 2 * EVOLVE_BLOCK + 5
+        chunks = list(evolve_chunks(rho0, make_rates(0.1, 0.9), 10.0, steps))
+        assert sum(len(chunk[0]) for chunk in chunks) == steps + 1
+        # One state column per block of rows.
+        assert len(calls) == 3
 
 
 class TestRowRange:
-    """A row range [start, stop) is that slice of the whole trajectory."""
+    """The chunks of `evolve_chunks` are bit for bit one `analytic_state` call over the grid."""
 
     @pytest.mark.parametrize(
         "rho0",
         [DensityMatrix2.superposition(0.3), DensityMatrix2.mixed(0.6)],
         ids=["coherent", "mixed"],
     )
-    @pytest.mark.parametrize("block", [1, 7, 1000, 1001, 4096])
-    def test_blocks_are_bit_for_bit_slices(self, rho0, block):
-        rates, t_max, steps = make_rates(0.3, 0.9), 7.5, 1000
-        whole = evolve_numeric(rho0, rates, t_max, steps)
-        blocks = [
-            evolve_numeric(rho0, rates, t_max, steps, start, start + block)
-            for start in range(0, steps + 1, block)
-        ]
-
-        def columns(trajectory):
-            times, states = trajectory
-            return times, states.ee, states.gg, states.eg
-
-        for name, parts, column in zip(
-            ("t", "ee", "gg", "eg"), zip(*map(columns, blocks)), columns(whole)
-        ):
-            assert np.concatenate(parts).tobytes() == column.tobytes(), name
-
-    def test_default_and_clipped_stop(self):
-        rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
-        times, _ = evolve_numeric(rho0, rates, 1.0, 10)
-        assert len(times) == 11
-        tail, _ = evolve_numeric(rho0, rates, 1.0, 10, start=8, stop=10**9)
-        assert tail.tolist() == pytest.approx([0.8, 0.9, 1.0], rel=1e-15)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 5), (6, 3), (11, 20)])
-    def test_empty_or_outside_range_rejected(self, start, stop):
-        with pytest.raises(DomainError, match="row range"):
-            evolve_numeric(DensityMatrix2.excited(), make_rates(0.0, 1.0), 1.0, 10, start, stop)
-
-    def test_every_range_is_gated_on_the_whole_trajectory(self):
-        # The checks are on (t_max, steps), whatever rows are asked for.
-        rho0, rates = DensityMatrix2.excited(), make_rates(0.0, 1.0)
-        with pytest.raises(DomainError, match="steps"):
-            evolve_numeric(rho0, rates, 5.0, 10**20, start=0, stop=1)
-        with pytest.raises(DomainError, match="t_max"):
-            evolve_numeric(rho0, rates, math.inf, 50, start=3, stop=4)
+    # steps + 1 rows: one block, and one row short of, at and past ROW_CHUNK
+    # and EVOLVE_BLOCK, and three blocks.
+    @pytest.mark.parametrize(
+        "steps",
+        [1, 7, 1000, 1001, 4096, ROW_CHUNK - 2, ROW_CHUNK - 1, ROW_CHUNK,
+         EVOLVE_BLOCK - 2, EVOLVE_BLOCK - 1, EVOLVE_BLOCK, 2 * EVOLVE_BLOCK + 4],
+    )
+    def test_blocks_are_bit_for_bit_slices(self, rho0, steps):
+        rates, t_max = make_rates(0.3, 0.9), 7.5
+        times, states = evolve(rho0, rates, t_max, steps)
+        whole = (times, states.ee, states.gg, abs(states.eg), states.trace - 1.0, states.ee)
+        chunks = list(evolve_chunks(rho0, rates, t_max, steps))
+        assert all(len(chunk[0]) <= ROW_CHUNK for chunk in chunks)
+        for i, (parts, column) in enumerate(zip(zip(*chunks), whole)):
+            assert np.concatenate(parts).tobytes() == column.tobytes(), i
