@@ -31,12 +31,11 @@ Importing this module loads only the standard library, ``errors`` and
 imports the layers it runs: ``rates`` imports ``rates`` (and with it
 ``specfun``, which evaluates one point on Python floats without numpy),
 ``sweep`` and ``evolve`` import ``rows`` (and with it numpy), ``evolve``
-also ``lindblad``, once its rate set and ``--steps`` are checked, and
-``verify`` imports ``oracle``.  So ``--help``, input that fails validation
-before those imports (a refused rate set and the ``--points`` and
-``--steps`` caps included) and ``rates`` never load numpy, and only
-``verify`` loads the oracle; only ``evolve``'s ``mixed:p`` range check runs
-after numpy is loaded.
+also ``lindblad``, once its rate set, ``--steps`` and ``mixed:p`` are
+checked, and ``verify`` imports ``oracle``.  So ``--help``, input that
+fails validation (a refused rate set, the ``--points`` and ``--steps`` caps
+and the ``mixed:p`` range included) and ``rates`` never load numpy, and
+only ``verify`` loads the oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from .model import (
     ThermalSpec,
     _check_angle,
     _check_finite,
+    _check_probability,
 )
 
 #: The output formats each subcommand writes; the first is its default.
@@ -133,15 +133,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
     add_output(p_verify, FORMATS["verify"])
-    p_verify.add_argument("--f1-offset", dest="f1_offset", type=float, default=0.0,
-                          help=argparse.SUPPRESS)
 
     return parser, sub
 
 
 #: Settings a config file may not hold: the subcommand, where the output
-#: goes, the config file itself and `verify`'s fault-injection hook.
-_NOT_CONFIG = frozenset({"mode", "out", "config", "f1_offset"})
+#: goes and the config file itself.
+_NOT_CONFIG = frozenset({"mode", "out", "config"})
 
 #: Documented default used by `sweep` when no potential is given.
 SWEEP_DEFAULT_PHI = -0.05
@@ -382,6 +380,7 @@ def cmd_evolve(args) -> int:
     steps = args.steps
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
+    _check_probability("p_excited", p_excited)
     from .lindblad import DensityMatrix2
     from .rows import evolve_chunks, format_rows
 
@@ -392,10 +391,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_finite("f1_offset", args.f1_offset)
     from . import oracle
 
-    records = oracle.verification_report(f1_offset=args.f1_offset)
+    records = oracle.verification_report()
     all_pass = all(r["pass"] for r in records)
     report = {"all_pass": all_pass, "checks": records}
     _write([json.dumps(report, indent=2, sort_keys=True) + "\n"], args.out)

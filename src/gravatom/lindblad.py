@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import Record
+from .model import Record, _check_probability
 from .rates import RateSet
 
 _TRACE_TOL = 1e-12
@@ -60,15 +60,13 @@ class DensityMatrix2(Record):
 
     @classmethod
     def mixed(cls, p_excited: float) -> "DensityMatrix2":
-        if not 0.0 <= p_excited <= 1.0:
-            raise DomainError(f"p_excited must lie in [0, 1], got {p_excited}")
+        _check_probability("p_excited", p_excited)
         return cls(ee=p_excited, gg=1.0 - p_excited)
 
     @classmethod
     def superposition(cls, p_excited: float = 0.5) -> "DensityMatrix2":
         """Pure superposition sqrt(p)|e> + sqrt(1-p)|g> with real coherence."""
-        if not 0.0 <= p_excited <= 1.0:
-            raise DomainError(f"p_excited must lie in [0, 1], got {p_excited}")
+        _check_probability("p_excited", p_excited)
         c = math.sqrt(p_excited * (1.0 - p_excited))
         return cls(ee=p_excited, gg=1.0 - p_excited, eg=complex(c, 0.0))
 

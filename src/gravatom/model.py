@@ -78,6 +78,12 @@ def _check_angle(name: str, angle: float) -> None:
         raise DomainError(f"{name} must lie in [0, pi], got {angle}")
 
 
+def _check_probability(name: str, p: float) -> None:
+    """A probability lies in [0, 1]; NaN fails."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {p}")
+
+
 def _check_phi(phi: float) -> None:
     """The hard gates on phi; only ``GravityEnv`` applies the soft one."""
     _check_finite("phi", phi)

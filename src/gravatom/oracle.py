@@ -243,11 +243,6 @@ def _b2_per_f2(R, omega):
     return -(math.pi * omega / (2.0 * R**3))
 
 
-def b2_closed(R, omega):
-    """Closed form -(pi*omega / 2R^3) * f2(R*omega); floats or arrays."""
-    return _b2_per_f2(R, omega) * specfun.f2(R * omega)
-
-
 # ---------------------------------------------------------------------------
 # Sphere quadrature identities
 # ---------------------------------------------------------------------------
@@ -380,25 +375,19 @@ def _record(name, ref, computed, reference, tolerance, passed, note=None):
     return rec
 
 
-def verification_report(f1_offset: float = 0.0) -> list[dict]:
+def verification_report() -> list[dict]:
     """Run the full oracle suite and return one record per check.
 
-    ``f1_offset`` is a fault-injection hook: it shifts the closed-form f1
-    used as reference so the quadrature cross-checks must fail.  Keep it at
-    zero outside of tests.  An offset that makes a reference non-finite is a
-    DomainError, raised before any quadrature runs.
+    The closed forms under test, ``specfun.f1``, ``specfun.f2`` and
+    ``rates.rate_bracket``, are looked up when the report runs, so a fault
+    in any of them fails the records that use it.
     """
     records: list[dict] = []
 
-    def f1_ref(x):
-        return specfun.f1(x) + f1_offset
-
     R = 1.0
     grid = np.array(GRID_X)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b1_refs = _b1_per_f1(R, grid) * f1_ref(grid)
-    if not np.isfinite(b1_refs).all():
-        raise DomainError(f"f1_offset={f1_offset!r} makes a B1 reference non-finite")
+    b1_refs = _b1_per_f1(R, grid) * specfun.f1(grid)
+    b2_refs = _b2_per_f2(R, grid) * specfun.f2(grid)
 
     # B1/B2 at R = 1 on the grid against the closed forms, then the scale
     # invariance B1(lam*R, omega/lam) = B1(R, omega)/lam^2 at x = 1, each to
@@ -412,7 +401,7 @@ def verification_report(f1_offset: float = 0.0) -> list[dict]:
     for x, computed, reference in zip(GRID_X, b1_values, b1_refs.tolist()):
         radial(f"B1 quadrature vs closed form, x={x:g}",
                "first radial coefficient against f1 closed form", computed, reference)
-    for x, computed, reference in zip(GRID_X, b2_values, b2_closed(R, grid).tolist()):
+    for x, computed, reference in zip(GRID_X, b2_values, b2_refs.tolist()):
         radial(f"B2 quadrature vs closed form, x={x:g}",
                "second radial coefficient against f2 closed form", computed, reference, 1e-8)
     base = b1_values[GRID_X.index(1.0)]
@@ -433,8 +422,7 @@ def verification_report(f1_offset: float = 0.0) -> list[dict]:
     f1_g = np.array(b1_values) / _b1_per_f1(R, grid)
     f2_g = np.array(b2_values) / _b2_per_f2(R, grid)
     power = power_per_quantum(phis, sin2psi, f1_g, f2_g)
-    # f1_offset shifts the bracket's f1, which enters it as -2 phi f1.
-    rate = rates_mod.rate_bracket(grid / (1.0 + phis), phis, sin2psi) - 2.0 * phis * f1_offset
+    rate = rates_mod.rate_bracket(grid / (1.0 + phis), phis, sin2psi)
     worst = np.max(np.abs(power / rate - 1.0), axis=(1, 2))
     k_max = float(np.max(worst / np.array(BALANCE_PHIS) ** 2))
     slope = float(np.log(worst[-1] / worst[0]) / np.log(BALANCE_PHIS[-1] / BALANCE_PHIS[0]))
@@ -496,7 +484,7 @@ def verification_report(f1_offset: float = 0.0) -> list[dict]:
     literal = _radial_integral(
         R3, om3, lambda y: _mu2_moment(y * y + R3 * R3, 2.0 * R3), 2.0 * math.pi
     )
-    reference = _b1_per_f1(R3, om3) * f1_ref(R3 * om3)
+    reference = _b1_per_f1(R3, om3) * specfun.f1(R3 * om3)
     ok = (
         abs(shifted - reference) <= 1e-6 * abs(reference)
         and abs(literal - reference) > 1e-2 * abs(reference)

@@ -3,6 +3,8 @@
 import pytest
 from mpmath import mp
 
+from gravatom import specfun
+
 
 def _kron(a, b):
     """Kronecker product of two mpmath matrices."""
@@ -41,3 +43,18 @@ def gksl_state(rho0, gamma_plus, gamma_minus, t):
 @pytest.fixture
 def gksl_reference():
     return gksl_state
+
+
+@pytest.fixture
+def shift_f1(monkeypatch):
+    """``shift_f1(offset)`` makes every caller of ``specfun.f1`` see f1 + offset.
+
+    The callers look ``specfun.f1`` up when they run, so the shift reaches the
+    rate bracket and every reference of the verification report alike.
+    """
+    f1 = specfun.f1
+
+    def shift(offset):
+        monkeypatch.setattr(specfun, "f1", lambda x: f1(x) + offset)
+
+    return shift

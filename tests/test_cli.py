@@ -733,13 +733,15 @@ class TestVerify:
                 "name", "paper_ref", "computed", "reference", "tolerance", "pass",
             }
 
-    def test_fault_injection(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--f1-offset", "0.05")
+    def test_fault_injection(self, capsys, shift_f1):
+        shift_f1(0.05)
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert json.loads(out)["all_pass"] is False
 
-    def test_small_fault_fails_the_energy_balance(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--f1-offset", "1e-3")
+    def test_small_fault_fails_the_energy_balance(self, capsys, shift_f1):
+        shift_f1(1e-3)
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         failing = [r["name"] for r in json.loads(out)["checks"] if not r["pass"]]
         assert any(name.startswith("energy balance") for name in failing)
@@ -760,23 +762,6 @@ class TestVerify:
         checks = json.loads(out, parse_constant=refuse)["checks"]
         (rec,) = [r for r in checks if r["name"] == VERIFY_RECORD_NAMES[-1]]
         assert rec["tolerance"] is None
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_nonfinite_f1_offset_is_a_usage_error(self, capsys, value):
-        code, out, err = run_cli(capsys, "verify", f"--f1-offset={value}")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: f1_offset must be finite")
-
-    @pytest.mark.parametrize("value", ["1e308", "-1.7e308"])
-    def test_overflowing_f1_offset_is_a_usage_error(self, capsys, value):
-        # Finite, but -pi x / 3 (f1 + offset) overflows: no -Infinity
-        # reference, no overflow warning, one error line.
-        code, out, err = run_cli(capsys, "verify", f"--f1-offset={value}")
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("error: f1_offset=") and "non-finite" in err
 
 
 def _rows(*columns) -> str:

@@ -71,6 +71,11 @@ CASES = {
     "evolve past the steps cap": (["evolve", "--omega", "1", "--steps", "10000001"], 2,
                                   ("gravatom.rates",),
                                   ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
+    # The mixed:p range is checked beside --steps, before numpy is loaded.
+    "evolve with mixed:p out of range": (["evolve", "--omega", "1", "--initial", "mixed:2"], 2,
+                                         ("gravatom.rates",),
+                                         ("numpy", "gravatom.rows", "gravatom.lindblad")
+                                         + STARTUP),
     # The rate set is refused after `rates` is loaded, before numpy is.
     "refused evolve rate set": (["evolve", "--omega", "1e-3", "--phi", "-0.2"], 2,
                                 ("gravatom.rates",),
@@ -85,6 +90,9 @@ CASES = {
                ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses")),
     "verify": (["verify"], 0, ("gravatom.oracle",),
                ("numpy.random", "numpy.polynomial", "dataclasses")),
+    # verify has no fault-injection flag: the argument is refused by the parser.
+    "verify with an unknown flag": (["verify", "--f1-offset", "1e-3"], 2, ("argparse",),
+                                    ("numpy", "gravatom.oracle") + STARTUP),
 }
 
 

@@ -11,7 +11,6 @@ from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
     angular_identities_check,
     b1_numeric,
-    b2_closed,
     b2_numeric,
     integrate_adaptive,
     oscillatory_tail,
@@ -150,7 +149,7 @@ class TestB2:
     def test_grid_agreement(self):
         for x in oracle.GRID_X:
             num = b2_numeric(1.0, x)
-            closed = b2_closed(1.0, x)
+            closed = -(math.pi * x / 2.0) * specfun.f2(x)
             assert abs(num - closed) <= max(1e-8, 1e-6 * abs(closed))
 
     def test_domain(self):
@@ -397,10 +396,12 @@ class TestVerificationReport:
         monkeypatch.setattr(rates, "rate_bracket", bracket)
         assert _balance_record(verification_report())["pass"] is passes
 
-    def test_energy_balance_fails_under_fault_injection(self):
-        assert not _balance_record(verification_report(f1_offset=1e-3))["pass"]
+    def test_energy_balance_fails_under_fault_injection(self, shift_f1):
+        shift_f1(1e-3)
+        assert not _balance_record(verification_report())["pass"]
 
-    def test_fault_injection_fails(self):
-        bad = verification_report(f1_offset=0.05)
+    def test_fault_injection_fails(self, shift_f1):
+        shift_f1(0.05)
+        bad = verification_report()
         b1_checks = [r for r in bad if r["name"].startswith("B1 quadrature")]
         assert b1_checks and not any(r["pass"] for r in b1_checks)

@@ -1,0 +1,113 @@
+"""Run ``gravatom verify`` against one-line source mutants; it must fail each.
+
+    python tools/mutants.py
+
+Each entry of ``MUTANTS`` is (file under ``src/gravatom``, old text, new
+text): a one-line fault in a closed form that ``verify`` re-derives.  For
+each, ``src/`` is copied to a temporary directory (without ``__pycache__``),
+the old text is replaced there, and ``gravatom.cli`` runs ``verify`` as
+``python -m gravatom.cli verify`` does, with ``PYTHONPATH`` set to the copy.
+A mutant is caught when ``verify`` exits 1 without a traceback.  The
+unmutated copy runs first and must exit 0.
+
+One line is printed per run.  Exit 0 when every mutant is caught, 1 when
+any is missed, 2 when an old text does not occur exactly once in ``src/``
+(the table is out of date), the unmutated copy does not pass, or a child
+imported ``gravatom`` from outside its copy.
+
+A mutant that ``verify`` misses joins the table together with the record
+that catches it, never with an allowance.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: (file under src/gravatom, old text, new text); each old text occurs once.
+MUTANTS = (
+    # The rate bracket's coefficients of phi and of phi sin^2(psi) f2.
+    ("rates.py", "7.0 * phi", "7.07 * phi"),
+    ("rates.py", "3.0 * phi * sin2psi", "3.03 * phi * sin2psi"),
+    # The redshift power of the radiated power per quantum.
+    ("oracle.py", "(1.0 + phi) ** 3", "(1.0 + phi) ** 2"),
+    # f1 off by 1e-3 above x = 2, and its Taylor series below.
+    ("specfun.py", "return 3.0 + inv2", "return 3.001 + inv2"),
+    ("specfun.py", "math.pi * x", "3.1416 * x"),
+)
+
+# Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
+# is known to come from the copy whose root is the first argument; exit 3,
+# which the command line never returns, says it does not.
+CHILD = """
+import os, runpy, sys
+root = sys.argv.pop(1)
+import gravatom
+if not gravatom.__file__.startswith(root + os.sep):
+    print(f"imported {gravatom.__file__}", file=sys.stderr)
+    sys.exit(3)
+runpy.run_module("gravatom.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def occurrences(name: str, old: str, src: Path = SRC) -> int:
+    """How often ``old`` occurs in ``src/gravatom/<name>``."""
+    return (src / "gravatom" / name).read_text().count(old)
+
+
+def run_verify(mutant=None) -> tuple[int, str]:
+    """Exit code and stderr of ``verify`` on a fresh copy of ``src/`` with ``mutant`` applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "src"
+        shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            name, old, new = mutant
+            path = root / "gravatom" / name
+            path.write_text(path.read_text().replace(old, new))
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(root), "verify"],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=str(root)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    return proc.returncode, proc.stderr
+
+
+def main() -> int:
+    stale = [(name, old, count) for name, old, _ in MUTANTS
+             if (count := occurrences(name, old)) != 1]
+    for name, old, count in stale:
+        print(f"error: {old!r} occurs {count} times in {name}, not once", file=sys.stderr)
+    if stale:
+        return 2
+
+    missed = 0
+    for mutant in (None, *MUTANTS):
+        start = time.perf_counter()
+        code, err = run_verify(mutant)
+        elapsed = time.perf_counter() - start
+        if code == 3:
+            print(f"error: {err.strip()}, not the copy", file=sys.stderr)
+            return 2
+        if mutant is None:
+            print(f"unmutated  exit {code}  {elapsed:.2f} s")
+            if code != 0:
+                print(f"error: verify fails on the unmutated copy\n{err}", file=sys.stderr)
+                return 2
+            continue
+        caught = code == 1 and "Traceback" not in err
+        missed += not caught
+        name, old, new = mutant
+        print(f"{'caught' if caught else 'MISSED'}  exit {code}  {elapsed:.2f} s  "
+              f"{name}: {old!r} -> {new!r}")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
