@@ -88,8 +88,8 @@ CASES = {
               ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad", "dataclasses")),
     "evolve": (["evolve", "--omega", "1.0", "--steps", "500"], 0,
                ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses")),
-    "verify": (["verify"], 0, ("gravatom.oracle",),
-               ("numpy.random", "numpy.polynomial", "dataclasses")),
+    "verify": (["verify"], 0, ("gravatom.oracle", "gravatom.rates", "gravatom.specfun"),
+               ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
     # verify has no fault-injection flag: the argument is refused by the parser.
     "verify with an unknown flag": (["verify", "--f1-offset", "1e-3"], 2, ("argparse",),
                                     ("numpy", "gravatom.oracle") + STARTUP),

@@ -25,7 +25,7 @@ TAIL_COS_OVER_Y2 = -0.084410950559574
 
 class TestIntegrateAdaptive:
     def test_sine_half_period(self):
-        assert integrate_adaptive(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+        assert integrate_adaptive(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
     def test_polynomial(self):
         assert integrate_adaptive(lambda y: y * y, 0.0, 1.0) == pytest.approx(
@@ -34,7 +34,7 @@ class TestIntegrateAdaptive:
 
     def test_sine_integral_value(self):
         def sinc(y):
-            return np.sinc(y / np.pi)
+            return math.sin(y) / y  # no Gauss node is a panel endpoint, so y > 0
 
         assert integrate_adaptive(sinc, 0.0, math.pi) == pytest.approx(
             1.8519370519824665, abs=1e-10
@@ -42,7 +42,7 @@ class TestIntegrateAdaptive:
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate_adaptive(np.sin, 1.0, 1.0)
+            integrate_adaptive(math.sin, 1.0, 1.0)
 
     def test_nonconvergent_raises(self):
         # y^-1/2 is integrable, but its singularity at 0 keeps the error of
@@ -52,57 +52,60 @@ class TestIntegrateAdaptive:
         assert err.value.best_estimate == pytest.approx(2.0, abs=5e-3)
         assert err.value.error_bound > oracle.REL_TOL * 2.0
 
-    def test_one_array_call_per_level(self):
+    def test_one_float_call_per_node_and_level(self):
+        # Level d has 2**d panels of 24 nodes; levels 0 .. L-1 cost 24 (2**L - 1).
         calls = []
 
         def counting(f):
             def integrand(y):
-                calls.append(y.shape)
+                calls.append(type(y))
                 return f(y)
 
             return integrand
 
         with pytest.raises(ConvergenceError):
             integrate_adaptive(counting(lambda y: y**-0.5), 0.0, 1.0)
-        assert len(calls) == oracle.MAX_DEPTH + 1
-        assert all(len(shape) == 1 for shape in calls)
+        assert len(calls) == 24 * (2 ** (oracle.MAX_DEPTH + 1) - 1)
+        assert set(calls) == {float}
 
         calls.clear()
-        integrate_adaptive(counting(lambda y: np.sin(50.0 * y) / (1e-3 + y * y)), 0.0, 1.0)
-        assert 2 <= len(calls) <= oracle.MAX_DEPTH + 1
+        integrate_adaptive(counting(lambda y: math.sin(50.0 * y) / (1e-3 + y * y)), 0.0, 1.0)
+        levels = (len(calls) // 24 + 1).bit_length() - 1
+        assert len(calls) == 24 * (2**levels - 1)
+        assert 2 <= levels <= oracle.MAX_DEPTH + 1
 
 
 class TestOscillatoryTail:
     def test_sin_over_y(self):
-        value = oscillatory_tail(lambda y: np.sin(2.0 * y) / y, 1.0, math.pi)
+        value = oscillatory_tail(lambda y: math.sin(2.0 * y) / y, 1.0, math.pi)
         assert value == pytest.approx(TAIL_SIN_OVER_Y, abs=1e-10)
 
     def test_cos_over_y_squared(self):
-        value = oscillatory_tail(lambda y: np.cos(y) / y**2, 1.0, 2.0 * math.pi)
+        value = oscillatory_tail(lambda y: math.cos(y) / y**2, 1.0, 2.0 * math.pi)
         assert value == pytest.approx(TAIL_COS_OVER_Y2, abs=1e-10)
 
     def test_zero_function(self):
-        assert oscillatory_tail(lambda y: np.zeros_like(y), 1.0, 1.0) == 0.0
+        assert oscillatory_tail(lambda y: 0.0, 1.0, 1.0) == 0.0
 
     def test_divergent_raises(self):
         with pytest.raises(DivergenceError):
-            oscillatory_tail(lambda y: np.sin(y) * y, 1.0, math.pi)
+            oscillatory_tail(lambda y: math.sin(y) * y, 1.0, math.pi)
 
     def test_bad_period(self):
         with pytest.raises(DomainError):
-            oscillatory_tail(lambda y: np.sin(y), 1.0, 0.0)
+            oscillatory_tail(math.sin, 1.0, 0.0)
 
-    def test_single_array_call(self):
+    def test_one_float_call_per_node(self):
         calls = []
 
         def counting(y):
-            calls.append(y.size)
-            return np.sin(2.0 * y) / y
+            calls.append(type(y))
+            return math.sin(2.0 * y) / y
 
         value = oscillatory_tail(counting, 1.0, math.pi)
         assert value == pytest.approx(TAIL_SIN_OVER_Y, abs=1e-10)
-        assert len(calls) == 1
-        assert calls[0] == 24 * oracle.TAIL_PERIODS
+        assert len(calls) == 24 * oracle.TAIL_PERIODS
+        assert set(calls) == {float}
 
 
 class TestB1:
@@ -232,23 +235,20 @@ class TestAngularMoments:
     """
 
     def test_mu2_moment(self):
-        y = np.array(MOMENT_YS)
-        a, b = y * y + 1.0, 2.0 * y
-        values = oracle._mu2_moment(a, b)
         with mp.workdps(40):
-            for ai, bi, value in zip(a.tolist(), b.tolist(), values.tolist()):
-                ref = _mp_moment(ai, bi, lambda mu: mu * mu)
-                assert abs(value - ref) <= 5e-15 * abs(ref)
+            for y in MOMENT_YS:
+                a, b = y * y + 1.0, 2.0 * y
+                ref = _mp_moment(a, b, lambda mu: mu * mu)
+                assert abs(oracle._mu2_moment(a, b) - ref) <= 5e-15 * abs(ref)
 
     @staticmethod
     def _check_shifted(moment, weight):
         for R in (1.0, 3.0):
-            y = R * np.array(MOMENT_YS)
-            values = moment(y, R)
             with mp.workdps(40):
-                for yi, value in zip(y.tolist(), values.tolist()):
-                    ref = _mp_shifted_moment(yi, R, weight)
-                    assert abs(value - ref) <= 1e-15 * abs(ref), (R, yi)
+                for y in MOMENT_YS:
+                    y *= R
+                    ref = _mp_shifted_moment(y, R, weight)
+                    assert abs(moment(y, R) - ref) <= 1e-15 * abs(ref), (R, y)
 
     def test_mu2_minus_iso(self):
         self._check_shifted(oracle._mu2_minus_iso, lambda mu: mu * mu - mp.mpf(1) / 3)
@@ -256,13 +256,37 @@ class TestAngularMoments:
     def test_mu2_shifted(self):
         self._check_shifted(oracle._mu2_shifted, lambda mu: mu * mu)
 
+    @pytest.mark.parametrize("R, omega", [(1.0, 0.3), (1.0, 5.0), (2.0, 0.5), (3.0, 1.0 / 3.0)])
+    def test_radial_integrands_are_these_moments(self, R, omega):
+        # The radial integrands write the moments inline; the same head and
+        # tail over integrands built from the reference functions agree.
+        def integral(weight, prefactor):
+            def integrand(y):
+                return prefactor * oracle._radial_product(y, omega) * weight(y) / (y * y)
+
+            return (integrate_adaptive(integrand, 0.0, R)
+                    + oscillatory_tail(integrand, R, math.pi / omega))
+
+        b1 = integral(lambda y: oracle._mu2_shifted(y, R), 2.0 * math.pi)
+        b2 = integral(lambda y: oracle._mu2_minus_iso(y, R), 3.0 * math.pi / R**2)
+        assert b1_numeric(R, omega) == pytest.approx(b1, rel=1e-14, abs=0.0)
+        assert b2_numeric(R, omega) == pytest.approx(b2, rel=1e-14, abs=0.0)
+        if R >= 2.0:  # the literal moment needs y^2 + R^2 >= 2R
+            literal = integral(lambda y: oracle._mu2_moment(y * y + R * R, 2.0 * R),
+                               2.0 * math.pi)
+            assert oracle._b1_literal_kernel(R, omega) == pytest.approx(literal, rel=1e-14, abs=0.0)
+
 
 class TestGaussLegendre:
-    """The in-module Gauss-Legendre rules."""
+    """The in-module Gauss-Legendre rules, as arrays here."""
 
-    @pytest.mark.parametrize("n", [24, 80])
+    @staticmethod
+    def _rule(n):
+        return tuple(np.array(v) for v in oracle._gauss_legendre(n))
+
+    @pytest.mark.parametrize("n", [16, 24, 80])
     def test_against_mpmath(self, n):
-        nodes, weights = oracle._gauss_legendre(n)
+        nodes, weights = self._rule(n)
         with mp.workdps(40):
             ref_nodes, ref_weights = mpmath.gauss_quadrature(n, "legendre")
             ref_nodes = np.array([float(v) for v in ref_nodes])
@@ -270,11 +294,11 @@ class TestGaussLegendre:
         assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
         assert np.max(np.abs(weights - ref_weights)) <= 1e-15
 
-    @pytest.mark.parametrize("n", [24, 80])
+    @pytest.mark.parametrize("n", [16, 24, 80])
     def test_against_leggauss(self, n):
         from numpy.polynomial.legendre import leggauss
 
-        nodes, weights = oracle._gauss_legendre(n)
+        nodes, weights = self._rule(n)
         ref_nodes, ref_weights = leggauss(n)
         assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
         # leggauss's own weights lie up to 1.5e-15 from the 40-digit rule
@@ -283,17 +307,19 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("n", [24, 80])
     def test_monomials_are_exact(self, n):
-        nodes, weights = oracle._gauss_legendre(n)
+        nodes, weights = self._rule(n)
         for k in range(2 * n):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert abs(weights @ nodes**k - exact) <= 1e-15, k
 
     def test_node_counts(self):
-        # 24-point radial panels and the 80 x 64 sphere grid, built once.
-        assert oracle._GL_NODES.shape == oracle._GL_WEIGHTS.shape == (24,)
-        assert oracle._SPHERE_RHAT.shape == (80 * 64, 3)
-        assert np.allclose(np.linalg.norm(oracle._SPHERE_RHAT, axis=1), 1.0, rtol=0, atol=1e-15)
-        assert oracle._SPHERE_WEIGHTS.sum() == pytest.approx(4.0 * math.pi, rel=1e-15)
+        # 24-point radial panels and the 16 x 8 sphere grid, built once.
+        assert len(oracle._GL_NODES) == len(oracle._GL_WEIGHTS) == 24
+        assert len(oracle._SPHERE) == 16 * 8
+        rhat = np.array([r for r, _ in oracle._SPHERE])
+        weights = np.array([w for _, w in oracle._SPHERE])
+        assert np.allclose(np.linalg.norm(rhat, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert weights.sum() == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 
 class TestAngularIdentities:
@@ -301,6 +327,16 @@ class TestAngularIdentities:
         records = angular_identities_check()
         assert len(records) == 10
         assert all(r["pass"] for r in records)
+
+    def test_sphere_rule_agrees_with_its_refinement(self):
+        # The 16 x 8 rule against 32 x 16, on each identity's integrand.
+        cases = oracle._sphere_identities()
+        assert len(cases) == 10
+        fine = oracle._sphere_grid(2 * oracle.SPHERE_MU_NODES, 2 * oracle.SPHERE_PHI_NODES)
+        for name, _, g, rhs in cases:
+            coarse = oracle._sphere_quad(g)
+            assert abs(coarse - oracle._sphere_quad(g, fine)) <= 1e-14, name
+            assert abs(coarse - rhs) <= 1e-14, name
 
 
 class TestRadiationPower:
@@ -405,3 +441,11 @@ class TestVerificationReport:
         bad = verification_report()
         b1_checks = [r for r in bad if r["name"].startswith("B1 quadrature")]
         assert b1_checks and not any(r["pass"] for r in b1_checks)
+
+    def test_b1_records_catch_f1_wrong_in_the_ninth_digit(self, shift_f1):
+        # The B1 records allow a relative 1e-10; |f1| < 3.1 on the grid.
+        shift_f1(1e-9)
+        b1_checks = [r for r in verification_report() if r["name"].startswith("B1 quadrature")]
+        assert len(b1_checks) == len(oracle.GRID_X)
+        assert not any(r["pass"] for r in b1_checks)
+        assert {r["tolerance"] for r in b1_checks} == {oracle.RADIAL_REL_TOL}

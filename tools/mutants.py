@@ -38,8 +38,10 @@ MUTANTS = (
     ("rates.py", "3.0 * phi * sin2psi", "3.03 * phi * sin2psi"),
     # The redshift power of the radiated power per quantum.
     ("oracle.py", "(1.0 + phi) ** 3", "(1.0 + phi) ** 2"),
-    # f1 off by 1e-3 above x = 2, and its Taylor series below.
+    # f1 off by 1e-3, 1e-6 and 1e-9 above x = 2, and its Taylor series below.
     ("specfun.py", "return 3.0 + inv2", "return 3.001 + inv2"),
+    ("specfun.py", "return 3.0 + inv2", "return 3.000001 + inv2"),
+    ("specfun.py", "return 3.0 + inv2", "return 3.000000001 + inv2"),
     ("specfun.py", "math.pi * x", "3.1416 * x"),
 )
 
