@@ -104,8 +104,22 @@ class TestOscillatoryTail:
 
         value = oscillatory_tail(counting, 1.0, math.pi)
         assert value == pytest.approx(TAIL_SIN_OVER_Y, abs=1e-10)
-        assert len(calls) == 24 * oracle.TAIL_PERIODS
+        # 24 nodes per half-period, and the half-period count doubles from 16.
+        half_periods, rest = divmod(len(calls), 24)
+        assert rest == 0
+        assert 16 <= half_periods <= oracle.TAIL_PERIODS
+        assert half_periods & (half_periods - 1) == 0
         assert set(calls) == {float}
+
+    def test_cap_raises_with_a_bound_that_holds(self, monkeypatch):
+        # Tolerances below rounding cannot be met; at the cap the error bound
+        # |A(n) - A(n/2)| must still cover the true error of the estimate.
+        monkeypatch.setattr(oracle, "TAIL_PERIODS", 32)
+        monkeypatch.setattr(oracle, "ABS_TOL", 1e-17)
+        monkeypatch.setattr(oracle, "REL_TOL", 1e-17)
+        with pytest.raises(ConvergenceError) as err:
+            oscillatory_tail(lambda y: math.sin(2.0 * y) / y, 1.0, math.pi)
+        assert err.value.error_bound >= abs(err.value.best_estimate - TAIL_SIN_OVER_Y)
 
 
 class TestB1:
@@ -370,7 +384,6 @@ class TestSelfConsistency:
         default = b1_numeric(1.0, 2.0)
         monkeypatch.setattr(oracle, "ABS_TOL", 5e-11)
         monkeypatch.setattr(oracle, "REL_TOL", 5e-10)
-        monkeypatch.setattr(oracle, "TAIL_PERIODS", 300)
         tight = b1_numeric(1.0, 2.0)
         assert tight == pytest.approx(default, rel=1e-9)
 
@@ -449,3 +462,21 @@ class TestVerificationReport:
         assert len(b1_checks) == len(oracle.GRID_X)
         assert not any(r["pass"] for r in b1_checks)
         assert {r["tolerance"] for r in b1_checks} == {oracle.RADIAL_REL_TOL}
+
+    def test_integrand_calls_stay_bounded(self, monkeypatch):
+        # Tails that stop once they converge keep a report near 27,400
+        # integrand calls; fixed tails of 200 half-periods cost 87,696.
+        calls = 0
+        gauss_panels = oracle._gauss_panels
+
+        def counting(f, edges):
+            def integrand(y):
+                nonlocal calls
+                calls += 1
+                return f(y)
+
+            return gauss_panels(integrand, edges)
+
+        monkeypatch.setattr(oracle, "_gauss_panels", counting)
+        assert all(r["pass"] for r in verification_report())
+        assert calls <= 30_000
