@@ -28,7 +28,8 @@ refused before ``--out`` is opened.
 
 Importing this module loads only the standard library, ``errors`` and
 ``model``.  Each handler validates its inputs with ``model`` first and then
-imports the layers it runs: ``rates`` imports ``rates`` (and with it
+imports the layers it runs (``rates.build_rate_set`` checks the temperature
+by ``model``'s rule): ``rates`` imports ``rates`` (and with it
 ``specfun``, which evaluates one point on Python floats without numpy),
 ``sweep`` and ``evolve`` import ``rows`` (and with it numpy), ``evolve``
 also ``lindblad``, once its rate set, ``--steps`` and ``mixed:p`` are
@@ -52,7 +53,6 @@ from .model import (
     NUMBER,
     AtomSpec,
     GravityEnv,
-    ThermalSpec,
     _check_angle,
     _check_finite,
     _check_probability,
@@ -220,10 +220,9 @@ def _write(lines, out: str | None) -> None:
 def cmd_rates(args) -> int:
     atom = _atom(args)
     env = _environment(args)
-    thermal = ThermalSpec.from_distant(args.temperature, env.phi)
     from .rates import RateSet, build_rate_set
 
-    rateset = build_rate_set(atom, env, thermal)
+    rateset = build_rate_set(atom, env, args.temperature)
     payload = {k: NUMBER % getattr(rateset, k) for k in RateSet.__slots__}
     payload["ratio"] = NUMBER % (rateset.gamma_g / rateset.gamma_flat)
     _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
@@ -365,14 +364,13 @@ def cmd_evolve(args) -> int:
     """
     atom = _atom(args)
     env = _environment(args)
-    thermal = ThermalSpec.from_distant(args.temperature, env.phi)
     p_excited = _initial_excited(args.initial)
     # Checked as given, in units of 1/Gamma: the library sees t_max / Gamma.
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise DomainError(f"t_max must be finite and positive, got {args.t_max}")
     from .rates import build_rate_set
 
-    rateset = build_rate_set(atom, env, thermal)
+    rateset = build_rate_set(atom, env, args.temperature)
     t_max = args.t_max / rateset.gamma_total
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max / Gamma is out of range for t_max = {args.t_max}, "

@@ -1,4 +1,4 @@
-"""Domain types: atom, gravitational environment, thermal state.
+"""Domain types: atom and gravitational environment, and the input rules.
 
 Natural units throughout (hbar = c = 1); Newton's constant G is an explicit
 input with default 1.  All closed forms downstream depend only on the
@@ -76,6 +76,13 @@ def _check_angle(name: str, angle: float) -> None:
     _check_finite(name, angle)
     if not 0.0 <= angle <= math.pi:
         raise DomainError(f"{name} must lie in [0, pi], got {angle}")
+
+
+def _check_temperature(temperature: float) -> None:
+    """The distant observer's temperature is finite and >= 0; NaN fails."""
+    _check_finite("temperature", temperature)
+    if temperature < 0.0:
+        raise DomainError(f"temperature must be >= 0, got {temperature}")
 
 
 def _check_probability(name: str, p: float) -> None:
@@ -158,32 +165,3 @@ def potential_from_source(mass: float, distance: float, G: float = 1.0) -> float
     phi = -G * mass / distance
     _check_phi(phi)
     return phi
-
-
-class ThermalSpec(Record):
-    """Environment temperature, distant-observer and local values.
-
-    The two are tied by the Tolman relation T_local = T / (1 + phi);
-    construct through ``from_distant``, the one place it is written.
-    """
-
-    __slots__ = ("temperature_distant", "temperature_local")
-
-    def __init__(self, temperature_distant: float, temperature_local: float):
-        _check_finite("temperature_distant", temperature_distant)
-        _check_finite("temperature_local", temperature_local)
-        if temperature_distant < 0.0 or temperature_local < 0.0:
-            raise DomainError("temperatures must be >= 0")
-        super().__init__(temperature_distant, temperature_local)
-
-    @classmethod
-    def from_distant(cls, temperature: float, phi: float) -> "ThermalSpec":
-        _check_phi(phi)
-        return cls(
-            temperature_distant=temperature,
-            temperature_local=temperature / (1.0 + phi),
-        )
-
-    @classmethod
-    def vacuum(cls) -> "ThermalSpec":
-        return cls(temperature_distant=0.0, temperature_local=0.0)

@@ -35,6 +35,7 @@ from typing import Callable
 from . import rates as rates_mod
 from . import specfun
 from .errors import ConvergenceError, DivergenceError, DomainError
+from .model import AtomSpec, GravityEnv
 
 
 #: Accuracy targets and budgets of the numeric oracles.  ``integrate_adaptive``
@@ -193,52 +194,6 @@ def oscillatory_tail(f: Callable[[float], float], a: float, period: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Angular moments of the 1/|y + R| kernel
-# ---------------------------------------------------------------------------
-
-# The radial integrands below write these forms inline, as they run once per
-# node; the functions are the references the tests hold the integrands to.
-
-def _mu2_moment(a, b):
-    """integral over mu in [-1, 1] of mu^2 / sqrt(a + b*mu), for 0 <= b <= a.
-
-    The closed antiderivative, rationalised so that nothing cancels:
-    4 (3 + 4a / (a + q)) / (15 (s+ + s-)), with s+- = sqrt(a +- b) and
-    q = s+ s-.
-    """
-    s_plus, s_minus = math.sqrt(a + b), math.sqrt(a - b)
-    return 4.0 * (3.0 + 4.0 * a / (a + s_plus * s_minus)) / (15.0 * (s_plus + s_minus))
-
-
-def _mu2_minus_iso(y, R):
-    """integral over mu of (mu^2 - 1/3) / sqrt(y^2 + 2yR mu + R^2).
-
-    In the multipole expansion 1/|y + R| = sum_l r<^l / r>^(l+1) P_l(mu)
-    (Jackson, Classical Electrodynamics, 3rd ed., sec. 3.6), with
-    r< = min(y, R) and r> = max(y, R), only l = 2 survives, as
-    mu^2 - 1/3 = (2/3) P_2: (4/15) r<^2 / r>^3.
-    """
-    near, far = min(y, R), max(y, R)
-    return (4.0 / 15.0) * near * near / far**3
-
-
-def _mu2_shifted(y, R):
-    """integral over mu of mu^2 / sqrt(y^2 + 2yR mu + R^2).
-
-    As mu^2 = P_0 / 3 + (2/3) P_2: the l = 0 term 2 / (3 r>) plus the l = 2
-    term ``_mu2_minus_iso``.
-    """
-    return 2.0 / (3.0 * max(y, R)) + _mu2_minus_iso(y, R)
-
-
-def _radial_product(y, omega):
-    """(omega*y*cos - sin) * (cos + omega*y*sin), both at omega*y."""
-    u = omega * y
-    c, s = math.cos(u), math.sin(u)
-    return (u * c - s) * (c + u * s)
-
-
-# ---------------------------------------------------------------------------
 # Scalar-coefficient oracles
 # ---------------------------------------------------------------------------
 
@@ -254,15 +209,17 @@ def _head_and_tail(f, R, omega):
 
 
 def _radial_integral(R, omega, prefactor, r_power=0, monopole=False):
-    """(prefactor / R**r_power) * integral over y > 0 of _radial_product * w(y) / y^2.
+    """(prefactor / R**r_power) * integral over y > 0 of p(y) w(y) / y^2.
 
-    ``w`` is the angular moment of the shifted kernel: ``_mu2_minus_iso``,
-    plus its l = 0 term when ``monopole`` (then it is ``_mu2_shifted``).
-    The conditionally convergent integral is split at y = R.  The integrand
-    is called once per node, so it is one closure with the product and the
-    moment written inline: with the prefactor, w(y) / y^2 is
-    (a + b R^2 / y^2) / y^3 beyond R and a / (R y^2) + b / R^3 inside, for
-    a = 2/3 (monopole, else 0) and b = 4/15.
+    p(y) = (u cos u - sin u)(cos u + u sin u) at u = omega y, and ``w`` is
+    the angular moment of the shifted kernel 1/|y + R| against mu^2 - 1/3,
+    its l = 2 multipole term (4/15) r<^2 / r>^3 with r< = min(y, R) and
+    r> = max(y, R); when ``monopole``, against mu^2, which adds the l = 0
+    term 2 / (3 r>).  The conditionally convergent integral is split at
+    y = R.  The integrand is called once per node, so it is one closure with
+    the product and the moment written inline: with the prefactor,
+    w(y) / y^2 is (a + b R^2 / y^2) / y^3 beyond R and a / (R y^2) + b / R^3
+    inside, for a = 2/3 (monopole, else 0) and b = 4/15.
     """
     _check_point(R, omega)
     prefactor /= R**r_power  # after the check, so that R = 0 is a DomainError
@@ -286,8 +243,8 @@ def b1_numeric(R: float, omega: float) -> float:
     """First tensor coefficient by direct radial integration.
 
     The cos^2(theta)-weighted angular integral of the kernel 1/|y + R| =
-    1/sqrt(y^2 + 2*y*R*cos(theta) + R^2) is its multipole sum
-    ``_mu2_shifted``; matches -(pi*omega / 3R) * f1(R*omega).
+    1/sqrt(y^2 + 2*y*R*cos(theta) + R^2) is its l = 0 and l = 2 multipole
+    terms; matches -(pi*omega / 3R) * f1(R*omega).
     """
     return _radial_integral(R, omega, 2.0 * math.pi, monopole=True)
 
@@ -304,9 +261,9 @@ def b2_numeric(R: float, omega: float) -> float:
 def _b1_literal_kernel(R, omega):
     """B1 with the literal kernel distance sqrt(y^2 + 2R cos(theta) + R^2).
 
-    The cross term lacks the radial variable, so the angular moment is
-    ``_mu2_moment`` at a = y^2 + R^2, b = 2R.  It does not match the
-    closed form.
+    The cross term lacks the radial variable, so the angular moment is the
+    integral of mu^2 / sqrt(a + b mu) over mu at a = y^2 + R^2, b = 2R, in
+    its rationalised closed form.  It does not match the closed form of f1.
     """
     _check_point(R, omega)
     prefactor, r2, b = 2.0 * math.pi, R * R, 2.0 * R
@@ -488,9 +445,9 @@ def _record(name, ref, computed, reference, tolerance, passed, note=None):
 def verification_report() -> list[dict]:
     """Run the full oracle suite and return one record per check.
 
-    The closed forms under test, ``specfun.f1``, ``specfun.f2`` and
-    ``rates.rate_bracket``, are looked up when the report runs, so a fault
-    in any of them fails the records that use it.
+    The closed forms under test, ``specfun.f1``, ``specfun.f2``,
+    ``rates.rate_bracket`` and ``rates.build_rate_set``, are looked up when
+    the report runs, so a fault in any of them fails the records that use it.
     """
     records: list[dict] = []
 
@@ -631,6 +588,33 @@ def verification_report() -> list[dict]:
             None,
             True,
             note="informational: relative spread of the two equivalent forms at phi=-0.29",
+        )
+    )
+
+    # Detailed balance: the generator's Gamma+/Gamma- against the Boltzmann
+    # factor exp(-omega_g / T) at its own splitting and the distant
+    # temperature, not against the Bose occupation the rates are built from,
+    # at (omega, phi, T, psi) points with |phi| <= 0.1, so that no warning
+    # fires.  The worst point meets it to 2.2e-16; swapped rates or n_B at
+    # the local temperature miss it by >= 4.6e-3.
+    points = ((1.0, -0.05, 0.5, 0.3), (2.3, -0.01, 5.0, 1.2), (0.7, -0.09, 0.05, 0.0))
+    tol = 1e-12
+    pairs = []
+    for omega, phi, T, psi in points:
+        rs = rates_mod.build_rate_set(
+            AtomSpec(omega, dipole_angle=psi), GravityEnv(phi, distance=1.0), T
+        )
+        pairs.append((rs.gamma_plus / rs.gamma_minus, math.exp(-rs.omega_g / T)))
+    ratio, boltzmann = max(pairs, key=lambda pair: abs(pair[0] - pair[1]) / pair[1])
+    records.append(
+        _record(
+            "detailed balance Gamma+/Gamma- = exp(-omega_g/T)",
+            "thermal absorption over emission rate at the redshifted splitting",
+            ratio,
+            boltzmann,
+            tol,
+            abs(ratio - boltzmann) <= tol * boltzmann,
+            note=f"worst of {len(points)} (omega, phi, T, psi) points",
         )
     )
 

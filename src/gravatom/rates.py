@@ -12,7 +12,7 @@ import math
 
 from . import specfun
 from .errors import DegenerateError, DomainError, RegimeError
-from .model import AtomSpec, GravityEnv, Record, ThermalSpec
+from .model import AtomSpec, GravityEnv, Record, _check_temperature
 
 
 class RateSet(Record):
@@ -62,21 +62,19 @@ def rate_bracket(x, phi, sin2psi):
     return 1.0 + 7.0 * phi - 2.0 * phi * specfun.f1(x) + 3.0 * phi * sin2psi * specfun.f2(x)
 
 
-def build_rate_set(
-    atom: AtomSpec, env: GravityEnv, thermal: ThermalSpec | None = None
-) -> RateSet:
+def build_rate_set(atom: AtomSpec, env: GravityEnv, temperature: float = 0.0) -> RateSet:
     """Assemble the full generator for an atom in a given environment.
 
     The splitting seen by the distant observer is (1 + phi) omega, the
     corrected rate gamma_g = gamma * rate_bracket at x = R omega, and the
     thermal rates are (n_B gamma_g, (n_B + 1) gamma_g) with n_B taken at
-    (omega_g, T_distant); by the Tolman relation this equals n_B at the
-    proper splitting and the local temperature.  A negative bracket is a
-    RegimeError; a rate too large for a double is a DomainError, and no
-    dissipation at all a DegenerateError.
+    (omega_g, T), T the distant observer's temperature; by the Tolman
+    relation T_local = T / (1 + phi) this equals n_B at the proper splitting
+    and the local temperature.  A negative or non-finite temperature or a
+    rate too large for a double is a DomainError, a negative bracket a
+    RegimeError, and no dissipation at all a DegenerateError.
     """
-    if thermal is None:
-        thermal = ThermalSpec.vacuum()
+    _check_temperature(temperature)
     x = env.distance * atom.omega
     bracket = rate_bracket(x, env.phi, atom.sin2psi)  # specfun refuses an overflowed x
     if bracket < 0.0:
@@ -87,7 +85,7 @@ def build_rate_set(
     omega_g = (1.0 + env.phi) * atom.omega
     gamma = flat_rate(atom.dipole_mag, atom.omega)
     gamma_g = gamma * bracket
-    n_b = specfun.bose_occupation(omega_g, thermal.temperature_distant)
+    n_b = specfun.bose_occupation(omega_g, temperature)
     gamma_plus, gamma_minus = n_b * gamma_g, (n_b + 1.0) * gamma_g
     if not math.isfinite(gamma_minus):  # the larger of the two, as gamma_g >= 0
         raise DomainError(f"thermal rate n_B * gamma_g overflows for gamma_g={gamma_g}, n_B={n_b}")

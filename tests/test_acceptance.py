@@ -14,7 +14,7 @@ import pytest
 from gravatom import specfun
 from gravatom.cli import main
 from gravatom.lindblad import DensityMatrix2, analytic_state
-from gravatom.model import AtomSpec, GravityEnv, ThermalSpec
+from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
     GRID_X,
     angular_identities_check,
@@ -191,13 +191,12 @@ class TestAcceptance:
         for T in (0.3, 0.9, 2.7):
             atom = AtomSpec(omega=1.3, dipole_mag=0.8, dipole_angle=0.5)
             env = GravityEnv(phi=-0.04, distance=2.0)
-            thermal = ThermalSpec.from_distant(T, env.phi)
-            rs = build_rate_set(atom, env, thermal)
+            rs = build_rate_set(atom, env, T)
             n = bose_occupation(rs.omega_g, T)
             ok &= abs(rs.gamma_total - (2.0 * n + 1.0) * rs.gamma_g) <= 1e-14 * rs.gamma_total
             balance = rs.gamma_plus / rs.gamma_minus
             ok &= abs(balance - math.exp(-rs.omega_g / T)) <= 1e-12 * balance
-            n_local = bose_occupation(atom.omega, thermal.temperature_local)
+            n_local = bose_occupation(atom.omega, T / (1.0 + env.phi))  # Tolman
             ok &= abs(n - n_local) <= 1e-15 * n
         elapsed = time.monotonic() - start
         report(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from gravatom import cli, specfun
 from gravatom.cli import MAX_STEPS, main
 from gravatom.lindblad import DensityMatrix2, analytic_state
-from gravatom.model import NUMBER, AtomSpec, GravityEnv, ThermalSpec
+from gravatom.model import NUMBER, AtomSpec, GravityEnv
 from gravatom.rates import build_rate_set, rate_bracket
 from gravatom.rows import EVOLVE_BLOCK, ROW_CHUNK, SWEEP_BLOCK, sweep_chunks
 
@@ -591,11 +591,10 @@ class TestEvolve:
             capsys, "evolve", "--omega", "1", "--phi", "-0.05", "--temperature", "0.0014"
         )
         assert (code, err) == (0, "")
-        env = GravityEnv(phi=-0.05, distance=1.0)
         rateset = build_rate_set(
             AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0),
-            env,
-            ThermalSpec.from_distant(0.0014, env.phi),
+            GravityEnv(phi=-0.05, distance=1.0),
+            0.0014,
         )
         assert 0.0 < rateset.gamma_plus < 1e-295
         rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
@@ -705,6 +704,7 @@ VERIFY_RECORD_NAMES = [
     "f2 small-x coefficient resolution",
     "distance-kernel reading resolution",
     "proper- vs redshifted-frequency argument of f1/f2",
+    "detailed balance Gamma+/Gamma- = exp(-omega_g/T)",
 ]
 
 
@@ -760,7 +760,8 @@ class TestVerify:
 
         _, out = verify_output
         checks = json.loads(out, parse_constant=refuse)["checks"]
-        (rec,) = [r for r in checks if r["name"] == VERIFY_RECORD_NAMES[-1]]
+        (rec,) = [r for r in checks
+                  if r["name"] == "proper- vs redshifted-frequency argument of f1/f2"]
         assert rec["tolerance"] is None
 
 
@@ -777,11 +778,10 @@ class TestMultiChunkOutput:
         # One `analytic_state` call over the whole grid is the reference for
         # the command's blocks.  Row counts: inside one block, and block - 1,
         # block, block + 1 and 2 block + 5.
-        env = GravityEnv(phi=-0.02, distance=1.0)
         rateset = build_rate_set(
             AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.0),
-            env,
-            ThermalSpec.from_distant(0.5, env.phi),
+            GravityEnv(phi=-0.02, distance=1.0),
+            0.5,
         )
         rho0 = DensityMatrix2.mixed(0.3)
         assert 3000 > 2 * ROW_CHUNK

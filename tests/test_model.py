@@ -6,7 +6,7 @@ import pytest
 
 from gravatom.errors import DomainError, RegimeError
 from gravatom.lindblad import DensityMatrix2
-from gravatom.model import AtomSpec, GravityEnv, ThermalSpec, potential_from_source
+from gravatom.model import AtomSpec, GravityEnv, potential_from_source
 from gravatom.rates import RateSet
 
 
@@ -70,39 +70,10 @@ class TestGravityEnv:
         assert env.distance == 1.0
 
 
-class TestThermalSpec:
-    def test_tolman_relation(self):
-        phi = -0.1
-        t = ThermalSpec.from_distant(1.0, phi)
-        assert t.temperature_local == pytest.approx(1.0 / 0.9, rel=1e-15)
-        assert t.temperature_local * (1.0 + phi) == pytest.approx(
-            t.temperature_distant, rel=1e-14
-        )
-
-    def test_involution(self):
-        # From the local temperature back to the distant one: T_local * (1 + phi).
-        phi = -0.07
-        t1 = ThermalSpec.from_distant(2.5, phi)
-        t2 = ThermalSpec.from_distant(t1.temperature_local * (1.0 + phi), phi)
-        assert t2.temperature_distant == pytest.approx(2.5, rel=1e-14)
-        assert t2.temperature_local == pytest.approx(t1.temperature_local, rel=1e-14)
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(DomainError, match="temperatures must be >= 0"):
-            ThermalSpec.from_distant(-1.0, -0.01)
-
-    def test_vacuum(self):
-        t = ThermalSpec.vacuum()
-        assert t.temperature_distant == 0.0
-        assert t.temperature_local == 0.0
-
-
-
 # Each read-only record with valid arguments for every field, in field order.
 RECORDS = {
     "AtomSpec": (AtomSpec, (1.3, 2.0, 0.5)),
     "GravityEnv": (GravityEnv, (-0.05, 2.0)),
-    "ThermalSpec": (ThermalSpec, (1.0, 1.1)),
     "RateSet": (RateSet, (0.95, 0.1, 0.12, 0.01, 0.13, 0.14, 0.01 / 0.14)),
     "DensityMatrix2": (DensityMatrix2, (0.6, 0.4, 0.2j)),
 }
@@ -147,5 +118,5 @@ def test_record_defaults():
 
 def test_record_classes_stay_patchable(monkeypatch):
     # Instances are read-only, classes are not: wrappers patch methods in place.
-    monkeypatch.setattr(ThermalSpec, "from_distant", classmethod(lambda cls, t, phi: "patched"))
-    assert ThermalSpec.from_distant(1.0, -0.1) == "patched"
+    monkeypatch.setattr(GravityEnv, "from_source", classmethod(lambda cls, m, r: "patched"))
+    assert GravityEnv.from_source(0.05, 1.0) == "patched"

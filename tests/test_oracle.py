@@ -239,6 +239,50 @@ def _mp_shifted_moment(y, R, weight):
     return mp.quad(lambda mu: weight(mu) / mp.sqrt(y * y + 2 * y * R * mu + R * R), [-1, 0, 1])
 
 
+# Angular moments of the 1/|y + R| kernel.  The radial integrands of
+# ``oracle`` write these forms inline, as they run once per node; these
+# functions are the references they are held to.
+
+
+def _mu2_moment(a, b):
+    """integral over mu in [-1, 1] of mu^2 / sqrt(a + b*mu), for 0 <= b <= a.
+
+    The closed antiderivative, rationalised so that nothing cancels:
+    4 (3 + 4a / (a + q)) / (15 (s+ + s-)), with s+- = sqrt(a +- b) and
+    q = s+ s-.
+    """
+    s_plus, s_minus = math.sqrt(a + b), math.sqrt(a - b)
+    return 4.0 * (3.0 + 4.0 * a / (a + s_plus * s_minus)) / (15.0 * (s_plus + s_minus))
+
+
+def _mu2_minus_iso(y, R):
+    """integral over mu of (mu^2 - 1/3) / sqrt(y^2 + 2yR mu + R^2).
+
+    In the multipole expansion 1/|y + R| = sum_l r<^l / r>^(l+1) P_l(mu)
+    (Jackson, Classical Electrodynamics, 3rd ed., sec. 3.6), with
+    r< = min(y, R) and r> = max(y, R), only l = 2 survives, as
+    mu^2 - 1/3 = (2/3) P_2: (4/15) r<^2 / r>^3.
+    """
+    near, far = min(y, R), max(y, R)
+    return (4.0 / 15.0) * near * near / far**3
+
+
+def _mu2_shifted(y, R):
+    """integral over mu of mu^2 / sqrt(y^2 + 2yR mu + R^2).
+
+    As mu^2 = P_0 / 3 + (2/3) P_2: the l = 0 term 2 / (3 r>) plus the l = 2
+    term ``_mu2_minus_iso``.
+    """
+    return 2.0 / (3.0 * max(y, R)) + _mu2_minus_iso(y, R)
+
+
+def _radial_product(y, omega):
+    """(omega*y*cos - sin) * (cos + omega*y*sin), both at omega*y."""
+    u = omega * y
+    c, s = math.cos(u), math.sin(u)
+    return (u * c - s) * (c + u * s)
+
+
 class TestAngularMoments:
     """The angular moments of the distance kernel against mpmath.quad.
 
@@ -253,7 +297,7 @@ class TestAngularMoments:
             for y in MOMENT_YS:
                 a, b = y * y + 1.0, 2.0 * y
                 ref = _mp_moment(a, b, lambda mu: mu * mu)
-                assert abs(oracle._mu2_moment(a, b) - ref) <= 5e-15 * abs(ref)
+                assert abs(_mu2_moment(a, b) - ref) <= 5e-15 * abs(ref)
 
     @staticmethod
     def _check_shifted(moment, weight):
@@ -265,10 +309,10 @@ class TestAngularMoments:
                     assert abs(moment(y, R) - ref) <= 1e-15 * abs(ref), (R, y)
 
     def test_mu2_minus_iso(self):
-        self._check_shifted(oracle._mu2_minus_iso, lambda mu: mu * mu - mp.mpf(1) / 3)
+        self._check_shifted(_mu2_minus_iso, lambda mu: mu * mu - mp.mpf(1) / 3)
 
     def test_mu2_shifted(self):
-        self._check_shifted(oracle._mu2_shifted, lambda mu: mu * mu)
+        self._check_shifted(_mu2_shifted, lambda mu: mu * mu)
 
     @pytest.mark.parametrize("R, omega", [(1.0, 0.3), (1.0, 5.0), (2.0, 0.5), (3.0, 1.0 / 3.0)])
     def test_radial_integrands_are_these_moments(self, R, omega):
@@ -276,17 +320,17 @@ class TestAngularMoments:
         # tail over integrands built from the reference functions agree.
         def integral(weight, prefactor):
             def integrand(y):
-                return prefactor * oracle._radial_product(y, omega) * weight(y) / (y * y)
+                return prefactor * _radial_product(y, omega) * weight(y) / (y * y)
 
             return (integrate_adaptive(integrand, 0.0, R)
                     + oscillatory_tail(integrand, R, math.pi / omega))
 
-        b1 = integral(lambda y: oracle._mu2_shifted(y, R), 2.0 * math.pi)
-        b2 = integral(lambda y: oracle._mu2_minus_iso(y, R), 3.0 * math.pi / R**2)
+        b1 = integral(lambda y: _mu2_shifted(y, R), 2.0 * math.pi)
+        b2 = integral(lambda y: _mu2_minus_iso(y, R), 3.0 * math.pi / R**2)
         assert b1_numeric(R, omega) == pytest.approx(b1, rel=1e-14, abs=0.0)
         assert b2_numeric(R, omega) == pytest.approx(b2, rel=1e-14, abs=0.0)
         if R >= 2.0:  # the literal moment needs y^2 + R^2 >= 2R
-            literal = integral(lambda y: oracle._mu2_moment(y * y + R * R, 2.0 * R),
+            literal = integral(lambda y: _mu2_moment(y * y + R * R, 2.0 * R),
                                2.0 * math.pi)
             assert oracle._b1_literal_kernel(R, omega) == pytest.approx(literal, rel=1e-14, abs=0.0)
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gravatom.errors import DegenerateError, DomainError, RegimeError
-from gravatom.model import AtomSpec, GravityEnv, ThermalSpec
-from gravatom.rates import build_rate_set, flat_rate
-from gravatom.specfun import bose_occupation
+from gravatom.model import AtomSpec, GravityEnv
+from gravatom.rates import build_rate_set, flat_rate, rate_bracket
+from gravatom.specfun import bose_occupation, f1, f2
 
 F1_AT_2 = 4.0742297727708174  # frozen quadrature reference
 
@@ -15,7 +15,7 @@ def rate_set(omega=1.0, phi=0.0, distance=1.0, angle=0.0, dipole=1.0, temperatur
     """``build_rate_set`` for the atom, environment and distant temperature given."""
     atom = AtomSpec(omega=omega, dipole_mag=dipole, dipole_angle=angle)
     env = GravityEnv(phi=phi, distance=distance)
-    return build_rate_set(atom, env, ThermalSpec.from_distant(temperature, phi))
+    return build_rate_set(atom, env, temperature)
 
 
 def ratio(x, phi, angle=0.0):
@@ -126,6 +126,16 @@ class TestThermalRates:
                 math.exp(-rs.omega_g / T), rel=1e-12
             )
 
+    @pytest.mark.parametrize("T, message", [
+        (-1.0, r"temperature must be >= 0, got -1\.0"),
+        (math.nan, "temperature must be finite, got nan"),
+        (math.inf, "temperature must be finite, got inf"),
+        (-math.inf, "temperature must be finite, got -inf"),
+    ], ids=["negative", "nan", "inf", "-inf"])
+    def test_bad_temperature_rejected(self, T, message):
+        with pytest.raises(DomainError, match=message):
+            rate_set(omega=1.3, phi=-0.04, temperature=T)
+
     def test_overflow_rejected(self):
         # n_B * gamma_g overflows, and n_B itself overflows as omega/T -> 0.
         for omega, T, message in (
@@ -136,11 +146,10 @@ class TestThermalRates:
                 rate_set(omega=omega, temperature=T)
 
     def test_tolman_invariance(self):
-        # n_B(omega_g; T) equals n_B(omega; T_local) identically
+        # n_B(omega_g; T) equals n_B(omega; T_local), T_local = T / (1 + phi).
         omega, phi, T = 1.7, -0.08, 0.9
         rs = rate_set(omega=omega, phi=phi, temperature=T)
-        thermal = ThermalSpec.from_distant(T, phi)
-        n_local = bose_occupation(omega, thermal.temperature_local)
+        n_local = bose_occupation(omega, T / (1.0 + phi))
         assert bose_occupation(rs.omega_g, T) == pytest.approx(n_local, rel=1e-14)
         assert rs.gamma_plus == pytest.approx(n_local * rs.gamma_g, rel=1e-14)
 
@@ -172,21 +181,11 @@ class TestTotalAndSteady:
             assert rs.gamma_total == pytest.approx((2.0 * n + 1.0) * rs.gamma_g, rel=1e-14)
 
 
-class TestTolmanLocalTemperature:
-    def test_flat(self):
-        assert ThermalSpec.from_distant(1.0, 0.0).temperature_local == 1.0
-
-    def test_substitution(self):
-        thermal = ThermalSpec.from_distant(1.0, -0.1)
-        assert thermal.temperature_local == pytest.approx(1.0 / 0.9, rel=1e-14)
-
-
 class TestRateSet:
     def test_invariants(self):
         atom = AtomSpec(omega=1.0, dipole_mag=1.0, dipole_angle=0.3)
         env = GravityEnv(phi=-0.05, distance=2.0)
-        thermal = ThermalSpec.from_distant(0.7, env.phi)
-        rs = build_rate_set(atom, env, thermal)
+        rs = build_rate_set(atom, env, 0.7)
         assert rs.gamma_minus >= rs.gamma_plus >= 0.0
         assert rs.gamma_total == rs.gamma_plus + rs.gamma_minus
         assert 0.0 <= rs.steady_excited < 0.5
@@ -199,3 +198,38 @@ class TestRateSet:
         rs = build_rate_set(atom, GravityEnv(phi=0.0, distance=1.0))
         assert rs.gamma_g == pytest.approx(rs.gamma_flat, rel=1e-15)
         assert rs.gamma_flat == pytest.approx(1.0 / (6.0 * math.pi), rel=1e-15)
+
+
+def _bisect(g, a, b):
+    """The sign change of g on [a, b], to the last bit."""
+    g_a = g(a)
+    while a < (m := 0.5 * (a + b)) < b:
+        if (g(m) > 0.0) == (g_a > 0.0):
+            a = m
+        else:
+            b = m
+    return m
+
+
+class TestEnhancementRegime:
+    """At phi = -0.1 and psi = 0 the corrected rate exceeds the flat one for
+    f1(x) > 7/2, between two edges; off that axis it does so for sin^2(psi)
+    below s_c = (2 f1 - 7) / (3 f2), whose maximum is at x*.  References are
+    the 30-digit roots and maximum of the closed forms in mpmath.
+    """
+
+    @pytest.mark.parametrize("a, b, edge", [
+        (1.0, 1.5, 1.26263232760493459477620119886),
+        (2.5, 3.0, 2.67193705638053537102817124953),
+    ], ids=["lower", "upper"])
+    def test_window_edge(self, a, b, edge):
+        x = _bisect(lambda x: (rate_bracket(x, -0.1, 0.0) - 1.0) / -0.1, a, b)
+        assert abs(x - edge) <= 1e-13 * edge
+
+    def test_critical_angle_maximum(self):
+        def s_c(x):
+            return (2.0 * f1(x) - 7.0) / (3.0 * f2(x))
+
+        x_star, s_max = 1.99979024768187874815808210353, 0.483473094086886247894532631629
+        assert abs(s_c(x_star) - s_max) <= 1e-13 * s_max
+        assert s_c(x_star - 1e-4) < s_c(x_star) > s_c(x_star + 1e-4)

@@ -47,6 +47,11 @@ MUTANTS = (
     ("specfun.py", "return 3.0 + inv2", "return 3.000001 + inv2"),
     ("specfun.py", "return 3.0 + inv2", "return 3.000000001 + inv2"),
     ("specfun.py", "math.pi * x", "3.1416 * x"),
+    # Absorption and emission rates swapped, and n_B taken at the local
+    # temperature T / (1 + phi) instead of the distant one.
+    ("rates.py", "n_b * gamma_g, (n_b + 1.0) * gamma_g", "(n_b + 1.0) * gamma_g, n_b * gamma_g"),
+    ("rates.py", "bose_occupation(omega_g, temperature)",
+     "bose_occupation(omega_g, temperature / (1.0 + env.phi))"),
 )
 
 # Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
