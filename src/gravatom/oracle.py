@@ -13,11 +13,13 @@ The angular moments of the distance kernel are closed forms: the multipole
 (Legendre) expansion of 1/|y + R| for the shifted kernel, the rationalised
 antiderivative for the literal one.  Every radial integral is a head on
 [0, R] and an infinite tail that decays like 1/y with oscillation
-(conditionally convergent), summed half-period by half-period and accelerated
-by repeated averaging of the partial sums; the half-period count doubles
-until the averaged sums over n and n/2 half-periods agree.  The
-Gauss-Legendre rules are built here, by Newton's method on the Legendre
-recurrence.
+(conditionally convergent), summed half-period by half-period and
+extrapolated by Levin's t-transform of the partial sums, each half-period
+its own remainder estimate (D. Levin, Int. J. Comput. Math. B3 (1973) 371;
+a Levin-type transform in the sense of Sidi's mW, Math. Comp. 51 (1988)
+249); the half-period count doubles until the transforms of n and n/2
+half-periods agree.  The Gauss-Legendre rules are built here, by Newton's
+method on the Legendre recurrence.
 
 Everything runs on Python floats, and the module imports no numpy: an
 integrand is a scalar function ``f(y) -> float``, called once per node.
@@ -42,15 +44,12 @@ from .model import AtomSpec, GravityEnv
 #: stops once two successive levels agree to max(ABS_TOL, REL_TOL * |value|)
 #: and gives up after MAX_DEPTH panel doublings (1, 2, 4, ... up to
 #: 2**MAX_DEPTH panels); ``oscillatory_tail`` doubles its half-period chunks
-#: (16, 32, 64, ...) until the averaged sums over n and n/2 chunks agree to
+#: (16, 32, 64, ...) until the extrapolated sums of n and n/2 chunks agree to
 #: the same tolerance, and gives up at TAIL_PERIODS chunks.
 ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_DEPTH = 10
 TAIL_PERIODS = 256
-
-#: Averaging passes applied to the partial sums of an oscillatory tail.
-TAIL_AVERAGING_PASSES = 12
 
 #: Nodes of the sphere rule: Gauss-Legendre in mu = cos(theta) by the
 #: trapezoid rule in phi.  Sized by refinement: on every sphere identity the
@@ -131,23 +130,26 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> float
     )
 
 
-def _averaged_sums(chunks: list[float]) -> tuple[float, float]:
-    """Averaged sums A(n) and A(n/2) of all n ``chunks`` and of the first n/2.
+def _levin_t(chunks: list[float]) -> float:
+    """Levin's t-transform of the partial sums S_j = c_0 + ... + c_j of ``chunks``.
 
-    Each is the last value after ``TAIL_AVERAGING_PASSES`` rounds of
-    averaging neighbouring partial sums, which needs only the last
-    passes + 1 of them.
+    Each chunk is its own remainder estimate: the transform is the limit A
+    that S_j = A + c_j P(1 / (1 + j)) fits exactly for j = 0 .. k, k = n - 1,
+    with P a polynomial of degree k - 1, in closed form
+    sum w_j S_j / sum w_j for w_j = (-1)^j C(k, j) ((1 + j) / (1 + k))^(k - 1) / c_j.
+    Where chunks alternate in sign the weights share one sign, so A is a
+    weighted mean of the partial sums.  A chunk that is exactly 0 leaves no
+    remainder to estimate, and the plain sum is returned.
     """
-    partial = list(accumulate(chunks))
-
-    def averaged(sums):
-        rounds = min(TAIL_AVERAGING_PASSES, len(sums) - 1)
-        current = sums[-(rounds + 1) :]
-        for _ in range(rounds):
-            current = [0.5 * (p + q) for p, q in zip(current, current[1:])]
-        return current[-1]
-
-    return averaged(partial), averaged(partial[: len(partial) // 2])
+    if 0.0 in chunks:
+        return sum(chunks)
+    k = len(chunks) - 1
+    num = den = 0.0
+    for j, (c, s) in enumerate(zip(chunks, accumulate(chunks))):
+        w = (-1) ** j * math.comb(k, j) * ((1 + j) / (1 + k)) ** (k - 1) / c
+        num += w * s
+        den += w
+    return num / den
 
 
 def oscillatory_tail(f: Callable[[float], float], a: float, period: float) -> float:
@@ -156,13 +158,16 @@ def oscillatory_tail(f: Callable[[float], float], a: float, period: float) -> fl
     ``f`` is a scalar integrand, as for ``integrate_adaptive``.  ``period``
     is the asymptotic period of the oscillation.  The integral is summed in
     half-period chunks whose contributions eventually alternate in sign, and
-    repeated averaging of the partial sums converges geometrically.  The
-    chunk count n doubles (16, 32, 64, ...), each level adding only its new
-    chunks, until the averaged sums over n and n/2 chunks agree to
-    max(``ABS_TOL``, ``REL_TOL`` * |value|).  If they still differ at
-    ``TAIL_PERIODS`` chunks, it raises ``ConvergenceError`` carrying the best
-    estimate and that difference as its error bound.  Chunk magnitudes that
-    do not decay raise ``DivergenceError``.
+    Levin's t-transform of the partial sums (``_levin_t``) extrapolates them
+    to the limit.  The chunk count n doubles (16, 32, 64, ...), each level
+    adding only its new chunks, until the transforms A(n) of all n chunks
+    and A(n/2) of the first n/2 agree to max(``ABS_TOL``, ``REL_TOL`` *
+    |value|).  If they still differ at ``TAIL_PERIODS`` chunks, it raises
+    ``ConvergenceError`` carrying A(n) and, as its error bound, that
+    difference plus the chunks' rounding floor: a node at y is rounded by
+    eps * y, a fraction eps * y / h of the half-period h, so a chunk c_j
+    ending at x_(j+1) carries a rounding of about eps |c_j| x_(j+1) / h.
+    Chunk magnitudes that do not decay raise ``DivergenceError``.
     """
     if period <= 0.0:
         raise DomainError(f"period must be positive, got {period}")
@@ -180,15 +185,16 @@ def oscillatory_tail(f: Callable[[float], float], a: float, period: float) -> fl
                 best_estimate=sum(chunks),
                 error_bound=tail_mag,
             )
-        value, half = _averaged_sums(chunks)
-        err = abs(value - half)
+        value = _levin_t(chunks)
+        err = abs(value - _levin_t(chunks[: n // 2]))
         if err <= max(ABS_TOL, REL_TOL * abs(value)):
             return value
         if n >= TAIL_PERIODS:
+            rounding = sum(abs(c) * (a / h + j + 1) for j, c in enumerate(chunks))
             raise ConvergenceError(
                 f"oscillatory tail did not converge in {n} half-periods from {a}",
                 best_estimate=value,
-                error_bound=err,
+                error_bound=err + math.ulp(1.0) * rounding,
             )
         n *= 2
 

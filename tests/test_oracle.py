@@ -111,15 +111,32 @@ class TestOscillatoryTail:
         assert half_periods & (half_periods - 1) == 0
         assert set(calls) == {float}
 
+    def test_zero_chunk_sums_plainly(self):
+        # 1/y^2 on [1, 3), 0 beyond: every chunk after the second is exactly
+        # 0, which the transform's weights would divide by.
+        value = oscillatory_tail(lambda y: 1.0 / (y * y) if y < 3.0 else 0.0, 1.0, 2.0)
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-14)
+
     def test_cap_raises_with_a_bound_that_holds(self, monkeypatch):
-        # Tolerances below rounding cannot be met; at the cap the error bound
-        # |A(n) - A(n/2)| must still cover the true error of the estimate.
+        # Tolerances below rounding cannot be met; at the cap the error bound,
+        # |A(n) - A(n/2)| plus the chunks' rounding floor, must still cover
+        # the true error of the estimate: at 32 half-periods |A(32) - A(16)|
+        # is 3.3e-16, the error against pi/2 - Si(2) 1.3e-15.
         monkeypatch.setattr(oracle, "TAIL_PERIODS", 32)
         monkeypatch.setattr(oracle, "ABS_TOL", 1e-17)
         monkeypatch.setattr(oracle, "REL_TOL", 1e-17)
         with pytest.raises(ConvergenceError) as err:
             oscillatory_tail(lambda y: math.sin(2.0 * y) / y, 1.0, math.pi)
-        assert err.value.error_bound >= abs(err.value.best_estimate - TAIL_SIN_OVER_Y)
+        with mp.workdps(40):
+            true = mp.pi / 2 - mp.si(2)
+            assert err.value.error_bound >= abs(err.value.best_estimate - true)
+
+    def test_levin_t_of_sixteen_chunks(self):
+        # The first 16 half-periods of the tail of sin(2y)/y from 1.
+        edges = [1.0 + 0.5 * math.pi * i for i in range(17)]
+        value = oracle._levin_t(oracle._gauss_panels(lambda y: math.sin(2.0 * y) / y, edges))
+        with mp.workdps(40):
+            assert abs(value - (mp.pi / 2 - mp.si(2))) <= 2e-15
 
 
 class TestB1:
@@ -508,8 +525,8 @@ class TestVerificationReport:
         assert {r["tolerance"] for r in b1_checks} == {oracle.RADIAL_REL_TOL}
 
     def test_integrand_calls_stay_bounded(self, monkeypatch):
-        # Tails that stop once they converge keep a report near 27,400
-        # integrand calls; fixed tails of 200 half-periods cost 87,696.
+        # Tails extrapolated by Levin's t-transform stop at 16 or 32
+        # half-periods, so a report takes 11,280 integrand calls.
         calls = 0
         gauss_panels = oracle._gauss_panels
 
@@ -523,4 +540,4 @@ class TestVerificationReport:
 
         monkeypatch.setattr(oracle, "_gauss_panels", counting)
         assert all(r["pass"] for r in verification_report())
-        assert calls <= 30_000
+        assert calls <= 12_000

@@ -39,9 +39,9 @@ MUTANTS = (
     ("rates.py", "3.0 * phi * sin2psi", "3.03 * phi * sin2psi"),
     # The redshift power of the radiated power per quantum.
     ("oracle.py", "(1.0 + phi) ** 3", "(1.0 + phi) ** 2"),
-    # The tail's stopping rule compares A(n) with itself, so every oscillatory
-    # tail stops at 16 half-periods; the B1/B2 records then miss by ~1e-9.
-    ("oracle.py", "averaged(partial[: len(partial) // 2])", "averaged(partial)"),
+    # Every oscillatory tail skips its first half-period; the B1/B2 records
+    # then miss by 15% or more.
+    ("oracle.py", "[a + h * i for i", "[a + h + h * i for i"),
     # f1 off by 1e-3, 1e-6 and 1e-9 above x = 2, and its Taylor series below.
     ("specfun.py", "return 3.0 + inv2", "return 3.001 + inv2"),
     ("specfun.py", "return 3.0 + inv2", "return 3.000001 + inv2"),
