@@ -5,8 +5,8 @@ CSV/SVG), ``evolve`` (trajectory CSV), ``verify`` (full oracle report).
 Each takes only the settings its output reads: ``sweep``'s ratio depends
 on phi, x = R*Omega and the angle alone, so it takes the source flags and
 its own ``--angle`` (default: both curves), not the atom flags of ``rates``
-and ``evolve``.  ``--format`` takes only the formats its subcommand writes
-(``FORMATS``).
+and ``evolve``.  Only ``sweep`` writes two formats, so only it takes
+``--format``; ``verify`` has no settings and takes only ``--out``.
 
 Every setting has its default in one place, the parser.  A ``--config``
 JSON file is read once, before dispatch: its keys are the subcommand's own
@@ -56,15 +56,8 @@ from .model import (
     _check_angle,
     _check_finite,
     _check_probability,
+    potential_from_source,
 )
-
-#: The output formats each subcommand writes; the first is its default.
-FORMATS = {
-    "rates": ("json",),
-    "sweep": ("csv", "svg"),
-    "evolve": ("csv",),
-    "verify": ("json",),
-}
 
 
 class UsageError(Exception):
@@ -97,8 +90,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         p.add_argument("--angle", type=float, default=0.0, help="dipole angle psi in radians")
         p.add_argument("--temperature", type=float, default=0.0, help="distant-observer temperature")
 
-    def add_output(p, formats):
-        p.add_argument("--format", choices=formats, default=formats[0])
+    def add_output(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--config", default=None,
                        help="JSON file of settings, keyed by flag name with _ for - (flags win)")
@@ -106,14 +98,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p_rates = sub.add_parser("rates", help="compute one full rate set")
     add_source(p_rates)
     add_atom(p_rates)
-    add_output(p_rates, FORMATS["rates"])
+    add_output(p_rates)
 
     p_sweep = sub.add_parser("sweep", help="ratio curve over a grid of x = R*Omega",
                              description="--distance matters only with --mass.")
     add_source(p_sweep)
     p_sweep.add_argument("--angle", type=float, default=None,
                          help="dipole angle psi in radians (default: the psi = 0 and pi/2 curves)")
-    add_output(p_sweep, FORMATS["sweep"])
+    p_sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
+    add_output(p_sweep)
     p_sweep.add_argument("--x-min", dest="x_min", type=float, default=1e-2)
     p_sweep.add_argument("--x-max", dest="x_max", type=float, default=1e2)
     p_sweep.add_argument("--points", type=int, default=200)
@@ -124,7 +117,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p_evolve = sub.add_parser("evolve", help="evolve a density matrix")
     add_source(p_evolve)
     add_atom(p_evolve)
-    add_output(p_evolve, FORMATS["evolve"])
+    add_output(p_evolve)
     p_evolve.add_argument("--t-max", dest="t_max", type=float, default=5.0,
                           help="evolution span in units of 1/Gamma")
     p_evolve.add_argument("--steps", type=int, default=500)
@@ -132,7 +125,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                           help="excited, ground, or mixed:p")
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    add_output(p_verify, FORMATS["verify"])
+    p_verify.add_argument("--out", default=None, help="output path (default: stdout)")
 
     return parser, sub
 
@@ -197,7 +190,7 @@ def _environment(args, default_phi=0.0) -> GravityEnv:
     if args.phi is not None and args.mass is not None:
         raise UsageError("give either --phi or --mass, not both")
     if args.mass is not None:
-        return GravityEnv.from_source(args.mass, args.distance)
+        return GravityEnv(potential_from_source(args.mass, args.distance), args.distance)
     phi = args.phi if args.phi is not None else default_phi
     return GravityEnv(phi=phi, distance=args.distance)
 
@@ -256,6 +249,8 @@ def _sweep_grid(args) -> tuple[float, float, int]:
 
 
 def cmd_sweep(args) -> int:
+    if args.format not in ("csv", "svg"):  # only a config file can give one
+        raise UsageError(f"sweep writes format csv or svg, got {args.format!r}")
     env = _environment(args, default_phi=SWEEP_DEFAULT_PHI)
     grid = _sweep_grid(args)
     phi = env.phi
@@ -416,17 +411,12 @@ def main(argv=None) -> int:
     try:
         parser, subparsers = _build_parser()
         args = parser.parse_args(argv)
-        if args.config:
+        if getattr(args, "config", None):  # `verify` takes no --config
             # The file's settings become the subcommand's defaults, and a
             # second parse puts the flags over them.
             subparser = subparsers.choices[args.mode]
             subparser.set_defaults(**_read_config(args, subparser))
             args = parser.parse_args(argv)
-        formats = FORMATS[args.mode]
-        if args.format not in formats:  # only a config file can give one
-            raise UsageError(
-                f"{args.mode} writes format {' or '.join(formats)}, got {args.format!r}"
-            )
         return handlers[args.mode](args)
     except (UsageError, GravatomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Domain types: atom and gravitational environment, and the input rules.
 
-Natural units throughout (hbar = c = 1); Newton's constant G is an explicit
-input with default 1.  All closed forms downstream depend only on the
+Natural units throughout (hbar = c = G = 1), so a source of mass M at
+distance R has phi = -M/R.  All closed forms downstream depend only on the
 dimensionless triple (phi, x = R*Omega, sin^2 psi).  ``NUMBER`` is the
 format of every number the command line prints.  ``Record`` is the base of
 every read-only record in the package.
@@ -85,6 +85,13 @@ def _check_temperature(temperature: float) -> None:
         raise DomainError(f"temperature must be >= 0, got {temperature}")
 
 
+def _check_distance(distance: float) -> None:
+    """The source distance R is finite and positive."""
+    _check_finite("distance", distance)
+    if distance <= 0.0:
+        raise DomainError(f"distance must be positive, got {distance}")
+
+
 def _check_probability(name: str, p: float) -> None:
     """A probability lies in [0, 1]; NaN fails."""
     if not 0.0 <= p <= 1.0:
@@ -132,9 +139,7 @@ class GravityEnv(Record):
     __slots__ = ("phi", "distance")
 
     def __init__(self, phi: float, distance: float):
-        _check_finite("distance", distance)
-        if distance <= 0.0:
-            raise DomainError(f"distance must be positive, got {distance}")
+        _check_distance(distance)
         _check_phi(phi)
         # Warned here only, where the environment is built, so that a command
         # passing phi on to further checks warns once.  Level 2 is the line
@@ -147,21 +152,13 @@ class GravityEnv(Record):
             )
         super().__init__(phi, distance)
 
-    @classmethod
-    def from_source(cls, mass: float, distance: float, G: float = 1.0) -> "GravityEnv":
-        phi = potential_from_source(mass, distance, G=G)
-        return cls(phi=phi, distance=distance)
 
-
-def potential_from_source(mass: float, distance: float, G: float = 1.0) -> float:
-    """phi = -G*M/R, gated to the weak-field regime."""
+def potential_from_source(mass: float, distance: float) -> float:
+    """phi = -M/R (G = 1), gated to the weak-field regime."""
     _check_finite("mass", mass)
-    _check_finite("distance", distance)
-    _check_finite("G", G)
-    if distance <= 0.0:
-        raise DomainError(f"distance must be positive, got {distance}")
+    _check_distance(distance)
     if mass < 0.0:
         raise DomainError(f"mass must be >= 0, got {mass}")
-    phi = -G * mass / distance
+    phi = -mass / distance
     _check_phi(phi)
     return phi

@@ -23,8 +23,9 @@ method on the Legendre recurrence.
 
 Everything runs on Python floats, and the module imports no numpy: an
 integrand is a scalar function ``f(y) -> float``, called once per node.
-The sphere identities use a 16 (Gauss, in mu) x 8 (trapezoid, in phi)
-product rule, sized by refinement: it agrees with the 32 x 16 rule.
+The sphere identities use a 24 (Gauss, in mu) x 8 (trapezoid, in phi)
+product rule, the radial panels' Gauss rule in mu, sized by refinement: it
+agrees with the 32 x 16 rule.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ REL_TOL = 1e-9
 MAX_DEPTH = 10
 TAIL_PERIODS = 256
 
-#: Nodes of the sphere rule: Gauss-Legendre in mu = cos(theta) by the
-#: trapezoid rule in phi.  Sized by refinement: on every sphere identity the
-#: 16 x 8 rule agrees with the 32 x 16 one to 1e-14.
-SPHERE_MU_NODES = 16
+#: Trapezoid nodes in phi of the sphere rule, whose nodes in mu = cos(theta)
+#: are the 24 of the radial panels' Gauss-Legendre rule.  Sized by
+#: refinement: on every sphere identity the 24 x 8 rule agrees with the
+#: 32 x 16 one to 1e-14.
 SPHERE_PHI_NODES = 8
 
 
@@ -302,9 +303,9 @@ def _b2_per_f2(R, omega):
 # ---------------------------------------------------------------------------
 
 
-def _sphere_grid(n_mu, n_phi):
-    """(rhat, weight) of each node of the n_mu (Gauss, in mu) x n_phi (trapezoid, in phi) rule."""
-    mu, mu_weights = _gauss_legendre(n_mu)
+def _sphere_grid(mu, mu_weights, n_phi):
+    """(rhat, weight) of each node of the product rule: (mu, mu_weights) in mu
+    by n_phi trapezoid nodes in phi."""
     phis = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
     d_phi = 2.0 * math.pi / n_phi
     grid = []
@@ -314,7 +315,7 @@ def _sphere_grid(n_mu, n_phi):
     return grid
 
 
-_SPHERE = _sphere_grid(SPHERE_MU_NODES, SPHERE_PHI_NODES)
+_SPHERE = _sphere_grid(_GL_NODES, _GL_WEIGHTS, SPHERE_PHI_NODES)
 
 
 def _sphere_quad(g, grid=_SPHERE):
@@ -375,8 +376,8 @@ def angular_identities_check() -> list[dict]:
 
     Checks, by product quadrature over the sphere, the quadratic moment
     of (rhat . d) and the sin/cos-weighted first moments against their
-    closed forms, for several dipole/offset geometries.  The 16 x 8 rule
-    meets them to 5e-15, so each allows 1e-12.
+    closed forms, for several dipole/offset geometries.  The 24 x 8 rule
+    meets them to 4e-15, so each allows 1e-12.
     """
     tol = 1e-12
     records = []
@@ -398,7 +399,7 @@ def power_per_quantum(phi, sin2psi, f1_g, f2_g):
     taken at the redshifted argument x_g = (1 + phi) x: the omega_g^4 lead
     of the dipole power over the flat rate gamma = d^2 Omega^3 / (6 pi).  It
     equals the rate ratio gamma_g / gamma to first order in phi.  Arguments
-    are floats or broadcasting arrays.
+    are floats.
     """
     return (1.0 + phi) ** 3 * (
         (1.0 + 4.0 * phi) - phi * (2.0 * f1_g - 3.0 * sin2psi * f2_g)

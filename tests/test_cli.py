@@ -135,6 +135,16 @@ def test_soft_phi_gate_warns_once(capsys, argv):
     assert len(soft) == 1
 
 
+def test_soft_phi_gate_warning_names_cli_on_the_mass_route(capsys):
+    # As with --phi, the warning names the line in `cli` that builds the
+    # environment, not a line inside `model`.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, "rates", "--omega", "1", "--mass", "0.2")
+    assert code == 0
+    assert [w.filename for w in caught] == [cli.__file__]
+
+
 @pytest.mark.parametrize("source", [("--phi", "-0.15"), ("--mass", "0.15")], ids=["phi", "mass"])
 def test_soft_phi_gate_prints_one_warning_line(capsys, source):
     # A fresh interpreter, as the console script runs: in process, pytest
@@ -334,23 +344,21 @@ ATOM_VALUES = {
     "angle": (0.7, 0.2),
     "temperature": (0.5, 0.3),
 }
-# Every config key of every subcommand, with a value and another value; the
-# other format is one the subcommand does not write, where it writes one.
+# Every config key of every subcommand, with a value and another value;
+# `verify` has none.
 CONFIG_VALUES = {
-    "rates": dict(SOURCE_VALUES, **ATOM_VALUES, format=("json", "csv")),
+    "rates": dict(SOURCE_VALUES, **ATOM_VALUES),
     "sweep": dict(
         SOURCE_VALUES, angle=ATOM_VALUES["angle"], format=("svg", "csv"), x_min=(0.1, 0.2),
         x_max=(20.0, 30.0), points=(7, 9), log_grid=(False, True),
     ),
     "evolve": dict(
-        SOURCE_VALUES, **ATOM_VALUES, format=("csv", "json"), t_max=(2.0, 3.0), steps=(70, 80),
+        SOURCE_VALUES, **ATOM_VALUES, t_max=(2.0, 3.0), steps=(70, 80),
         initial=("ground", "mixed:0.3"),
     ),
-    "verify": {"format": ("json", "csv")},
+    "verify": {},
 }
 CONFIG_CASES = [(mode, key) for mode in sorted(CONFIG_VALUES) for key in sorted(CONFIG_VALUES[mode])]
-# `format` is left out: its other value is one the subcommand does not write.
-OUTPUT_CASES = [(mode, key) for mode, key in CONFIG_CASES if key != "format"]
 
 
 class TestConfig:
@@ -371,7 +379,7 @@ class TestConfig:
         cfg.write_text(json.dumps({key: other}))
         assert run_cli(capsys, *base, "--config", str(cfg), *flag) == from_flag
 
-    @pytest.mark.parametrize("mode, key", OUTPUT_CASES, ids=[f"{m}-{k}" for m, k in OUTPUT_CASES])
+    @pytest.mark.parametrize("mode, key", CONFIG_CASES, ids=[f"{m}-{k}" for m, k in CONFIG_CASES])
     def test_every_setting_changes_the_output(self, capsys, mode, key):
         settings = dict(BASE_SETTINGS[mode])
         if key in ("angle", "distance"):
@@ -404,23 +412,24 @@ class TestConfig:
         assert "unknown config keys" in err
 
     @pytest.mark.parametrize(
-        "argv, config",
+        "argv, config, message",
         [
-            (["rates", "--omega", "1"], {"steps": 7, "x_min": 5.0}),
-            (["verify"], {"phi": -0.05}),
+            (["rates", "--omega", "1"], {"steps": 7, "x_min": 5.0}, "unknown config keys"),
+            # `verify` has no settings, so it takes no config file at all.
+            (["verify"], {"phi": -0.05}, "unrecognized arguments: --config"),
             # The ratio curve depends on phi, x and the angle alone.
-            (["sweep"], {"omega": 1.0}),
-            (["sweep"], {"dipole": 1.0}),
-            (["sweep"], {"temperature": 0.0}),
+            (["sweep"], {"omega": 1.0}, "unknown config keys"),
+            (["sweep"], {"dipole": 1.0}, "unknown config keys"),
+            (["sweep"], {"temperature": 0.0}, "unknown config keys"),
         ],
         ids=["rates", "verify", "sweep-omega", "sweep-dipole", "sweep-temperature"],
     )
-    def test_key_of_another_subcommand(self, capsys, tmp_path, argv, config):
+    def test_key_of_another_subcommand(self, capsys, tmp_path, argv, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
-        assert err.startswith("error: unknown config keys") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "rates", "--omega", "1.0", "--config", "/no/such.json")
@@ -455,17 +464,19 @@ class TestConfig:
         assert from_config == from_flags
 
 
-# Each subcommand with a valid input, the formats it writes, and formats it does not.
+# Each subcommand with a valid input, the formats it takes a --format for,
+# and formats it does not write.  Only `sweep` writes more than one format,
+# so only it has a --format flag and a `format` config key.
 FORMAT_CASES = {
-    "rates": (["rates", "--omega", "1.0"], ("json",), ("csv", "svg", "xml")),
+    "rates": (["rates", "--omega", "1.0"], (), ("json", "csv", "svg", "xml")),
     "sweep": (["sweep", "--points", "5"], ("csv", "svg"), ("json", "xml")),
-    "evolve": (["evolve", "--omega", "1.0", "--steps", "60"], ("csv",), ("json", "svg", "xml")),
-    "verify": (["verify"], ("json",), ("csv", "svg", "xml")),
+    "evolve": (["evolve", "--omega", "1.0", "--steps", "60"], (), ("csv", "json", "svg", "xml")),
+    "verify": (["verify"], (), ("json", "csv", "svg", "xml")),
 }
 
 
 class TestFormat:
-    @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
+    @pytest.mark.parametrize("mode", [m for m in sorted(FORMAT_CASES) if FORMAT_CASES[m][1]])
     def test_own_formats(self, capsys, tmp_path, mode):
         argv, formats, _ = FORMAT_CASES[mode]
         code, default, _ = run_cli(capsys, *argv)
@@ -484,7 +495,7 @@ class TestFormat:
         for fmt in wrong:
             code, out, err = run_cli(capsys, *argv, "--format", fmt)
             assert (code, out) == (2, ""), fmt
-            assert err.startswith("error:")
+            assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
     def test_config_refuses_a_format_the_subcommand_does_not_write(self, capsys, tmp_path, mode):
@@ -494,7 +505,12 @@ class TestFormat:
             cfg.write_text(json.dumps({"format": fmt}))
             code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
             assert (code, out) == (2, ""), fmt
-            assert f"got {fmt!r}" in err
+            if mode == "sweep":
+                assert err == f"error: sweep writes format csv or svg, got {fmt!r}\n"
+            elif mode == "verify":  # it takes no config file
+                assert err.startswith("error: unrecognized arguments: --config")
+            else:  # it has no format setting
+                assert err == "error: unknown config keys: ['format']\n"
 
 
 class TestUsage:
@@ -818,6 +834,10 @@ class TestMultiChunkOutput:
         assert out == expected
 
 
+# The subcommands, read from the parser.
+SUBCOMMANDS = sorted(cli._build_parser()[1].choices)
+
+
 def float_flags(mode):
     """The flags of ``mode`` that take a float, read from the parser.
 
@@ -833,7 +853,7 @@ def float_flags(mode):
 
 # Numeric flags per subcommand, and arbitrary floats for them: NaN, +-inf,
 # +-0, subnormals and values near the ends of the double range.
-NUMERIC_FLAGS = {mode: flags for mode in cli.FORMATS if (flags := float_flags(mode))}
+NUMERIC_FLAGS = {mode: flags for mode in SUBCOMMANDS if (flags := float_flags(mode))}
 ANY_FLOAT = st.one_of(
     st.floats(),
     st.sampled_from(
@@ -848,7 +868,7 @@ FLAG_VALUE = st.one_of(ANY_FLOAT, st.floats(0.0, 3.0), st.floats(-0.1, 0.0))
 SMALL_COUNT = st.integers(-3, 2000)
 CONFIG_VALUE = {
     key: st.one_of(st.none(), st.booleans(), st.integers(), FLAG_VALUE, st.text(max_size=8))
-    for key in sorted(set().union(*map(config_keys, cli.FORMATS)))
+    for key in sorted(set().union(*map(config_keys, SUBCOMMANDS)))
 }
 CONFIG_VALUE.update(
     points=st.one_of(SMALL_COUNT, ANY_FLOAT, st.none()),

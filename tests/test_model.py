@@ -25,9 +25,6 @@ class TestPotentialFromSource:
         with pytest.raises(DomainError):
             potential_from_source(1.0, 0.0)
 
-    def test_explicit_G(self):
-        assert potential_from_source(1.0, 100.0, G=2.0) == pytest.approx(-0.02)
-
     def test_round_trip(self):
         phi = -0.037
         R = 4.2
@@ -58,16 +55,18 @@ class TestGravityEnv:
         with pytest.raises(RegimeError):
             GravityEnv(phi=-0.5, distance=1.0)
 
-    def test_warning_band(self):
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: GravityEnv(phi=-0.2, distance=1.0),
+         lambda: GravityEnv(potential_from_source(0.4, 2.0), 2.0)],
+        ids=["phi", "source"],
+    )
+    def test_warning_band(self, build):
         with pytest.warns(UserWarning) as caught:
-            GravityEnv(phi=-0.2, distance=1.0)
+            env = build()
+        assert env.phi == pytest.approx(-0.2, rel=1e-15)
         # The warning names the line that built the environment.
         assert [w.filename for w in caught] == [__file__]
-
-    def test_from_source(self):
-        env = GravityEnv.from_source(mass=0.05, distance=1.0)
-        assert env.phi == pytest.approx(-0.05)
-        assert env.distance == 1.0
 
 
 # Each read-only record with valid arguments for every field, in field order.
@@ -118,5 +117,5 @@ def test_record_defaults():
 
 def test_record_classes_stay_patchable(monkeypatch):
     # Instances are read-only, classes are not: wrappers patch methods in place.
-    monkeypatch.setattr(GravityEnv, "from_source", classmethod(lambda cls, m, r: "patched"))
-    assert GravityEnv.from_source(0.05, 1.0) == "patched"
+    monkeypatch.setattr(AtomSpec, "sin2psi", property(lambda self: "patched"))
+    assert AtomSpec(1.0).sin2psi == "patched"

@@ -388,9 +388,11 @@ class TestGaussLegendre:
             assert abs(weights @ nodes**k - exact) <= 1e-15, k
 
     def test_node_counts(self):
-        # 24-point radial panels and the 16 x 8 sphere grid, built once.
+        # 24-point radial panels and the 24 x 8 sphere grid on the same
+        # Gauss rule, built once.
         assert len(oracle._GL_NODES) == len(oracle._GL_WEIGHTS) == 24
-        assert len(oracle._SPHERE) == 16 * 8
+        assert oracle.SPHERE_PHI_NODES == 8
+        assert len(oracle._SPHERE) == 24 * 8
         rhat = np.array([r for r, _ in oracle._SPHERE])
         weights = np.array([w for _, w in oracle._SPHERE])
         assert np.allclose(np.linalg.norm(rhat, axis=1), 1.0, rtol=0, atol=1e-15)
@@ -404,10 +406,10 @@ class TestAngularIdentities:
         assert all(r["pass"] for r in records)
 
     def test_sphere_rule_agrees_with_its_refinement(self):
-        # The 16 x 8 rule against 32 x 16, on each identity's integrand.
+        # The 24 x 8 rule against 32 x 16, on each identity's integrand.
         cases = oracle._sphere_identities()
         assert len(cases) == 10
-        fine = oracle._sphere_grid(2 * oracle.SPHERE_MU_NODES, 2 * oracle.SPHERE_PHI_NODES)
+        fine = oracle._sphere_grid(*oracle._gauss_legendre(32), 16)
         for name, _, g, rhs in cases:
             coarse = oracle._sphere_quad(g)
             assert abs(coarse - oracle._sphere_quad(g, fine)) <= 1e-14, name
