@@ -8,13 +8,8 @@ its own ``--angle`` (default: both curves), not the atom flags of ``rates``
 and ``evolve``.  Only ``sweep`` writes two formats, so only it takes
 ``--format``; ``verify`` has no settings and takes only ``--out``.
 
-Every setting has its default in one place, the parser.  A ``--config``
-JSON file is read once, before dispatch: its keys are the subcommand's own
-settings (flag names with ``_`` for ``-``; ``log_grid`` for ``--log`` and
-``--linear``), each value is checked against the type of its flag's
-default, and the file's settings then become the subcommand's defaults for
-a second parse, so a flag beats the file and the file beats the default.
-The handlers read the parsed namespace alone.
+Every setting is a flag with its default in one place, the parser, and
+the handlers read the parsed namespace alone.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
@@ -71,8 +66,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
-    """The parser and its subparsers action; every flag carries its real default."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser; every flag carries its real default."""
     parser = _Parser(
         prog="gravatom",
         description="Dissipation of a two-level atom in a weak gravitational field",
@@ -92,8 +87,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
 
     def add_output(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--config", default=None,
-                       help="JSON file of settings, keyed by flag name with _ for - (flags win)")
 
     p_rates = sub.add_parser("rates", help="compute one full rate set")
     add_source(p_rates)
@@ -125,14 +118,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
                           help="excited, ground, or mixed:p")
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    p_verify.add_argument("--out", default=None, help="output path (default: stdout)")
+    add_output(p_verify)
 
-    return parser, sub
+    return parser
 
-
-#: Settings a config file may not hold: the subcommand, where the output
-#: goes and the config file itself.
-_NOT_CONFIG = frozenset({"mode", "out", "config"})
 
 #: Documented default used by `sweep` when no potential is given.
 SWEEP_DEFAULT_PHI = -0.05
@@ -143,47 +132,6 @@ SWEEP_DEFAULT_PHI = -0.05
 #: `evolve` row, 1.1 GB), not memory.
 MAX_POINTS = 10_000_000
 MAX_STEPS = 10_000_000
-
-
-def _config_value(key: str, value, default):
-    """A config-file value, checked against the type of its flag's ``default``.
-
-    Keys whose default is None take numbers; ints are accepted where floats
-    are expected, bools never stand in for numbers.
-    """
-    expected = float if default is None else type(default)
-    if expected is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise UsageError(f"config value {key!r} is out of range") from None
-    if type(value) is not expected:
-        raise UsageError(
-            f"config value {key!r} must be {expected.__name__}, got {value!r}"
-        )
-    return value
-
-
-def _read_config(args, subparser) -> dict:
-    """The settings in the ``--config`` file, each checked against its default in ``subparser``.
-
-    A key must be one of the subcommand's own settings (``_NOT_CONFIG``
-    aside); a key for any other is refused.
-    """
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    # Malformed JSON, a file that is not UTF-8, a number too long to convert
-    # or nesting deeper than the recursion limit.
-    except (ValueError, RecursionError) as exc:
-        raise UsageError(str(exc)) from None
-    if not isinstance(config, dict):
-        raise UsageError("config file must hold a JSON object")
-    unknown = set(config) - (set(vars(args)) - _NOT_CONFIG)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return {key: _config_value(key, value, subparser.get_default(key))
-            for key, value in config.items()}
 
 
 def _environment(args, default_phi=0.0) -> GravityEnv:
@@ -249,8 +197,6 @@ def _sweep_grid(args) -> tuple[float, float, int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.format not in ("csv", "svg"):  # only a config file can give one
-        raise UsageError(f"sweep writes format csv or svg, got {args.format!r}")
     env = _environment(args, default_phi=SWEEP_DEFAULT_PHI)
     grid = _sweep_grid(args)
     phi = env.phi
@@ -409,14 +355,7 @@ def main(argv=None) -> int:
     # warning shows, and a caller recording warnings still records it.
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        parser, subparsers = _build_parser()
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):  # `verify` takes no --config
-            # The file's settings become the subcommand's defaults, and a
-            # second parse puts the flags over them.
-            subparser = subparsers.choices[args.mode]
-            subparser.set_defaults(**_read_config(args, subparser))
-            args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return handlers[args.mode](args)
     except (UsageError, GravatomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -32,7 +31,7 @@ def run_cli(capsys, *argv):
 
 
 def as_flags(settings):
-    """The command-line flags for ``settings`` keyed as in a config file."""
+    """The command-line flags for ``settings`` keyed by namespace dest."""
     argv = []
     for key, value in settings.items():
         if key == "log_grid":
@@ -43,10 +42,9 @@ def as_flags(settings):
     return argv
 
 
-def config_keys(mode):
-    """The settings a config file may hold for ``mode``, read from the parser."""
-    parser, _ = cli._build_parser()
-    return set(vars(parser.parse_args([mode]))) - cli._NOT_CONFIG
+def setting_keys(mode):
+    """The settings of ``mode``: the parser's dests, less ``mode`` and ``out``."""
+    return set(vars(cli._build_parser().parse_args([mode]))) - {"mode", "out"}
 
 
 class TestRates:
@@ -326,7 +324,7 @@ class TestSweep:
         assert peak(200_000) - peak(20_000) <= 1.5 * 2**20
 
 
-# Settings every run below has besides the config key under test.
+# Settings every run below has besides the setting under test.
 BASE_SETTINGS = {
     "rates": {"omega": 1.0},
     "sweep": {"points": 20},
@@ -344,9 +342,9 @@ ATOM_VALUES = {
     "angle": (0.7, 0.2),
     "temperature": (0.5, 0.3),
 }
-# Every config key of every subcommand, with a value and another value;
+# Every setting of every subcommand, with a value and another value;
 # `verify` has none.
-CONFIG_VALUES = {
+SETTING_VALUES = {
     "rates": dict(SOURCE_VALUES, **ATOM_VALUES),
     "sweep": dict(
         SOURCE_VALUES, angle=ATOM_VALUES["angle"], format=("svg", "csv"), x_min=(0.1, 0.2),
@@ -358,28 +356,17 @@ CONFIG_VALUES = {
     ),
     "verify": {},
 }
-CONFIG_CASES = [(mode, key) for mode in sorted(CONFIG_VALUES) for key in sorted(CONFIG_VALUES[mode])]
+SETTING_CASES = [(mode, key) for mode in sorted(SETTING_VALUES) for key in sorted(SETTING_VALUES[mode])]
 
 
 class TestConfig:
-    @pytest.mark.parametrize("mode", sorted(CONFIG_VALUES))
+    """Each setting of each subcommand, given by its flag."""
+
+    @pytest.mark.parametrize("mode", sorted(SETTING_VALUES))
     def test_cases_cover_every_key(self, mode):
-        assert set(CONFIG_VALUES[mode]) == config_keys(mode)
+        assert set(SETTING_VALUES[mode]) == setting_keys(mode)
 
-    @pytest.mark.parametrize("mode, key", CONFIG_CASES, ids=[f"{m}-{k}" for m, k in CONFIG_CASES])
-    def test_key_matches_its_flag_and_loses_to_it(self, capsys, tmp_path, mode, key):
-        value, other = CONFIG_VALUES[mode][key]
-        base = [mode] + as_flags({k: v for k, v in BASE_SETTINGS[mode].items() if k != key})
-        flag = as_flags({key: value})
-        from_flag = run_cli(capsys, *base, *flag)
-        assert from_flag[0] == 0, from_flag
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        assert run_cli(capsys, *base, "--config", str(cfg)) == from_flag
-        cfg.write_text(json.dumps({key: other}))
-        assert run_cli(capsys, *base, "--config", str(cfg), *flag) == from_flag
-
-    @pytest.mark.parametrize("mode, key", CONFIG_CASES, ids=[f"{m}-{k}" for m, k in CONFIG_CASES])
+    @pytest.mark.parametrize("mode, key", SETTING_CASES, ids=[f"{m}-{k}" for m, k in SETTING_CASES])
     def test_every_setting_changes_the_output(self, capsys, mode, key):
         settings = dict(BASE_SETTINGS[mode])
         if key in ("angle", "distance"):
@@ -387,86 +374,14 @@ class TestConfig:
             # phi = 0; `sweep` reads R only through phi = -M/R.
             settings["mass"] = 0.02
         base = [mode] + as_flags(settings)
-        runs = [run_cli(capsys, *base, *as_flags({key: v})) for v in CONFIG_VALUES[mode][key]]
+        runs = [run_cli(capsys, *base, *as_flags({key: v})) for v in SETTING_VALUES[mode][key]]
         assert [code for code, _, _ in runs] == [0, 0], runs
         assert runs[0][1] != runs[1][1]
-
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega": 2.0, "phi": -0.05}))
-        code, out, _ = run_cli(capsys, "rates", "--config", str(cfg))
-        assert code == 0
-        assert float(json.loads(out)["omega_g"]) == pytest.approx(1.9, rel=1e-11)
-
-    def test_flag_beats_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega": 2.0, "phi": -0.05}))
-        _, out, _ = run_cli(capsys, "rates", "--config", str(cfg), "--omega", "1.0")
-        assert float(json.loads(out)["omega_g"]) == pytest.approx(0.95, rel=1e-11)
-
-    def test_unknown_key(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega": 1.0, "frobnicate": True}))
-        code, _, err = run_cli(capsys, "rates", "--config", str(cfg))
-        assert code == 2
-        assert "unknown config keys" in err
-
-    @pytest.mark.parametrize(
-        "argv, config, message",
-        [
-            (["rates", "--omega", "1"], {"steps": 7, "x_min": 5.0}, "unknown config keys"),
-            # `verify` has no settings, so it takes no config file at all.
-            (["verify"], {"phi": -0.05}, "unrecognized arguments: --config"),
-            # The ratio curve depends on phi, x and the angle alone.
-            (["sweep"], {"omega": 1.0}, "unknown config keys"),
-            (["sweep"], {"dipole": 1.0}, "unknown config keys"),
-            (["sweep"], {"temperature": 0.0}, "unknown config keys"),
-        ],
-        ids=["rates", "verify", "sweep-omega", "sweep-dipole", "sweep-temperature"],
-    )
-    def test_key_of_another_subcommand(self, capsys, tmp_path, argv, config, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
-
-    def test_missing_file(self, capsys):
-        code, _, err = run_cli(capsys, "rates", "--omega", "1.0", "--config", "/no/such.json")
-        assert code == 2
-
-    def test_malformed_json(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        for text in (
-            b"{not json",
-            b'{"omega": "1"}',
-            b'{"omega": true}',
-            b'{"distance": null}',
-            b'{"distance": 1e999999}',
-            b'{"omega": 1' + b"0" * 400 + b"}",
-            b'{"omega": 1' + b"0" * 5000 + b"}",  # past the int-to-str digit limit
-            b'{"steps": 2.5}',
-            b'{"log_grid": 1}',
-            b"[1, 2]",
-            b"\xff\xfe{",  # not UTF-8
-            b"[" * 100000 + b"]" * 100000,  # deeper than the recursion limit
-        ):
-            cfg.write_bytes(text)
-            code, out, err = run_cli(capsys, "rates", "--omega", "1.0", "--config", str(cfg))
-            assert (code, out) == (2, ""), text[:40]
-            assert err.startswith("error:") and err.count("\n") == 1, err
-
-    def test_integer_config_value_is_a_float(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"omega": 2, "phi": -0.05}))
-        _, from_config, _ = run_cli(capsys, "rates", "--config", str(cfg))
-        _, from_flags, _ = run_cli(capsys, "rates", "--omega", "2", "--phi", "-0.05")
-        assert from_config == from_flags
 
 
 # Each subcommand with a valid input, the formats it takes a --format for,
 # and formats it does not write.  Only `sweep` writes more than one format,
-# so only it has a --format flag and a `format` config key.
+# so only it has a --format flag.
 FORMAT_CASES = {
     "rates": (["rates", "--omega", "1.0"], (), ("json", "csv", "svg", "xml")),
     "sweep": (["sweep", "--points", "5"], ("csv", "svg"), ("json", "xml")),
@@ -477,14 +392,11 @@ FORMAT_CASES = {
 
 class TestFormat:
     @pytest.mark.parametrize("mode", [m for m in sorted(FORMAT_CASES) if FORMAT_CASES[m][1]])
-    def test_own_formats(self, capsys, tmp_path, mode):
+    def test_own_formats(self, capsys, mode):
         argv, formats, _ = FORMAT_CASES[mode]
         code, default, _ = run_cli(capsys, *argv)
         assert code == 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": formats[0]}))
         assert run_cli(capsys, *argv, "--format", formats[0]) == (0, default, "")
-        assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, default, "")
         for other in formats[1:]:
             code, out, _ = run_cli(capsys, *argv, "--format", other)
             assert code == 0 and out != default
@@ -496,21 +408,6 @@ class TestFormat:
             code, out, err = run_cli(capsys, *argv, "--format", fmt)
             assert (code, out) == (2, ""), fmt
             assert err.startswith("error:") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("mode", sorted(FORMAT_CASES))
-    def test_config_refuses_a_format_the_subcommand_does_not_write(self, capsys, tmp_path, mode):
-        argv, _, wrong = FORMAT_CASES[mode]
-        cfg = tmp_path / "cfg.json"
-        for fmt in wrong:
-            cfg.write_text(json.dumps({"format": fmt}))
-            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-            assert (code, out) == (2, ""), fmt
-            if mode == "sweep":
-                assert err == f"error: sweep writes format csv or svg, got {fmt!r}\n"
-            elif mode == "verify":  # it takes no config file
-                assert err.startswith("error: unrecognized arguments: --config")
-            else:  # it has no format setting
-                assert err == "error: unknown config keys: ['format']\n"
 
 
 class TestUsage:
@@ -525,6 +422,16 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "usage:" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", sorted(BASE_SETTINGS))
+    def test_config_file_is_refused(self, capsys, tmp_path, mode):
+        """Settings come from flags alone: there is no ``--config``."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 2.0}))
+        argv = [mode, *as_flags(BASE_SETTINGS[mode]), "--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unrecognized arguments: --config") and err.count("\n") == 1
 
 
 class TestOverflow:
@@ -834,19 +741,17 @@ class TestMultiChunkOutput:
         assert out == expected
 
 
-# The subcommands, read from the parser.
-SUBCOMMANDS = sorted(cli._build_parser()[1].choices)
+SUBCOMMANDS = ["evolve", "rates", "sweep", "verify"]
 
 
 def float_flags(mode):
     """The flags of ``mode`` that take a float, read from the parser.
 
-    As for a config value, a default of None stands for a float.
+    A default of None stands for a float.
     """
-    parser, _ = cli._build_parser()
-    defaults = vars(parser.parse_args([mode]))
+    defaults = vars(cli._build_parser().parse_args([mode]))
     return tuple(
-        key.replace("_", "-") for key in sorted(config_keys(mode))
+        key.replace("_", "-") for key in sorted(setting_keys(mode))
         if defaults[key] is None or type(defaults[key]) is float
     )
 
@@ -866,23 +771,6 @@ ANY_FLOAT = st.one_of(
 FLAG_VALUE = st.one_of(ANY_FLOAT, st.floats(0.0, 3.0), st.floats(-0.1, 0.0))
 # Grid and step counts stay small, so that nothing large is allocated.
 SMALL_COUNT = st.integers(-3, 2000)
-CONFIG_VALUE = {
-    key: st.one_of(st.none(), st.booleans(), st.integers(), FLAG_VALUE, st.text(max_size=8))
-    for key in sorted(set().union(*map(config_keys, SUBCOMMANDS)))
-}
-CONFIG_VALUE.update(
-    points=st.one_of(SMALL_COUNT, ANY_FLOAT, st.none()),
-    steps=st.one_of(SMALL_COUNT, ANY_FLOAT, st.none()),
-    format=st.sampled_from(["csv", "json", "svg", "xml"]),
-    initial=st.one_of(
-        st.sampled_from(["excited", "ground", "up"]), FLAG_VALUE.map(lambda p: f"mixed:{p!r}")
-    ),
-)
-CONFIG = st.one_of(
-    st.none(),
-    st.fixed_dictionaries({}, optional=CONFIG_VALUE),
-    st.sampled_from([[], [1.0], 2.5, "omega", True]),
-)
 
 
 @st.composite
@@ -901,37 +789,31 @@ def invocations(draw):
     if mode == "evolve":
         argv += draw(st.sampled_from([[], [f"--steps={draw(SMALL_COUNT)}"]]))
         argv += draw(st.sampled_from([[], [f"--initial=mixed:{draw(FLAG_VALUE)!r}"]]))
-    return argv, draw(CONFIG)
+    return argv
 
 
 # A printed number, in any of the formats (JSON strings, CSV, SVG coordinates).
 PRINTED_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
 
 
-def run_with_config(argv, config):
-    """``main(argv)``, with ``config`` (when not None) given as ``--config``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        if config is not None:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(config))
-            argv = argv + ["--config", str(path)]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+def run_main(argv):
+    """``main(argv)``: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
 @given(invocations())
-def test_input_contract(invocation):
+def test_input_contract(argv):
     """Exit 0 with finite numbers, or exit 2 with nothing on stdout."""
-    argv, config = invocation
-    code, out, err = run_with_config(argv, config)
-    assert code in (0, 2), (argv, config, err)
+    code, out, err = run_main(argv)
+    assert code in (0, 2), (argv, err)
     if code == 2:
         assert out == ""
     else:
-        assert not re.search("nan|inf", out, re.IGNORECASE), (argv, config)
+        assert not re.search("nan|inf", out, re.IGNORECASE), argv
         assert all(math.isfinite(float(n)) for n in PRINTED_NUMBER.findall(out))
 
 
@@ -939,8 +821,7 @@ def test_input_contract(invocation):
 def workload_invocations(draw):
     """Valid `rates`, `sweep` and `evolve` inputs in the ranges real runs use.
 
-    Returns (argv, config, shape): the values go on the command line or into
-    a config file, and ``shape`` is (format, data rows, columns) of the
+    Returns (argv, shape): ``shape`` is (format, data rows, columns) of the
     output; a JSON object counts its keys as rows and an SVG plot its curves
     as columns.
     """
@@ -974,9 +855,7 @@ def workload_invocations(draw):
         p = draw(st.floats(0.0, 1.0))
         values["initial"] = draw(st.sampled_from(["excited", "ground", f"mixed:{p!r}"]))
         shape = ("csv", values["steps"] + 1, 6)
-    if draw(st.booleans()):
-        return [mode], values, shape
-    return [mode] + as_flags(values), None, shape
+    return [mode] + as_flags(values), shape
 
 
 @pytest.mark.filterwarnings("ignore:.*first-order corrections are no longer small")
@@ -984,9 +863,9 @@ def workload_invocations(draw):
 @given(workload_invocations())
 def test_workload_inputs_succeed(invocation):
     """Valid workload-shaped input: exit 0, finite numbers, every row printed."""
-    argv, config, (kind, n_rows, n_columns) = invocation
-    code, out, err = run_with_config(argv, config)
-    assert code == 0, (argv, config, err)
+    argv, (kind, n_rows, n_columns) = invocation
+    code, out, err = run_main(argv)
+    assert code == 0, (argv, err)
     numbers = PRINTED_NUMBER.findall(out)
     assert numbers and all(math.isfinite(float(n)) for n in numbers)
     if kind == "json":
