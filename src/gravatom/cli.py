@@ -8,8 +8,11 @@ its own ``--angle`` (default: both curves), not the atom flags of ``rates``
 and ``evolve``.  Only ``sweep`` writes two formats, so only it takes
 ``--format``; ``verify`` has no settings and takes only ``--out``.
 
-Every setting is a flag with its default in one place, the parser, and
-the handlers read the parsed namespace alone.
+Every setting is a flag, and the parser holds each default and each rule
+between flags: ``--phi`` defaults to 0 (``sweep``: -0.05), ``--phi`` and
+``--mass`` exclude each other, and ``rates`` and ``evolve`` require
+``--omega``.  The handlers read the parsed namespace alone and check only
+values.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
@@ -74,13 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add_source(p):
-        p.add_argument("--phi", type=float, default=None, help="Newtonian potential (<= 0)")
-        p.add_argument("--mass", type=float, default=None, help="source mass (G = 1)")
+    def add_source(p, phi=0.0):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--phi", type=float, default=phi,
+                            help="Newtonian potential (<= 0, default %(default)s)")
+        source.add_argument("--mass", type=float, default=None,
+                            help="source mass (G = 1): phi = -mass/distance")
         p.add_argument("--distance", type=float, default=1.0, help="distance R to the source")
 
     def add_atom(p):
-        p.add_argument("--omega", type=float, default=None, help="proper energy splitting")
+        p.add_argument("--omega", type=float, required=True, help="proper energy splitting")
         p.add_argument("--dipole", type=float, default=1.0, help="effective dipole magnitude")
         p.add_argument("--angle", type=float, default=0.0, help="dipole angle psi in radians")
         p.add_argument("--temperature", type=float, default=0.0, help="distant-observer temperature")
@@ -95,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="ratio curve over a grid of x = R*Omega",
                              description="--distance matters only with --mass.")
-    add_source(p_sweep)
+    add_source(p_sweep, phi=-0.05)
     p_sweep.add_argument("--angle", type=float, default=None,
                          help="dipole angle psi in radians (default: the psi = 0 and pi/2 curves)")
     p_sweep.add_argument("--format", choices=("csv", "svg"), default="csv")
@@ -123,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Documented default used by `sweep` when no potential is given.
-SWEEP_DEFAULT_PHI = -0.05
-
 #: Largest grid `sweep` accepts and largest step count `evolve` accepts.
 #: Both compute and write their rows in blocks, so the caps bound the output
 #: (about 54 bytes of CSV per `sweep` row, 540 MB at the cap; about 108 per
@@ -134,19 +137,10 @@ MAX_POINTS = 10_000_000
 MAX_STEPS = 10_000_000
 
 
-def _environment(args, default_phi=0.0) -> GravityEnv:
-    if args.phi is not None and args.mass is not None:
-        raise UsageError("give either --phi or --mass, not both")
+def _environment(args) -> GravityEnv:
     if args.mass is not None:
         return GravityEnv(potential_from_source(args.mass, args.distance), args.distance)
-    phi = args.phi if args.phi is not None else default_phi
-    return GravityEnv(phi=phi, distance=args.distance)
-
-
-def _atom(args) -> AtomSpec:
-    if args.omega is None:
-        raise UsageError("omega required")
-    return AtomSpec(omega=args.omega, dipole_mag=args.dipole, dipole_angle=args.angle)
+    return GravityEnv(args.phi, args.distance)
 
 
 def _write(lines, out: str | None) -> None:
@@ -159,7 +153,7 @@ def _write(lines, out: str | None) -> None:
 
 
 def cmd_rates(args) -> int:
-    atom = _atom(args)
+    atom = AtomSpec(args.omega, args.dipole, args.angle)
     env = _environment(args)
     from .rates import RateSet, build_rate_set
 
@@ -197,7 +191,7 @@ def _sweep_grid(args) -> tuple[float, float, int]:
 
 
 def cmd_sweep(args) -> int:
-    env = _environment(args, default_phi=SWEEP_DEFAULT_PHI)
+    env = _environment(args)
     grid = _sweep_grid(args)
     phi = env.phi
 
@@ -295,15 +289,8 @@ def _initial_excited(name: str) -> float:
 
 
 def cmd_evolve(args) -> int:
-    """The exact GKSL trajectory, written as `rows.evolve_chunks` builds it.
-
-    Columns: the time t, the populations ``rho_ee`` and ``rho_gg``, the
-    coherence ``abs_rho_eg``, ``trace_error`` = rho_ee + rho_gg - 1 and
-    ``analytic_rho_ee``.  Every state is the closed form, so
-    ``analytic_rho_ee`` repeats ``rho_ee``; it is kept so that the
-    six-column layout does not change.
-    """
-    atom = _atom(args)
+    """The exact GKSL trajectory, written as `rows.evolve_chunks` builds it."""
+    atom = AtomSpec(args.omega, args.dipole, args.angle)
     env = _environment(args)
     p_excited = _initial_excited(args.initial)
     # Checked as given, in units of 1/Gamma: the library sees t_max / Gamma.
@@ -321,11 +308,10 @@ def cmd_evolve(args) -> int:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     _check_probability("p_excited", p_excited)
     from .lindblad import DensityMatrix2
-    from .rows import evolve_chunks, format_rows
+    from .rows import EVOLVE_HEADER, evolve_chunks, format_rows
 
     chunks = evolve_chunks(DensityMatrix2.mixed(p_excited), rateset, t_max, steps)
-    header = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
-    _write(itertools.chain([header], map(format_rows, chunks)), args.out)
+    _write(itertools.chain([EVOLVE_HEADER], map(format_rows, chunks)), args.out)
     return 0
 
 

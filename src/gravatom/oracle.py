@@ -37,7 +37,7 @@ from typing import Callable
 
 from . import rates as rates_mod
 from . import specfun
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError, GravatomError
 from .model import AtomSpec, GravityEnv
 
 
@@ -455,9 +455,30 @@ def verification_report() -> list[dict]:
     The closed forms under test, ``specfun.f1``, ``specfun.f2``,
     ``rates.rate_bracket`` and ``rates.build_rate_set``, are looked up when
     the report runs, so a fault in any of them fails the records that use it.
+    A library error or an arithmetic fault raised on the way is such a fault
+    too: it ends the report with one failing record that carries its
+    message, after the records already built.
     """
     records: list[dict] = []
+    try:
+        _build_report(records)
+    except (GravatomError, ArithmeticError) as exc:
+        records.append(
+            _record(
+                "report aborted by an error",
+                "every closed form under test evaluates without a library or arithmetic error",
+                None,
+                None,
+                None,
+                False,
+                note=f"{type(exc).__name__}: {exc}",
+            )
+        )
+    return records
 
+
+def _build_report(records: list[dict]) -> None:
+    """Append the records of `verification_report` to ``records``, one check at a time."""
     R = 1.0
     b1_refs = [_b1_per_f1(R, x) * specfun.f1(x) for x in GRID_X]
     b2_refs = [_b2_per_f2(R, x) * specfun.f2(x) for x in GRID_X]
@@ -624,5 +645,3 @@ def verification_report() -> list[dict]:
             note=f"worst of {len(points)} (omega, phi, T, psi) points",
         )
     )
-
-    return records

@@ -200,6 +200,10 @@ def sweep_chunks(grid, log_grid, phi, sin2s):
         del xs, ratios
 
 
+#: The ``evolve`` CSV header: one name for each column `evolve_chunks` yields.
+EVOLVE_HEADER = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
+
+
 def evolve_chunks(rho0, rates, t_max, steps):
     """Build the trajectory ``EVOLVE_BLOCK`` rows at a time; yield six columns per ``ROW_CHUNK`` rows.
 

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp
 
-from gravatom import specfun
+from gravatom import rates, specfun
 
 
 def _kron(a, b):
@@ -58,3 +58,20 @@ def shift_f1(monkeypatch):
         monkeypatch.setattr(specfun, "f1", lambda x: f1(x) + offset)
 
     return shift
+
+
+@pytest.fixture
+def raise_in_bracket(monkeypatch):
+    """``raise_in_bracket(exc)`` makes every call of ``rates.rate_bracket`` raise ``exc``.
+
+    As with ``shift_f1``, the callers look the function up when they run, so
+    the report's own calls and those of ``rates.build_rate_set`` both raise.
+    """
+
+    def raise_(exc):
+        def bracket(x, phi, sin2psi):
+            raise exc
+
+        monkeypatch.setattr(rates, "rate_bracket", bracket)
+
+    return raise_

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from gravatom import cli, specfun
 from gravatom.cli import MAX_STEPS, main
+from gravatom.errors import RegimeError
 from gravatom.lindblad import DensityMatrix2, analytic_state
 from gravatom.model import NUMBER, AtomSpec, GravityEnv
 from gravatom.rates import build_rate_set, rate_bracket
@@ -42,9 +44,16 @@ def as_flags(settings):
     return argv
 
 
+def parser_actions(mode):
+    """The actions of ``mode``'s subparser, less ``--help``."""
+    (subparsers,) = (a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    return [a for a in subparsers.choices[mode]._actions if a.dest != "help"]
+
+
 def setting_keys(mode):
-    """The settings of ``mode``: the parser's dests, less ``mode`` and ``out``."""
-    return set(vars(cli._build_parser().parse_args([mode]))) - {"mode", "out"}
+    """The settings of ``mode``: its subparser's dests, less ``out``."""
+    return {a.dest for a in parser_actions(mode)} - {"out"}
 
 
 class TestRates:
@@ -69,14 +78,14 @@ class TestRates:
     def test_missing_omega(self, capsys):
         code, _, err = run_cli(capsys, "rates", "--phi", "-0.01")
         assert code == 2
-        assert "omega required" in err
+        assert err == "error: the following arguments are required: --omega\n"
 
     def test_phi_and_mass_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "rates", "--omega", "1.0", "--phi", "-0.01", "--mass", "0.01"
         )
         assert code == 2
-        assert "not both" in err
+        assert err == "error: argument --mass: not allowed with argument --phi\n"
 
     def test_mass_route(self, capsys):
         code, out, _ = run_cli(
@@ -414,14 +423,47 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [[], ["rates", "--bogus"], ["rates", "--omega", "one"], ["sweep", "--points", "2.5"],
-         ["sweep", "--omega", "1"], ["sweep", "--dipole", "1"], ["sweep", "--temperature", "0"]],
+         ["sweep", "--omega", "1"], ["sweep", "--dipole", "1"], ["sweep", "--temperature", "0"],
+         ["rates"], ["evolve", "--steps", "10"]],
         ids=["no-subcommand", "unknown-flag", "bad-float", "bad-int",
-             "sweep-omega", "sweep-dipole", "sweep-temperature"],
+             "sweep-omega", "sweep-dipole", "sweep-temperature",
+             "rates-no-omega", "evolve-no-omega"],
     )
     def test_parser_error_returns_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "usage:" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rates", "--omega", "1", "--phi", "0.0", "--mass", "0.01"],
+         ["evolve", "--omega", "1", "--mass", "0.01", "--phi", "0.0"],
+         ["sweep", "--phi", "-0.05", "--mass", "0.01"]],
+        ids=["rates", "evolve-mass-first", "sweep"],
+    )
+    def test_phi_at_its_default_conflicts_with_mass(self, capsys, argv):
+        # A --phi typed on the command line counts as given, even when it
+        # equals the default.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: argument --(phi|mass): not allowed with argument "
+                            r"--(phi|mass)\n", err)
+
+    @pytest.mark.parametrize(
+        "mode, phi, base",
+        [("rates", 0.0, ["--omega", "1"]), ("evolve", 0.0, ["--omega", "1", "--steps", "20"]),
+         ("sweep", -0.05, ["--points", "20"])],
+        ids=["rates", "evolve", "sweep"],
+    )
+    def test_phi_default(self, capsys, mode, phi, base):
+        (default,) = (a.default for a in parser_actions(mode) if a.dest == "phi")
+        assert default == phi
+        assert run_cli(capsys, mode, *base) == run_cli(capsys, mode, *base, f"--phi={phi}")
+
+    def test_settable_dests(self):
+        # Every dest a subcommand's flags set, --out included.
+        counts = {mode: len({a.dest for a in parser_actions(mode)}) for mode in SUBCOMMANDS}
+        assert counts == {"evolve": 11, "rates": 8, "sweep": 10, "verify": 1}
 
     @pytest.mark.parametrize("mode", sorted(BASE_SETTINGS))
     def test_config_file_is_refused(self, capsys, tmp_path, mode):
@@ -669,6 +711,19 @@ class TestVerify:
         failing = [r["name"] for r in json.loads(out)["checks"] if not r["pass"]]
         assert any(name.startswith("energy balance") for name in failing)
 
+    @pytest.mark.parametrize(
+        "exc", [RegimeError("bracket is negative"), ZeroDivisionError("float division")],
+        ids=["regime", "zero-division"],
+    )
+    def test_library_error_is_a_verification_failure(self, capsys, raise_in_bracket, exc):
+        # Not exit 2: verify takes no input, so an error is a fault of the code.
+        raise_in_bracket(exc)
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["all_pass"] is False
+        assert report["checks"][-1]["note"] == f"{type(exc).__name__}: {exc}"
+
     def test_record_names(self, verify_output):
         # Pinned so that a renamed, added or dropped record is a visible change.
         _, out = verify_output
@@ -724,7 +779,7 @@ class TestMultiChunkOutput:
 
     @pytest.mark.parametrize("angle", [None, 0.4])
     def test_sweep(self, capsys, angle):
-        points, phi = 3000, cli.SWEEP_DEFAULT_PHI
+        points, phi = 3000, cli._build_parser().parse_args(["sweep"]).phi
         extra = () if angle is None else ("--angle", str(angle))
         code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
         assert code == 0
@@ -745,15 +800,9 @@ SUBCOMMANDS = ["evolve", "rates", "sweep", "verify"]
 
 
 def float_flags(mode):
-    """The flags of ``mode`` that take a float, read from the parser.
-
-    A default of None stands for a float.
-    """
-    defaults = vars(cli._build_parser().parse_args([mode]))
-    return tuple(
-        key.replace("_", "-") for key in sorted(setting_keys(mode))
-        if defaults[key] is None or type(defaults[key]) is float
-    )
+    """The flags of ``mode`` that take a float, read from its subparser."""
+    floats = {a.dest for a in parser_actions(mode) if a.type is float}
+    return tuple(key.replace("_", "-") for key in sorted(floats))
 
 
 # Numeric flags per subcommand, and arbitrary floats for them: NaN, +-inf,

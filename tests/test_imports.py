@@ -90,6 +90,11 @@ CASES = {
                ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses")),
     "verify": (["verify"], 0, ("gravatom.oracle", "gravatom.rates", "gravatom.specfun"),
                ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
+    # The parser refuses a missing --omega and --phi with --mass.
+    "rates without omega": (["rates"], 2, ("argparse",),
+                            ("numpy", "gravatom.rates") + STARTUP),
+    "sweep with phi and mass": (["sweep", "--phi", "-0.05", "--mass", "0.01"], 2, ("argparse",),
+                                ("numpy", "gravatom.rates") + STARTUP),
     # verify has no fault-injection flag: the argument is refused by the parser.
     "verify with an unknown flag": (["verify", "--f1-offset", "1e-3"], 2, ("argparse",),
                                     ("numpy", "gravatom.oracle") + STARTUP),

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from gravatom import oracle, rates, specfun
-from gravatom.errors import ConvergenceError, DivergenceError, DomainError
+from gravatom.errors import ConvergenceError, DivergenceError, DomainError, RegimeError
 from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
     angular_identities_check,
@@ -511,6 +511,24 @@ class TestVerificationReport:
     def test_energy_balance_fails_under_fault_injection(self, shift_f1):
         shift_f1(1e-3)
         assert not _balance_record(verification_report())["pass"]
+
+    @pytest.mark.parametrize(
+        "exc",
+        [RegimeError("first-order rate bracket is negative"), ZeroDivisionError("float division")],
+        ids=["regime", "zero-division"],
+    )
+    def test_error_in_a_closed_form_fails_the_report(self, raise_in_bracket, exc):
+        # The records built before the first bracket call are kept, and one
+        # failing record carries the error; the report itself does not raise.
+        whole = verification_report()
+        raise_in_bracket(exc)
+        report = verification_report()
+        *built, aborted = report
+        assert built == whole[:len(built)]
+        assert built and all(r["pass"] for r in built)
+        assert aborted["name"] == "report aborted by an error"
+        assert aborted["pass"] is False
+        assert aborted["note"] == f"{type(exc).__name__}: {exc}"
 
     def test_fault_injection_fails(self, shift_f1):
         shift_f1(0.05)

@@ -52,6 +52,10 @@ MUTANTS = (
     ("rates.py", "n_b * gamma_g, (n_b + 1.0) * gamma_g", "(n_b + 1.0) * gamma_g, n_b * gamma_g"),
     ("rates.py", "bose_occupation(omega_g, temperature)",
      "bose_occupation(omega_g, temperature / (1.0 + env.phi))"),
+    # The sign of the f1 term of the bracket: the energy balance fails, and
+    # `build_rate_set` raises on the negative bracket, which ends the report
+    # with a failing record, not with a usage error.
+    ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
 )
 
 # Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
