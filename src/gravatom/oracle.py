@@ -645,3 +645,25 @@ def _build_report(records: list[dict]) -> None:
             note=f"worst of {len(points)} (omega, phi, T, psi) points",
         )
     )
+
+    # Redshift: omega_g / omega from build_rate_set (omega = 1) against the
+    # clock rate sqrt(g_00) = sqrt(1 + 2 phi) of the weak-field metric, over
+    # the balance potentials.  The two agree to first order in phi, and the
+    # leading difference phi^2 / 2 makes K = max |delta| / phi^2 about 0.5;
+    # a wrong sign or power of (1 + phi) leaves an O(phi) difference.
+    k_bound = 1.0
+    k_redshift = max(
+        abs(rates_mod.build_rate_set(AtomSpec(1.0), GravityEnv(phi, 1.0)).omega_g
+            - math.sqrt(1.0 + 2.0 * phi)) / phi**2
+        for phi in BALANCE_PHIS
+    )
+    records.append(
+        _record(
+            "redshift |omega_g/omega - sqrt(1 + 2 phi)| <= K*phi^2",
+            "redshifted splitting against the time dilation of a static clock",
+            k_redshift,
+            0.0,
+            k_bound,
+            k_redshift <= k_bound,
+        )
+    )

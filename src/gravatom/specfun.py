@@ -18,28 +18,23 @@ trigonometric terms, so both switch once, at ``SMALL_CUT`` (x = 2): a Taylor
 series below it, where their closed forms lose precision to cancellation,
 and above it a large-argument form that neither cancels nor forms x^2.
 That of f1 takes pi/2 - Si(2x) from the auxiliary functions f and g of the
-sine integral (Abramowitz & Stegun 5.2.8-5.2.9): Chebyshev series on the
-octaves of 2x from 4 up to ``ASYMPTOTIC_CUT``, their asymptotic series
-beyond.  Each octave is a branch of its own, so its coefficients enter as
-Python floats for a float and an array alike.  The series coefficients are
-generated by ``tools/gen_specfun_tables.py`` into ``_specfun_tables``.
+sine integral (Abramowitz & Stegun 5.2.8-5.2.9): one Chebyshev series each
+over the whole half-line 2x > 4, in 8/(2x) - 1.  Beyond ``_F1_FLAT_CUT``
+f1 is 3.0.  The series coefficients are generated by
+``tools/gen_specfun_tables.py`` into ``_specfun_tables``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import _specfun_tables as _tables
 from .errors import DomainError
 
-#: Taylor-series/large-argument crossover of f1 and f2, half the first
-#: octave's left end: above it f1 takes the auxiliary functions at 2x > 4.
-#: The series are cut where what they leave out is 1/16 ulp at this x.
+#: Taylor-series/large-argument crossover of f1 and f2: above it f1 takes
+#: the auxiliary functions at 2x > 4, the left end of their fit.  The
+#: series are cut where what they leave out is 1/16 ulp at this x.
 SMALL_CUT = _tables.SMALL_CUT
-
-#: Auxiliary functions from their asymptotic series above this argument.
-ASYMPTOTIC_CUT = _tables.ASYMPTOTIC_CUT
 
 # Beyond this x, |f1(x) - 3| < 1.5/x is below half an ulp of 3, so f1 is
 # 3.0 in double precision (and 2x would overflow near the top of the range).
@@ -108,17 +103,10 @@ def _clenshaw(coeffs, s):
     return s * b1 - b2 + coeffs[0]
 
 
-def _aux_chebyshev(i, y):
-    """(y f(y), y^2 g(y)) from the fit on octave i, [a, 2a] with a = OCTAVES[i]."""
-    s = 4.0 * _tables.OCTAVES[i] / y - 3.0
-    return _clenshaw(_tables.AUX_F_CHEBYSHEV[i], s), _clenshaw(_tables.AUX_G_CHEBYSHEV[i], s)
-
-
-def _aux_asymptotic(y):
-    """(y f(y), y^2 g(y)) for y > ASYMPTOTIC_CUT, from the asymptotic series."""
-    u = 1.0 / y
-    u = u * u  # no y*y: it would overflow near the top of the range
-    return _horner(_tables.AUX_F_ASYMPTOTIC, u), _horner(_tables.AUX_G_ASYMPTOTIC, u)
+def _aux(y):
+    """(y f(y), y^2 g(y)) for y >= 2 SMALL_CUT, from the fits in s = 4 SMALL_CUT / y - 1."""
+    s = 4.0 * SMALL_CUT / y - 1.0
+    return _clenshaw(_tables.AUX_F_CHEBYSHEV, s), _clenshaw(_tables.AUX_G_CHEBYSHEV, s)
 
 
 def f1_series(x):
@@ -127,12 +115,12 @@ def f1_series(x):
     return math.pi * x + x2 * x2 * _horner(_tables.F1_TAYLOR, x2)
 
 
-def _f1_large(aux, x):
+def _f1_large(x):
     # f1 = 3 + 1/x^2 - (1 + 1/x^2) cos y - 2 sin y / x + y (pi/2 - Si(y)) at
     # y = 2x, with y (pi/2 - Si(y)) = F cos y + (G / y) sin y from the
     # auxiliary functions: no x^3 (pi - 2 Si) cancellation, no x^2 formed.
     y = 2.0 * x
-    big_f, big_g = aux(y)
+    big_f, big_g = _aux(y)
     inv = 1.0 / x
     inv2 = inv * inv
     trig = _trig(y)
@@ -141,10 +129,7 @@ def _f1_large(aux, x):
 
 _F1_PIECES = (
     (SMALL_CUT, f1_series),
-    # One piece per Chebyshev octave: y = 2x in (a, 2a], so x in (a/2, a].
-    *((a, functools.partial(_f1_large, functools.partial(_aux_chebyshev, i)))
-      for i, a in enumerate(_tables.OCTAVES)),
-    (_F1_FLAT_CUT, functools.partial(_f1_large, _aux_asymptotic)),
+    (_F1_FLAT_CUT, _f1_large),
     (math.inf, lambda x: 0.0 * x + 3.0),  # 3.0 as a float, or an array like x
 )
 

@@ -670,6 +670,7 @@ VERIFY_RECORD_NAMES = [
     "distance-kernel reading resolution",
     "proper- vs redshifted-frequency argument of f1/f2",
     "detailed balance Gamma+/Gamma- = exp(-omega_g/T)",
+    "redshift |omega_g/omega - sqrt(1 + 2 phi)| <= K*phi^2",
 ]
 
 

@@ -483,6 +483,14 @@ class TestVerificationReport:
         assert rec["computed"] <= oracle.BALANCE_K and rec["pass"] is True
         assert not rec["note"].startswith("informational:")
 
+    def test_redshift_record_measures_the_second_order_term(self, report):
+        # (1 + phi) - sqrt(1 + 2 phi) = phi^2 / 2 - phi^3 / 2 + O(phi^4): K is
+        # 0.5 - phi / 2 at the largest |phi| of BALANCE_PHIS.
+        (rec,) = [r for r in report if r["name"].startswith("redshift")]
+        phi = min(oracle.BALANCE_PHIS)
+        assert rec["computed"] == pytest.approx(0.5 - phi / 2, rel=1e-3)
+        assert rec["tolerance"] == 1.0 and rec["pass"] is True
+
     @pytest.mark.parametrize(
         "coefficients, passes",
         [
@@ -543,6 +551,13 @@ class TestVerificationReport:
         assert len(b1_checks) == len(oracle.GRID_X)
         assert not any(r["pass"] for r in b1_checks)
         assert {r["tolerance"] for r in b1_checks} == {oracle.RADIAL_REL_TOL}
+
+    def test_grid_reaches_every_piece_of_f1(self):
+        # A B1 record on each piece below the flat cut, so no branch of f1
+        # goes unchecked; beyond the cut f1 is 3.0.
+        ends = [0.0] + [upper for upper, _ in specfun._F1_PIECES if upper <= specfun._F1_FLAT_CUT]
+        for lower, upper in zip(ends, ends[1:]):
+            assert any(lower < x <= upper for x in oracle.GRID_X), f"no GRID_X in ({lower}, {upper}]"
 
     def test_integrand_calls_stay_bounded(self, monkeypatch):
         # Tails extrapolated by Levin's t-transform stop at 16 or 32

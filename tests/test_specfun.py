@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import math
 from pathlib import Path
@@ -49,12 +48,11 @@ class TestF1:
             assert abs(specfun.f1(float(x)) - math.pi * x) <= K * x**3
 
     def test_branch_agreement_at_cut(self):
-        # y = 2x lies in [3.996, 4.004]: the first octave's fit, [4, 8].
-        large = functools.partial(specfun._f1_large, functools.partial(specfun._aux_chebyshev, 0))
+        # y = 2x lies in [3.996, 4.004], at the left end of the fit, y >= 4.
         cut = specfun.SMALL_CUT
         for x in (cut * 0.999, cut, cut * 1.001):
             series = specfun.f1_series(x)
-            assert abs(series - large(x)) <= SWITCH_TOL * abs(series)
+            assert abs(series - specfun._f1_large(x)) <= SWITCH_TOL * abs(series)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -144,7 +142,7 @@ class TestBoseOccupation:
 
 
 # Points in every branch of f1 and f2, both sides of each switch.
-SWITCHES = [specfun.SMALL_CUT, *_specfun_tables.OCTAVES, specfun._F1_FLAT_CUT]
+SWITCHES = [upper for upper, _ in specfun._F1_PIECES[:-1]]
 BRANCH_POINTS = [0.0, 1e-300, 1e-8, 0.05, 0.3, 3.7, 50.0, 1e3, 1e16, 1e300, 1.7e308] + [
     float(x) for cut in SWITCHES for x in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf))
 ]
@@ -190,7 +188,7 @@ class TestArrayCore:
         # 3.0 is f1 rounded to double beyond the flat cut; the large-x form
         # agrees there to an ulp.
         at = np.array([specfun._F1_FLAT_CUT])
-        assert specfun._f1_large(specfun._aux_asymptotic, at)[0] == pytest.approx(3.0, abs=4.5e-16)
+        assert specfun._f1_large(at)[0] == pytest.approx(3.0, abs=4.5e-16)
         assert specfun.f1(1.7e308) == 3.0
 
 
@@ -198,25 +196,11 @@ class TestSwitchContinuity:
     """The branches on either side of every switch agree at the switch.
 
     The kernels meet at ``SMALL_CUT`` (``test_branch_agreement_at_cut`` of f1
-    and f2); the last test bounds each public step across every switch.
+    and f2); this test bounds each public step across it.
     """
-
-    @pytest.mark.parametrize("octave", [0, 1, 2])
-    def test_chebyshev_octaves_meet(self, octave):
-        # y = 8, 16, 32 is s = -1 on one octave and s = 1 on the next.
-        for table in (_specfun_tables.AUX_F_CHEBYSHEV, _specfun_tables.AUX_G_CHEBYSHEV):
-            below = specfun._clenshaw(table[octave], -1.0)
-            above = specfun._clenshaw(table[octave + 1], 1.0)
-            assert abs(above - below) <= SWITCH_TOL
-
-    def test_chebyshev_meets_asymptotic_at_64(self):
-        at = np.array([specfun.ASYMPTOTIC_CUT])
-        for fit, series in zip(specfun._aux_chebyshev(3, at), specfun._aux_asymptotic(at)):
-            assert abs(fit[0] - series[0]) <= SWITCH_TOL
 
     @pytest.mark.parametrize("fn, cut", [
         (specfun.f1, specfun.SMALL_CUT), (specfun.f2, specfun.SMALL_CUT),
-        *((specfun.f1, cut) for cut in _specfun_tables.OCTAVES),
     ])
     def test_public_function_steps_by_an_ulp_at_most(self, fn, cut):
         at = fn(cut)
@@ -224,31 +208,26 @@ class TestSwitchContinuity:
             assert abs(fn(float(np.nextafter(cut, side))) - at) <= SWITCH_TOL * abs(at)
 
 
-# float.hex of f1(x) at x = y^-/2, y/2, y^+/2 (an ulp below, at and an ulp
-# above each Chebyshev octave end y = 4, 8, 16, 32, 64), each an ulp or less
+# float.hex of f1(x) an ulp below, at and an ulp above the switch x = 2, where
+# the fit of the auxiliary functions starts at y = 2x = 4; each an ulp or less
 # from mpmath's correctly rounded value.
-F1_AT_OCTAVE_ENDS = {
-    4.0: ("0x1.04c02e3b9c2bcp+2", "0x1.04c02e3b9c2bcp+2", "0x1.04c02e3b9c2bcp+2"),
-    8.0: ("0x1.58ff4927f8ed3p+1", "0x1.58ff4927f8ed4p+1", "0x1.58ff4927f8ed5p+1"),
-    16.0: ("0x1.8bcadf57a61edp+1", "0x1.8bcadf57a61eep+1", "0x1.8bcadf57a61f0p+1"),
-    32.0: ("0x1.793f354bf2cc1p+1", "0x1.793f354bf2cc1p+1", "0x1.793f354bf2cc0p+1"),
-    64.0: ("0x1.7a875cc6e00c3p+1", "0x1.7a875cc6e00c3p+1", "0x1.7a875cc6e00c3p+1"),
-}
+F1_AT_SWITCH = ("0x1.04c02e3b9c2bcp+2", "0x1.04c02e3b9c2bcp+2", "0x1.04c02e3b9c2bcp+2")
 
 
-class TestOctavePieces:
-    """Each Chebyshev octave is a piece of its own; the values are pinned bit for bit."""
+class TestLargeArgumentForms:
+    """The forms above SMALL_CUT: f1 pinned bit for bit at the switch, and a
+    float call equal to an array call up to the flat cut."""
 
-    @pytest.mark.parametrize("end", [4.0, 8.0, 16.0, 32.0, 64.0])
-    def test_octave_ends_bit_for_bit(self, end):
-        xs = [0.5 * y for y in (math.nextafter(end, 0.0), end, math.nextafter(end, math.inf))]
-        assert [specfun.f1(x).hex() for x in xs] == list(F1_AT_OCTAVE_ENDS[end])
-        assert [v.hex() for v in specfun.f1(np.array(xs)).tolist()] == list(F1_AT_OCTAVE_ENDS[end])
+    def test_f1_at_switch_bit_for_bit(self):
+        cut = specfun.SMALL_CUT
+        xs = [math.nextafter(cut, 0.0), cut, math.nextafter(cut, math.inf)]
+        assert [specfun.f1(x).hex() for x in xs] == list(F1_AT_SWITCH)
+        assert [v.hex() for v in specfun.f1(np.array(xs)).tolist()] == list(F1_AT_SWITCH)
 
     @pytest.mark.parametrize("fn", [specfun.f1, specfun.f2])
     def test_float_path_equals_array_path(self, fn):
         rng = np.random.default_rng(20261019)
-        xs = np.exp(rng.uniform(math.log(2.0), math.log(64.0), 2000))
+        xs = np.exp(rng.uniform(math.log(2.0), math.log(specfun._F1_FLAT_CUT), 2000))
         assert [fn(x) for x in xs.tolist()] == fn(xs).tolist()
 
 
@@ -288,8 +267,9 @@ MP_GRID = np.unique(np.concatenate([np.geomspace(1e-8, 1e300, 400),
                                     np.geomspace(1e-3, 1e3, 600)]))
 
 # Worst errors measured on MP_GRID: f1 2.2e-16 (x <= 1), 2.3e-16 (1, 2],
-# 1.7e-16 beyond; f2 1.9e-16 (x <= 1), 4.0e-16 (1, 2], 3.1e-16 beyond.  On
-# DENSE: f1 4.4e-16, f2 5.5e-16.  Every band holds 1e-15.
+# 1.7e-16 beyond (the one fit of the auxiliary functions, then 3.0); f2
+# 1.9e-16 (x <= 1), 4.0e-16 (1, 2], 3.1e-16 beyond.  On DENSE: f1 4.4e-16,
+# f2 5.5e-16.  Every band holds 1e-15.
 MP_BANDS = ((0.1, 1e-15), (0.5, 1e-15), (1.0, 1e-15), (2.0, 1e-15), (math.inf, 1e-15))
 
 # 2000 points of (1, 2], the top of the series' range, where it cancels most.

@@ -10,11 +10,9 @@ a double.  The auxiliary functions of the sine integral (Abramowitz & Stegun
     f(y) = Ci(y) sin y - (Si(y) - pi/2) cos y,
     g(y) = -Ci(y) cos y - (Si(y) - pi/2) sin y,
 
-are fitted as Chebyshev series in 1/y of F = y f(y) and G = y^2 g(y), one
-series per octave [a, 2a] between ``OCTAVES[0]`` and ``ASYMPTOTIC_CUT``, by
-interpolation at ``NODES`` Chebyshev points in 40-digit ``mpmath``.  Beyond
-``ASYMPTOTIC_CUT`` F and G are their asymptotic series in 1/y^2,
-sum (-1)^k (2k)! / y^(2k) and sum (-1)^k (2k+1)! / y^(2k).
+are fitted as one Chebyshev series each of F = y f(y) and G = y^2 g(y) over
+the half-line y >= 2 ``SMALL_CUT``, in s = 4 ``SMALL_CUT`` / y - 1, by
+interpolation at ``NODES`` Chebyshev points in 40-digit ``mpmath``.
 
 Every series is cut where what it leaves out is below ``TAIL`` of its value
 over its whole interval; the script fails if a cut cannot meet that.  The
@@ -35,17 +33,12 @@ from mpmath import mp
 
 TARGET = Path(__file__).resolve().parents[1] / "src" / "gravatom" / "_specfun_tables.py"
 
-#: Left ends a of the Chebyshev octaves [a, 2a] of F and G.
-OCTAVES = (4.0, 8.0, 16.0, 32.0)
 #: f1 and f2: Taylor series on [0, SMALL_CUT], large-argument forms above.
-#: That of f1 takes F and G at y = 2x, so the cut is where the first octave starts.
-SMALL_CUT = OCTAVES[0] / 2
-#: F and G from their asymptotic series above this y.
-ASYMPTOTIC_CUT = 2.0 * OCTAVES[-1]
-ASYMPTOTIC_TERMS = 11
-#: Chebyshev interpolation points per octave; far more than the kept degree,
-#: so aliasing leaves the kept coefficients exact to ~1e-30.
-NODES = 40
+#: That of f1 takes F and G at y = 2x, so their fit starts at y = 2 SMALL_CUT.
+SMALL_CUT = 2.0
+#: Chebyshev interpolation points; far more than the kept degrees, so
+#: aliasing leaves the kept coefficients exact to ~1e-30.
+NODES = 96
 #: Largest omitted part of any series, relative to its value: 1/16 ulp.
 TAIL = 2.0**-56
 DIGITS = 40
@@ -97,47 +90,27 @@ def _auxiliary(y):
     return y * (ci * sin_y - si_tail * cos_y), y * y * (-ci * cos_y - si_tail * sin_y)
 
 
-def _chebyshev_octaves() -> tuple[tuple[tuple[float, ...], ...], ...]:
-    """Chebyshev coefficients of F and G in s = 4a/y - 3 on each octave [a, 2a].
+def _chebyshev() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Chebyshev coefficients of F and G in s = 4 SMALL_CUT / y - 1 on y >= 2 SMALL_CUT.
 
-    All octaves keep one common degree, the least that meets TAIL on each.
+    s runs from 1 at the left end to -1 as y -> infinity, where F and G tend
+    to 1.  Each series keeps the least degree that meets TAIL.
     """
     angles = [mp.pi * (k + mp.mpf(1) / 2) / NODES for k in range(NODES)]
-    nodes = [mp.cos(t) for t in angles]
-    fits = []  # per octave: (F coefficients, G coefficients), mpf
-    for a in OCTAVES:
-        samples = [_auxiliary(4 * mp.mpf(a) / (s + 3)) for s in nodes]
-        octave = []
-        for which in (0, 1):
-            coeffs = []
-            for j in range(NODES):
-                c = 2 * mp.fsum(v[which] * mp.cos(j * t) for v, t in zip(samples, angles)) / NODES
-                coeffs.append(c / 2 if j == 0 else c)
-            octave.append(coeffs)
-        fits.append(octave)
-    for degree in range(NODES // 2):
-        # F and G lie within a few percent of 1 on every octave.
-        if all(mp.fsum(abs(c) for c in coeffs[degree + 1:]) <= TAIL
-               for octave in fits for coeffs in octave):
-            break
-    else:
-        raise SystemExit(f"Chebyshev fits do not reach {TAIL:.1e}")
-    return tuple(
-        tuple(tuple(float(c) for c in octave[which][:degree + 1]) for octave in fits)
-        for which in (0, 1)
-    )
-
-
-def _asymptotic() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(-1)^k (2k)! and (-1)^k (2k+1)!, k < ASYMPTOTIC_TERMS: exact in a double."""
-    f = tuple(float((-1) ** k * math.factorial(2 * k)) for k in range(ASYMPTOTIC_TERMS))
-    g = tuple(float((-1) ** k * math.factorial(2 * k + 1)) for k in range(ASYMPTOTIC_TERMS))
-    # The first omitted terms, at the cut, bound what the series leave out.
-    k = ASYMPTOTIC_TERMS
-    for first_omitted in (math.factorial(2 * k), math.factorial(2 * k + 1)):
-        if first_omitted / ASYMPTOTIC_CUT ** (2 * k) > TAIL:
-            raise SystemExit(f"{k} asymptotic terms do not reach {TAIL:.1e} at {ASYMPTOTIC_CUT}")
-    return f, g
+    samples = [_auxiliary(4 * mp.mpf(SMALL_CUT) / (mp.cos(t) + 1)) for t in angles]
+    fits = []
+    for which in (0, 1):
+        coeffs = [2 * mp.fsum(v[which] * mp.cos(j * t) for v, t in zip(samples, angles)) / NODES
+                  for j in range(NODES)]
+        coeffs[0] /= 2
+        # F and G rise towards 1 from their least values, 0.92 and 0.79, at the left end.
+        floor = TAIL * min(v[which] for v in samples)
+        degree = next((d for d in range(NODES // 2)
+                       if mp.fsum(abs(c) for c in coeffs[d + 1:]) <= floor), None)
+        if degree is None:
+            raise SystemExit(f"Chebyshev fit does not reach {TAIL:.1e}")
+        fits.append(tuple(float(c) for c in coeffs[:degree + 1]))
+    return tuple(fits)
 
 
 def tables() -> dict:
@@ -150,18 +123,13 @@ def tables() -> dict:
         f2_cut = (1 - x * mp.sin(2 * x) - mp.cos(2 * x)) / (x * x)
         f1 = _cut(f1_coeffs, SMALL_CUT, f1_cut, lead=4)
         f2 = _cut(f2_coeffs, SMALL_CUT, f2_cut, lead=2)
-        aux_f, aux_g = _chebyshev_octaves()
-    asym_f, asym_g = _asymptotic()
+        aux_f, aux_g = _chebyshev()
     return {
         "SMALL_CUT": SMALL_CUT,
         "F1_TAYLOR": f1,
         "F2_TAYLOR": f2,
-        "OCTAVES": OCTAVES,
         "AUX_F_CHEBYSHEV": aux_f,
         "AUX_G_CHEBYSHEV": aux_g,
-        "ASYMPTOTIC_CUT": ASYMPTOTIC_CUT,
-        "AUX_F_ASYMPTOTIC": asym_f,
-        "AUX_G_ASYMPTOTIC": asym_g,
     }
 
 
@@ -177,10 +145,9 @@ floats and tuples: importing this module computes nothing.
 _DOCS = {
     "SMALL_CUT": "f1 = pi x + x^4 sum_k F1_TAYLOR[k] x^(2k) and "
                  "f2 = x^2 sum_k F2_TAYLOR[k] x^(2k) on 0 <= x <= SMALL_CUT.",
-    "OCTAVES": "AUX_F_CHEBYSHEV[i] and AUX_G_CHEBYSHEV[i] are the Chebyshev coefficients "
-               "(T_0 first) of y f(y) and y^2 g(y) in s = 4a/y - 3 on [a, 2a], a = OCTAVES[i].",
-    "ASYMPTOTIC_CUT": "Above it y f(y) = sum_k AUX_F_ASYMPTOTIC[k] / y^(2k) and "
-                      "y^2 g(y) = sum_k AUX_G_ASYMPTOTIC[k] / y^(2k).",
+    "AUX_F_CHEBYSHEV": "AUX_F_CHEBYSHEV and AUX_G_CHEBYSHEV are the Chebyshev coefficients "
+                       "(T_0 first) of y f(y) and y^2 g(y) in s = 4 SMALL_CUT / y - 1 "
+                       "on y >= 2 SMALL_CUT.",
 }
 
 
@@ -198,7 +165,7 @@ def render() -> str:
         if name in _DOCS:
             parts.extend(f"#: {line}\n" for line in textwrap.wrap(_DOCS[name], 76))
         parts.append(f"{name} = {_literal(value)}\n")
-        if name in ("F2_TAYLOR", "AUX_G_CHEBYSHEV"):
+        if name == "F2_TAYLOR":
             parts.append("\n")
     return "".join(parts)
 

@@ -47,6 +47,10 @@ MUTANTS = (
     ("specfun.py", "return 3.0 + inv2", "return 3.000001 + inv2"),
     ("specfun.py", "return 3.0 + inv2", "return 3.000000001 + inv2"),
     ("specfun.py", "math.pi * x", "3.1416 * x"),
+    # The argument map of the auxiliary functions' fit, and its leading
+    # coefficient of y f(y) off by 1e-9 (f1 above x = 2).
+    ("specfun.py", "SMALL_CUT / y - 1.0", "SMALL_CUT / y - 1.000001"),
+    ("_specfun_tables.py", "0.9657882803518518,", "0.9657882813176402,"),
     # Absorption and emission rates swapped, and n_B taken at the local
     # temperature T / (1 + phi) instead of the distant one.
     ("rates.py", "n_b * gamma_g, (n_b + 1.0) * gamma_g", "(n_b + 1.0) * gamma_g, n_b * gamma_g"),
@@ -56,6 +60,8 @@ MUTANTS = (
     # `build_rate_set` raises on the negative bracket, which ends the report
     # with a failing record, not with a usage error.
     ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
+    # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).
+    ("rates.py", "omega_g = (1.0 + env.phi) * atom.omega", "omega_g = (1.0 - env.phi) * atom.omega"),
 )
 
 # Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
