@@ -1,8 +1,8 @@
 """Each command loads only the layers it runs.
 
-Every case starts a fresh interpreter, runs the command as the ``gravatom``
-console script does (``gravatom.cli.main``), or calls ``specfun`` on floats,
-and records ``sys.modules`` at the end.
+Every case starts a fresh interpreter, runs the command through
+``gravatom.cli.main`` (which the ``gravatom`` console script's ``run`` calls),
+or calls ``specfun`` on floats, and records ``sys.modules`` at the end.
 """
 
 import json

@@ -112,7 +112,7 @@ class TestAnalyticState:
             assert column.eg[i] == single.eg
 
 
-class TestEvolveNumeric:
+class TestEvolveTrajectory:
     """The exact trajectory on the ``evolve`` grid."""
 
     def test_near_zero_generator(self):
