@@ -21,20 +21,23 @@ and ``evolve`` take the same path: a generator in ``rows``
 (``sweep_chunks``, ``evolve_chunks``) computes ``rows.SWEEP_BLOCK`` points
 or ``rows.EVOLVE_BLOCK`` rows at a time and yields ``rows.ROW_CHUNK`` rows
 at a time, each formatted and written as it comes, so neither holds its
-whole output.  Every check runs before the first write, so bad input is
-refused before ``--out`` is opened.
+whole output.  The SVG plot of ``sweep`` streams too: it restarts
+``sweep_chunks`` once for its plot ranges and once per curve.  Every check
+runs before the first write, so bad input is refused before ``--out`` is
+opened.
 
 Importing this module loads only the standard library, ``errors`` and
-``model``.  Each handler validates its inputs with ``model`` first and then
-imports the layers it runs (``rates.build_rate_set`` checks the temperature
-by ``model``'s rule): ``rates`` imports ``rates`` (and with it
-``specfun``, which evaluates one point on Python floats without numpy),
-``sweep`` and ``evolve`` import ``rows`` (and with it numpy), ``evolve``
-also ``lindblad``, once its rate set, ``--steps`` and ``mixed:p`` are
-checked, and ``verify`` imports ``oracle``.  So ``--help``, input that
-fails validation (a refused rate set, the ``--points`` and ``--steps`` caps
-and the ``mixed:p`` range included) and ``rates`` never load numpy, and
-only ``verify`` loads the oracle.
+``model``; this module never imports numpy itself.  Each handler validates
+its inputs with ``model`` first and then imports the layers it runs
+(``rates.build_rate_set`` checks the temperature by ``model``'s rule):
+``rates`` imports ``rates`` (and with it ``specfun``, which evaluates one
+point on Python floats without numpy), ``sweep`` and ``evolve`` import
+``rows`` (and with it numpy), ``evolve`` also ``lindblad``, once its rate
+set, ``--steps`` and ``mixed:p`` are checked, and ``verify`` imports
+``oracle``.  Only ``rates`` and ``verify``, which print JSON, import
+``json``.  So ``--help``, input that fails validation (a refused rate set,
+the ``--points`` and ``--steps`` caps and the ``mixed:p`` range included)
+and ``rates`` never load numpy, and only ``verify`` loads the oracle.
 
 ``main(argv)`` is the in-process entry and returns the exit code.  Both
 process entries, the ``gravatom`` script and ``python -m gravatom.cli``, go
@@ -46,9 +49,9 @@ frees anyway.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
-import json
 import math
 import sys
 import warnings
@@ -162,6 +165,8 @@ def _write(lines, out: str | None) -> None:
 def cmd_rates(args) -> int:
     atom = AtomSpec(args.omega, args.dipole, args.angle)
     env = _environment(args)
+    import json
+
     from .rates import RateSet, build_rate_set
 
     rateset = build_rate_set(atom, env, args.temperature)
@@ -214,70 +219,69 @@ def cmd_sweep(args) -> int:
 
     from .rows import format_rows, sweep_chunks
 
-    chunks = sweep_chunks(grid, args.log_grid, phi, sin2s)
+    chunks = functools.partial(sweep_chunks, grid, args.log_grid, phi, sin2s)
     if args.format == "svg":
-        import numpy as np
-
-        xs, ratios = (np.concatenate(parts) for parts in zip(*chunks))
-        _write([_render_svg(xs, ratios, labels, phi, args.log_grid)], args.out)
+        _write(_render_svg(chunks, labels, phi, args.log_grid), args.out)
         return 0
 
     # Each chunk is formatted and written as it is computed: no row list is
     # held, nor the last chunk while the next is computed.
-    lines = map(format_rows, chunks)
+    lines = map(format_rows, chunks())
     _write(itertools.chain([f"# phi={NUMBER % phi}\n", header + "\n"], lines), args.out)
     return 0
 
 
-def _render_svg(xs, ratios, labels, phi, log_x: bool) -> str:
-    """One polyline per column of ``ratios`` (n, k) over the x column ``xs``.
+def _render_svg(chunks, labels, phi, log_x: bool):
+    """Yield the SVG text: one polyline per ratio column of the ``chunks()`` stream.
 
-    Coordinates are computed on Python floats with ``math.log10``: numpy's
-    log10 can differ in the last bit, and the printed digits with it.
+    ``chunks`` restarts the (xs, ratios) chunks of `rows.sweep_chunks`; each
+    pass holds one chunk.  The first finds the plot ranges, the min and max of
+    ``axis(x)`` over Python floats and of each chunk's ratios: a min or max is
+    exact, so these are the whole grid's doubles.  Then one pass per curve
+    yields its points.  ``math.log10`` is used, not numpy's log10, which can
+    differ in the last bit, and the printed digits with it.
     """
     width, height, margin = 640, 420, 60
     axis = math.log10 if log_x else float
-    plot_xs = [axis(x) for x in xs.tolist()]
-    x_lo, x_hi = min(plot_xs), max(plot_xs)
-    y_lo, y_hi = float(ratios.min()), float(ratios.max())
+    x_lo, x_hi, y_lo, y_hi = math.inf, -math.inf, math.inf, -math.inf
+    for xs, ratios in chunks():
+        plot_xs = [axis(x) for x in xs.tolist()]
+        x_lo, x_hi = min(x_lo, *plot_xs), max(x_hi, *plot_xs)
+        y_lo, y_hi = min(y_lo, float(ratios.min())), max(y_hi, float(ratios.max()))
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     # A grid too narrow to resolve collapses to one x: draw it at the left.
     x_span = x_hi - x_lo or 1.0
 
     def px(x):
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
+        return margin + (axis(x) - x_lo) / x_span * (width - 2 * margin)
 
     def py(y):
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
     colors = ("#1f6fb4", "#c23b22")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
+        f'y2="{height - margin}" stroke="black"/>\n'
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
-        f'stroke="black"/>',
+        f'stroke="black"/>\n'
         f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="14">x = RΩ ({"log" if log_x else "linear"} scale), Φ = {phi:g}</text>',
+        f'font-size="14">x = RΩ ({"log" if log_x else "linear"} scale), Φ = {phi:g}</text>\n'
         f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 18 {height / 2:.0f})">γ_g/γ</text>',
-    ]
+        f'transform="rotate(-90 18 {height / 2:.0f})">γ_g/γ</text>\n'
+    )
     for i, label in enumerate(labels):
-        points = " ".join(
-            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(plot_xs, ratios[:, i].tolist())
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{colors[i % 2]}" '
-            f'stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{width - margin - 5}" y="{margin + 18 * (i + 1)}" '
-            f'text-anchor="end" font-size="12" fill="{colors[i % 2]}">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        separator = '<polyline points="'
+        for xs, ratios in chunks():
+            points = zip(map(px, xs.tolist()), map(py, ratios[:, i].tolist()))
+            yield separator + " ".join("%.2f,%.2f" % point for point in points)
+            separator = " "
+        yield (f'" fill="none" stroke="{colors[i % 2]}" stroke-width="1.5"/>\n'
+               f'<text x="{width - margin - 5}" y="{margin + 18 * (i + 1)}" '
+               f'text-anchor="end" font-size="12" fill="{colors[i % 2]}">{label}</text>\n')
+    yield "</svg>\n"
 
 
 def _initial_excited(name: str) -> float:
@@ -323,6 +327,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import oracle
 
     records = oracle.verification_report()

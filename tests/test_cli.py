@@ -310,27 +310,32 @@ class TestSweep:
 
         monkeypatch.setattr(specfun, "f1", counting)
         points = 5000
-        for extra in ((), ("--angle", "0.4"), ("--format", "svg")):
+        # The SVG plot reads the blocks once for its ranges and once per curve.
+        for extra, passes in (((), 1), (("--angle", "0.4"), 1), (("--format", "svg"), 3),
+                              (("--format", "svg", "--angle", "0.4"), 2)):
             calls.clear()
             code, out, _ = run_cli(capsys, "sweep", "--points", str(points), *extra)
             assert code == 0
-            assert len(calls) == -(-points // SWEEP_BLOCK)
-            assert sum(shape[0] for shape in calls) == points
+            assert len(calls) == passes * -(-points // SWEEP_BLOCK)
+            assert sum(shape[0] for shape in calls) == passes * points
 
-    def test_memory_is_flat_in_points(self, tmp_path):
+    # Fewer SVG points: each costs ~30 us under tracemalloc, and a plot that
+    # gathers the whole grid holds ~200 bytes a point, which 18_000 more show.
+    @pytest.mark.parametrize("fmt, points", [("csv", 20_000), ("svg", 2_000)], ids=["csv", "svg"])
+    def test_memory_is_flat_in_points(self, tmp_path, fmt, points):
         # Blocks of points are built, written and freed in turn, so ten times
         # the points may not raise the traced peak by more than 1.5 MB.
         def peak(points):
             tracemalloc.start()
             try:
-                argv = ["sweep", "--points", str(points)]
-                assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+                argv = ["sweep", "--format", fmt, "--points", str(points)]
+                assert main(argv + ["--out", str(tmp_path / f"sweep.{fmt}")]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(2_000)  # warm-up: builds the formatter's tables
-        assert peak(200_000) - peak(20_000) <= 1.5 * 2**20
+        peak(points // 10)  # warm-up: builds the formatter's tables
+        assert peak(10 * points) - peak(points) <= 1.5 * 2**20
 
 
 # Settings every run below has besides the setting under test.

@@ -55,6 +55,18 @@ CASES = {
     ),
     "sweep_svg": ("sweep", "--format", "svg", "--points", "50"),
     "sweep_svg_angle": ("sweep", "--format", "svg", "--angle", "0.7", "--points", "50"),
+    # Two `SWEEP_BLOCK`s and two curves.
+    "sweep_svg_two_blocks": ("sweep", "--format", "svg", "--points", "4097"),
+    # One curve across a `ROW_CHUNK` edge, from x = 0.
+    "sweep_svg_chunk_boundary_linear": (
+        "sweep", "--format", "svg", "--linear", "--x-min", "0", "--x-max", "30",
+        "--points", "1030", "--angle", "1.0",
+    ),
+    # A grid one ulp wide: three points, two of them the same double.
+    "sweep_svg_collapsed_grid": (
+        "sweep", "--format", "svg", "--points", "3", "--x-min", "1",
+        "--x-max", "1.0000000000000002",
+    ),
     "evolve_default": ("evolve", "--omega", "1.0", "--phi", "-0.02", "--steps", "60"),
     "evolve_mixed_thermal": (
         "evolve", "--omega", "1.0", "--phi", "-0.02",

@@ -17,8 +17,9 @@ import gravatom
 
 SRC = Path(gravatom.__file__).resolve().parents[1]
 
+# The modules are listed before the probe imports `json` to write them.
 PROBE = """
-import json, sys
+import sys
 out, argv = sys.argv[1], sys.argv[2:]
 import gravatom.cli
 code = None
@@ -27,8 +28,10 @@ if argv:
         code = gravatom.cli.main(argv)
     except SystemExit as exc:
         code = exc.code
+modules = sorted(sys.modules)
+import json
 with open(out, "w") as fh:
-    json.dump({"result": code, "modules": sorted(sys.modules)}, fh)
+    json.dump({"result": code, "modules": modules}, fh)
 """
 
 # Every branch of f1 and f2, on a float and on an int.
@@ -57,47 +60,51 @@ NUMERIC = (
 # commands that never load numpy (which imports it) never load `inspect`.
 STARTUP = ("dataclasses", "inspect")
 
+# Only `rates` and `verify` print JSON, so only they load `json`.
+JSON = ("json", "json.decoder", "json.scanner", "json.encoder")
+
 # (argv, exit code, modules that must be loaded, modules that must not be)
 CASES = {
-    "import": ([], None, ("gravatom.cli", "gravatom.model"), NUMERIC + STARTUP),
-    "help": (["--help"], 0, ("argparse",), NUMERIC + STARTUP),
-    "invalid rates": (["rates", "--omega=-1"], 2, ("gravatom.model",), NUMERIC + STARTUP),
-    "invalid sweep": (["sweep", "--angle", "5"], 2, ("gravatom.model",), NUMERIC + STARTUP),
+    "import": ([], None, ("gravatom.cli", "gravatom.model"), NUMERIC + STARTUP + JSON),
+    "help": (["--help"], 0, ("argparse",), NUMERIC + STARTUP + JSON),
+    "invalid rates": (["rates", "--omega=-1"], 2, ("gravatom.model",), NUMERIC + STARTUP + JSON),
+    "invalid sweep": (["sweep", "--angle", "5"], 2, ("gravatom.model",), NUMERIC + STARTUP + JSON),
     "invalid evolve": (["evolve", "--omega", "1", "--t-max", "-1"], 2, ("gravatom.model",),
-                       NUMERIC + STARTUP),
+                       NUMERIC + STARTUP + JSON),
     # The --steps range is checked beside the rate set, before numpy is loaded.
     "evolve without steps": (["evolve", "--omega", "1", "--steps", "0"], 2, ("gravatom.rates",),
-                             ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
+                             ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP + JSON),
     "evolve past the steps cap": (["evolve", "--omega", "1", "--steps", "10000001"], 2,
                                   ("gravatom.rates",),
-                                  ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
+                                  ("numpy", "gravatom.rows", "gravatom.lindblad")
+                                  + STARTUP + JSON),
     # The mixed:p range is checked beside --steps, before numpy is loaded.
     "evolve with mixed:p out of range": (["evolve", "--omega", "1", "--initial", "mixed:2"], 2,
                                          ("gravatom.rates",),
                                          ("numpy", "gravatom.rows", "gravatom.lindblad")
-                                         + STARTUP),
+                                         + STARTUP + JSON),
     # The rate set is refused after `rates` is loaded, before numpy is.
     "refused evolve rate set": (["evolve", "--omega", "1e-3", "--phi", "-0.2"], 2,
                                 ("gravatom.rates",),
                                 ("numpy", "gravatom.rows", "gravatom.lindblad", "gravatom.oracle")
-                                + STARTUP),
+                                + STARTUP + JSON),
     "rates": (["rates", "--omega", "1.3", "--phi", "-0.05"], 0,
-              ("gravatom.rates", "gravatom.specfun"),
+              ("gravatom.rates", "gravatom.specfun", "json"),
               ("numpy", "gravatom.rows", "gravatom.oracle", "gravatom.lindblad") + STARTUP),
     "sweep": (["sweep", "--points", "50"], 0,
-              ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad", "dataclasses")),
+              ("gravatom.rows",), ("gravatom.oracle", "gravatom.lindblad", "dataclasses") + JSON),
     "evolve": (["evolve", "--omega", "1.0", "--steps", "500"], 0,
-               ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses")),
-    "verify": (["verify"], 0, ("gravatom.oracle", "gravatom.rates", "gravatom.specfun"),
+               ("gravatom.lindblad", "gravatom.rows"), ("gravatom.oracle", "dataclasses") + JSON),
+    "verify": (["verify"], 0, ("gravatom.oracle", "gravatom.rates", "gravatom.specfun", "json"),
                ("numpy", "gravatom.rows", "gravatom.lindblad") + STARTUP),
     # The parser refuses a missing --omega and --phi with --mass.
     "rates without omega": (["rates"], 2, ("argparse",),
-                            ("numpy", "gravatom.rates") + STARTUP),
+                            ("numpy", "gravatom.rates") + STARTUP + JSON),
     "sweep with phi and mass": (["sweep", "--phi", "-0.05", "--mass", "0.01"], 2, ("argparse",),
-                                ("numpy", "gravatom.rates") + STARTUP),
+                                ("numpy", "gravatom.rates") + STARTUP + JSON),
     # verify has no fault-injection flag: the argument is refused by the parser.
     "verify with an unknown flag": (["verify", "--f1-offset", "1e-3"], 2, ("argparse",),
-                                    ("numpy", "gravatom.oracle") + STARTUP),
+                                    ("numpy", "gravatom.oracle") + STARTUP + JSON),
 }
 
 

@@ -200,7 +200,7 @@ class TestEvolveTrajectory:
         assert len(calls) == 3
 
 
-class TestRowRange:
+class TestEvolveChunks:
     """The chunks of `evolve_chunks` are bit for bit one `analytic_state` call over the grid."""
 
     @pytest.mark.parametrize(
