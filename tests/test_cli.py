@@ -669,6 +669,7 @@ VERIFY_RECORD_NAMES = [
     "sphere quadratic moment [1]",
     *(f"sphere {kind}-weighted moment [{i}]" for i in range(4) for kind in ("sin", "cos")),
     "energy balance |(P/omega_g)/(gamma_g/4) - 1| <= K*phi^2",
+    "energy balance slope of log |deviation| against log |phi|",
     "rate-ratio plateau at x=0.0001",
     "rate-ratio plateau at x=1000",
     "f2 small-x coefficient resolution",
@@ -721,14 +722,29 @@ class TestVerify:
         "exc", [RegimeError("bracket is negative"), ZeroDivisionError("float division")],
         ids=["regime", "zero-division"],
     )
-    def test_library_error_is_a_verification_failure(self, capsys, raise_in_bracket, exc):
+    def test_library_error_is_a_verification_failure(
+        self, capsys, verify_output, raise_in_bracket, exc
+    ):
         # Not exit 2: verify takes no input, so an error is a fault of the code.
+        # Each check that calls the bracket is one failing record; the checks
+        # before the first of them print what the clean run prints.
+        clean = json.loads(verify_output[1])["checks"]
         raise_in_bracket(exc)
         code, out, err = run_cli(capsys, "verify")
         assert (code, err) == (1, "")
         report = json.loads(out)
         assert report["all_pass"] is False
-        assert report["checks"][-1]["note"] == f"{type(exc).__name__}: {exc}"
+        checks = report["checks"]
+        assert checks[:26] == clean[:26]  # the 16 radial and 10 sphere records
+        aborted = [r for r in checks if r["computed"] is None]
+        assert [r["name"] for r in aborted] == [f"{check} aborted by an error" for check in (
+            "energy balance", "rate-ratio plateaus", "frequency argument", "detailed balance",
+            "redshift",
+        )]
+        for rec in aborted:
+            assert rec["pass"] is False
+            assert rec["note"] == f"{type(exc).__name__}: {exc}"
+        assert checks[-1] == aborted[-1]
 
     def test_record_names(self, verify_output):
         # Pinned so that a renamed, added or dropped record is a visible change.

@@ -159,10 +159,10 @@ class TestB1:
             closed = -(math.pi * x / 3.0) * specfun.f1(x)
             assert abs(num - closed) <= 1e-6 * abs(closed)
 
-    def test_literal_kernel_disagrees(self, report):
+    def test_literal_kernel_disagrees(self):
         # -(pi omega / 3R) f1(R omega) at R = 3, omega = 1/3.
         closed = -(math.pi / 27.0) * specfun.f1(1.0)
-        literal = _kernel_record(report)["computed"]
+        literal = oracle._b1_literal_kernel(3.0, 1.0 / 3.0)
         assert abs(literal - closed) > 1e-2 * abs(closed)
 
     def test_domain(self):
@@ -212,8 +212,9 @@ def _mp_f2(x):
 
 
 # B1(3, 1/3) with the literal kernel (cross term 2*R*cos, not 2*y*R*cos), the
-# value of the distance-kernel record, frozen from mpmath.quad on [0, 3] plus
-# mpmath.quadosc on [3, inf) of the same integrand at 50 significant digits.
+# value in the distance-kernel record's note, frozen from mpmath.quad on
+# [0, 3] plus mpmath.quadosc on [3, inf) of the same integrand at 50
+# significant digits.
 LITERAL_KERNEL_B1 = -0.23780093320113677
 
 
@@ -233,8 +234,8 @@ class TestAgainstMpmath:
                 ref = float(-(mp.pi * x / 2) * _mp_f2(x))
                 assert abs(b2_numeric(1.0, x) - ref) <= 1e-12 * max(abs(ref), 1e-2)
 
-    def test_literal_kernel_value(self, report):
-        literal = _kernel_record(report)["computed"]
+    def test_literal_kernel_value(self):
+        literal = oracle._b1_literal_kernel(3.0, 1.0 / 3.0)
         assert literal == pytest.approx(LITERAL_KERNEL_B1, rel=1e-12, abs=0.0)
 
 
@@ -451,14 +452,20 @@ class TestSelfConsistency:
         assert tight == pytest.approx(default, rel=1e-9)
 
 
-def _balance_record(records):
-    (rec,) = [r for r in records if r["name"].startswith("energy balance")]
-    return rec
+def _balance_records(records):
+    """The energy balance's K and slope records."""
+    recs = [r for r in records if r["name"].startswith("energy balance")]
+    assert len(recs) == 2
+    return recs
 
 
-def _kernel_record(records):
-    (rec,) = [r for r in records if r["name"] == "distance-kernel reading resolution"]
-    return rec
+def _obeys_printed_rule(rec):
+    """Whether ``pass`` is |computed - reference| <= tolerance, read off the record."""
+    computed, tolerance = rec["computed"], rec["tolerance"]
+    return rec["pass"] is (
+        computed is not None
+        and (tolerance is None or abs(computed - rec["reference"]) <= tolerance)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -478,10 +485,24 @@ class TestVerificationReport:
         assert failing == []
 
     def test_energy_balance_is_a_check(self, report):
-        (rec,) = [r for r in report if r["name"].startswith("energy balance")]
-        assert rec["tolerance"] == oracle.BALANCE_K
-        assert rec["computed"] <= oracle.BALANCE_K and rec["pass"] is True
-        assert not rec["note"].startswith("informational:")
+        # K against its bound, then the deviation's slope against 2 in
+        # log |phi|: both are checks, with a tolerance and no note.
+        k_rec, slope_rec = _balance_records(report)
+        assert (k_rec["reference"], k_rec["tolerance"]) == (0.0, oracle.BALANCE_K)
+        assert k_rec["computed"] <= oracle.BALANCE_K and k_rec["pass"] is True
+        assert slope_rec["name"] == "energy balance slope of log |deviation| against log |phi|"
+        assert (slope_rec["reference"], slope_rec["tolerance"]) == (2.0, 0.1)
+        assert abs(slope_rec["computed"] - 2.0) <= 0.1 and slope_rec["pass"] is True
+        assert "note" not in k_rec and "note" not in slope_rec
+
+    def test_every_record_obeys_the_printed_rule(self, report, shift_f1):
+        # pass is |computed - reference| <= tolerance, or computed at all
+        # where the tolerance is null, on the clean report and a faulty one.
+        assert all(_obeys_printed_rule(r) for r in report)
+        shift_f1(0.05)
+        faulty = verification_report()
+        assert not all(r["pass"] for r in faulty)
+        assert all(_obeys_printed_rule(r) for r in faulty)
 
     def test_redshift_record_measures_the_second_order_term(self, report):
         # (1 + phi) - sqrt(1 + 2 phi) = phi^2 / 2 - phi^3 / 2 + O(phi^4): K is
@@ -514,29 +535,39 @@ class TestVerificationReport:
             )
 
         monkeypatch.setattr(rates, "rate_bracket", bracket)
-        assert _balance_record(verification_report())["pass"] is passes
+        assert [r["pass"] for r in _balance_records(verification_report())] == [passes] * 2
 
     def test_energy_balance_fails_under_fault_injection(self, shift_f1):
         shift_f1(1e-3)
-        assert not _balance_record(verification_report())["pass"]
+        assert not any(r["pass"] for r in _balance_records(verification_report()))
 
     @pytest.mark.parametrize(
         "exc",
         [RegimeError("first-order rate bracket is negative"), ZeroDivisionError("float division")],
         ids=["regime", "zero-division"],
     )
-    def test_error_in_a_closed_form_fails_the_report(self, raise_in_bracket, exc):
-        # The records built before the first bracket call are kept, and one
-        # failing record carries the error; the report itself does not raise.
-        whole = verification_report()
+    def test_error_in_a_closed_form_fails_the_report(self, report, raise_in_bracket, exc):
+        # Each check that calls the bracket becomes one failing record that
+        # names it and carries the error; the other checks' records are the
+        # clean report's, and the report itself does not raise.
         raise_in_bracket(exc)
-        report = verification_report()
-        *built, aborted = report
-        assert built == whole[:len(built)]
-        assert built and all(r["pass"] for r in built)
-        assert aborted["name"] == "report aborted by an error"
-        assert aborted["pass"] is False
-        assert aborted["note"] == f"{type(exc).__name__}: {exc}"
+        faulty = verification_report()
+        aborted = [f"{check} aborted by an error" for check in (
+            "energy balance", "rate-ratio plateaus", "frequency argument", "detailed balance",
+            "redshift",
+        )]
+        assert [r["name"] for r in faulty] == [
+            *(r["name"] for r in report[:26]), *aborted[:2], "f2 small-x coefficient resolution",
+            "distance-kernel reading resolution", *aborted[2:],
+        ]
+        assert faulty[:26] == report[:26]  # the 16 radial and 10 sphere records
+        clean = {r["name"]: r for r in report}
+        for rec in faulty[26:]:
+            if rec["name"] in aborted:
+                assert (rec["computed"], rec["pass"]) == (None, False)
+                assert rec["note"] == f"{type(exc).__name__}: {exc}"
+            else:
+                assert rec == clean[rec["name"]]
 
     def test_fault_injection_fails(self, shift_f1):
         shift_f1(0.05)
@@ -550,7 +581,8 @@ class TestVerificationReport:
         b1_checks = [r for r in verification_report() if r["name"].startswith("B1 quadrature")]
         assert len(b1_checks) == len(oracle.GRID_X)
         assert not any(r["pass"] for r in b1_checks)
-        assert {r["tolerance"] for r in b1_checks} == {oracle.RADIAL_REL_TOL}
+        for r in b1_checks:
+            assert r["tolerance"] == oracle.RADIAL_REL_TOL * abs(r["reference"])
 
     def test_grid_reaches_every_piece_of_f1(self):
         # A B1 record on each piece below the flat cut, so no branch of f1
@@ -575,4 +607,4 @@ class TestVerificationReport:
 
         monkeypatch.setattr(oracle, "_gauss_panels", counting)
         assert all(r["pass"] for r in verification_report())
-        assert calls <= 12_000
+        assert calls == 11_280

@@ -56,9 +56,10 @@ MUTANTS = (
     ("rates.py", "n_b * gamma_g, (n_b + 1.0) * gamma_g", "(n_b + 1.0) * gamma_g, n_b * gamma_g"),
     ("rates.py", "bose_occupation(omega_g, temperature)",
      "bose_occupation(omega_g, temperature / (1.0 + env.phi))"),
-    # The sign of the f1 term of the bracket: the energy balance fails, and
-    # `build_rate_set` raises on the negative bracket, which ends the report
-    # with a failing record, not with a usage error.
+    # The sign of the f1 term of the bracket: the energy balance and the
+    # x = 1000 plateau fail, and `build_rate_set` raises on the negative
+    # bracket, which turns the detailed-balance check into one failing
+    # record, not a usage error; the redshift check after it still runs.
     ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
     # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).
     ("rates.py", "omega_g = (1.0 + env.phi) * atom.omega", "omega_g = (1.0 - env.phi) * atom.omega"),
