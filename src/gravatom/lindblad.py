@@ -51,14 +51,6 @@ class DensityMatrix2(Record):
         super().__init__(ee, gg, eg)
 
     @classmethod
-    def excited(cls) -> "DensityMatrix2":
-        return cls(ee=1.0, gg=0.0)
-
-    @classmethod
-    def ground(cls) -> "DensityMatrix2":
-        return cls(ee=0.0, gg=1.0)
-
-    @classmethod
     def mixed(cls, p_excited: float) -> "DensityMatrix2":
         _check_probability("p_excited", p_excited)
         return cls(ee=p_excited, gg=1.0 - p_excited)

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the closed forms it checks: the radial
 integrals behind the rate-correction functions are reduced analytically only
-in the angular variable and then integrated numerically, the sphere
-identities are checked by product quadrature, and the radiated power is
+in the angular variable and then integrated numerically, the flat rate is
+re-derived as a golden-rule sum over field modes, and the radiated power is
 compared against the dissipation rate computed independently: the power is
 built from f1 and f2 recovered from the radial quadratures, the rate from
 ``rates.rate_bracket``, and the two must agree up to a remainder of second
@@ -23,9 +23,9 @@ method on the Legendre recurrence.
 
 Everything runs on Python floats, and the module imports no numpy: an
 integrand is a scalar function ``f(y) -> float``, called once per node.
-The sphere identities use a 24 (Gauss, in mu) x 8 (trapezoid, in phi)
-product rule, the radial panels' Gauss rule in mu, sized by refinement: it
-agrees with the 32 x 16 rule.
+The mode sum's angular integral is a 24 (Gauss, in mu) x 8 (trapezoid, in
+phi) product rule over the sphere, the radial panels' Gauss rule in mu,
+sized by refinement: on its integrand it agrees with the 32 x 16 rule.
 
 ``verification_report`` runs the checks of ``CHECKS`` in turn, each a
 function that returns its records.  A record passes when |computed -
@@ -62,8 +62,8 @@ TAIL_PERIODS = 256
 
 #: Trapezoid nodes in phi of the sphere rule, whose nodes in mu = cos(theta)
 #: are the 24 of the radial panels' Gauss-Legendre rule.  Sized by
-#: refinement: on every sphere identity the 24 x 8 rule agrees with the
-#: 32 x 16 one to 1e-14.
+#: refinement: on the mode-sum integrand (khat . d)^2 the 24 x 8 rule agrees
+#: with the 32 x 16 one to 1e-14 relative.
 SPHERE_PHI_NODES = 8
 
 
@@ -307,7 +307,7 @@ def _b2_per_f2(R, omega):
 
 
 # ---------------------------------------------------------------------------
-# Sphere quadrature identities
+# Flat-space rate by a mode sum
 # ---------------------------------------------------------------------------
 
 
@@ -335,60 +335,16 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _quadratic_moment(d):
-    """(rhat . d)^2 on the sphere, and its integral 4 pi |d|^2 / 3."""
-    def g(rhat):
-        return _dot(rhat, d) ** 2
+def _mode_sum_rate(d, omega):
+    """Golden-rule rate of the coupling d . grad(phi) to a massless scalar phi.
 
-    return g, 4.0 * math.pi * _dot(d, d) / 3.0
-
-
-def _first_moment(d, z_vec, omega, trig, rhs_trig):
-    """(rhat . d) trig(omega (rhat . z - |z|)) on the sphere, and its integral.
-
-    -4 pi (z . d / |z|) (cos u - sin u / u) rhs_trig(u) / u, with
-    u = omega |z| and ``rhs_trig`` cos for ``trig`` sin and sin for cos.
+    Emission into a mode k, normalised by 1 / sqrt(2 omega_k V), has the
+    matrix element k . d, so Gamma = 2 pi int d^3k / (2 pi)^3 (k . d)^2
+    / (2 omega_k) delta(omega_k - omega).  With d^3k = k^2 dk dOmega_k and
+    omega_k = k the delta sets k = omega: Gamma = omega^3 / (8 pi^2) times
+    the sphere integral of (khat . d)^2.  ``d`` is a 3-vector.
     """
-    z = math.sqrt(_dot(z_vec, z_vec))
-    u = omega * z
-    base = -4.0 * math.pi * (_dot(z_vec, d) / z) * (math.cos(u) - math.sin(u) / u)
-
-    def g(rhat):
-        return _dot(rhat, d) * trig(omega * (_dot(rhat, z_vec) - z))
-
-    return g, base * rhs_trig(u) / u
-
-
-def _sphere_identities():
-    """(name, paper_ref, integrand g(rhat), closed form) of each sphere identity."""
-    cases = []
-    for i, d in enumerate(((0.0, 0.0, 1.0), (0.3, -0.4, 1.2))):
-        cases.append((f"sphere quadratic moment [{i}]",
-                      "sphere average of squared dipole projection", *_quadratic_moment(d)))
-    moment_cases = (
-        ((0.0, 0.0, 1.0), (0.0, 0.0, math.pi), 1.0),
-        ((0.0, 0.0, 0.7), (0.0, 0.0, 1.7), 1.0),
-        ((1.0, 0.0, 0.0), (0.0, 0.0, 2.0), 1.3),
-        ((0.5, 0.0, 0.8), (0.0, 0.0, 2.0), 1.3),
-    )
-    for i, (d, z_vec, omega) in enumerate(moment_cases):
-        for label, trig, rhs_trig in (("sin", math.sin, math.cos), ("cos", math.cos, math.sin)):
-            cases.append((f"sphere {label}-weighted moment [{i}]",
-                          f"{label}-weighted first moment of dipole projection",
-                          *_first_moment(d, z_vec, omega, trig, rhs_trig)))
-    return cases
-
-
-def angular_identities_check() -> list[dict]:
-    """Verify the sphere-average identities used in the power calculation.
-
-    Checks, by product quadrature over the sphere, the quadratic moment
-    of (rhat . d) and the sin/cos-weighted first moments against their
-    closed forms, for several dipole/offset geometries.  The 24 x 8 rule
-    meets them to 4e-15, so each allows 1e-12.
-    """
-    return [_record(name, ref, _sphere_quad(g), rhs, 1e-12)
-            for name, ref, g, rhs in _sphere_identities()]
+    return omega**3 / (8.0 * math.pi**2) * _sphere_quad(lambda khat: _dot(khat, d) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +452,18 @@ def _radial_check(grid):
     return records
 
 
-def _sphere_check(grid):
-    """The sphere identities of ``angular_identities_check``."""
-    return angular_identities_check()
+def _flat_rate_check(grid):
+    """``rates.flat_rate(|d|, omega)`` against ``_mode_sum_rate(d, omega)`` at
+    points with |d| != 1 and omega != 1, where a wrong power or prefactor
+    shows; the worst meets it to 8.3e-16 relative, against 1e-12."""
+    points = (((0.0, 0.0, 0.8), 1.7), ((0.3, -0.4, 1.2), 0.7), ((2.0, 0.0, 0.5), 3.1))
+    pairs = [(rates_mod.flat_rate(math.hypot(*d), omega), _mode_sum_rate(d, omega))
+             for d, omega in points]
+    rate, mode_sum = max(pairs, key=lambda pair: abs(pair[0] - pair[1]) / pair[1])
+    return [_record("flat rate d^2 Omega^3/(6 pi) against the mode sum",
+                    "spontaneous emission rate in flat space by the golden rule",
+                    rate, mode_sum, 1e-12 * mode_sum,
+                    note=f"worst of {len(points)} (d, omega) points")]
 
 
 def _energy_balance_check(grid):
@@ -617,7 +582,7 @@ def _redshift_check(grid):
 #: (name, check) of each check of the report, in the order of its records.
 CHECKS = (
     ("B1/B2 quadrature", _radial_check),
-    ("sphere identities", _sphere_check),
+    ("flat rate", _flat_rate_check),
     ("energy balance", _energy_balance_check),
     ("rate-ratio plateaus", _plateau_check),
     ("f2 small-x coefficient", _f2_coefficient_check),
@@ -631,14 +596,14 @@ CHECKS = (
 def verification_report() -> list[dict]:
     """Run the full oracle suite and return one record per check.
 
-    The closed forms under test, ``specfun.f1``, ``specfun.f2``,
-    ``rates.rate_bracket`` and ``rates.build_rate_set``, are looked up when
-    the report runs, so a fault in any of them fails the records that use it.
-    A library error or an arithmetic fault raised in a check is such a fault
-    too: that check's records become one failing record, ``<check> aborted
-    by an error``, whose note carries the message, and the other checks
-    still run.  The B1/B2 grid integrals are computed once per report, by
-    the first check that reads them.
+    The closed forms under test (``specfun.f1``, ``specfun.f2``,
+    ``rates.flat_rate``, ``rate_bracket``, ``build_rate_set``) are looked up
+    when the report runs, so a fault in any of them fails the records that
+    use it.  A library error or an arithmetic fault raised in a check is such
+    a fault too: that check's records become one failing record, ``<check>
+    aborted by an error``, whose note carries the message, and the other
+    checks still run.  The B1/B2 grid integrals are computed once per report,
+    by the first check that reads them.
     """
     grid = functools.cache(_grid_integrals)
     records: list[dict] = []

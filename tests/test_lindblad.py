@@ -64,8 +64,8 @@ class TestDensityMatrix2:
         assert s.trace.tolist() == [1.0, 1.0, 1.0]
 
     def test_constructors(self):
-        assert DensityMatrix2.excited().ee == 1.0
-        assert DensityMatrix2.ground().gg == 1.0
+        assert DensityMatrix2.mixed(1.0).ee == 1.0
+        assert DensityMatrix2.mixed(0.0).gg == 1.0
         m = DensityMatrix2.mixed(0.25)
         assert m.ee == 0.25 and m.gg == 0.75
         s = DensityMatrix2.superposition()
@@ -83,7 +83,7 @@ class TestAnalyticState:
     def test_long_time_steady_state(self):
         rates = make_rates(0.25, 0.75)
         t = 40.0 / rates.gamma_total
-        out = analytic_state(DensityMatrix2.excited(), rates, t)
+        out = analytic_state(DensityMatrix2.mixed(1.0), rates, t)
         assert out.ee == pytest.approx(rates.steady_excited, abs=1e-12)
         assert out.gg == pytest.approx(1.0 - rates.steady_excited, abs=1e-12)
         assert abs(out.eg) == 0.0
@@ -92,13 +92,13 @@ class TestAnalyticState:
         gamma = 0.31
         rates = make_rates(0.0, gamma)
         for t in (0.0, 1.0, 5.0, 20.0):
-            out = analytic_state(DensityMatrix2.excited(), rates, t)
+            out = analytic_state(DensityMatrix2.mixed(1.0), rates, t)
             assert out.ee == pytest.approx(math.exp(-gamma * t), rel=1e-13, abs=1e-300)
 
     def test_negative_time_rejected(self):
         for t in (-1.0, math.nan, np.array([0.0, 1.0, -1.0])):
             with pytest.raises(DomainError):
-                analytic_state(DensityMatrix2.excited(), make_rates(0.0, 1.0), t)
+                analytic_state(DensityMatrix2.mixed(1.0), make_rates(0.0, 1.0), t)
 
     def test_time_column_matches_scalar_calls(self):
         rates = make_rates(0.2, 0.7)
@@ -125,7 +125,7 @@ class TestEvolveTrajectory:
     def test_vacuum_decay_against_exponential(self):
         gamma = 1.0
         rates = make_rates(0.0, gamma)
-        _, states = evolve(DensityMatrix2.excited(), rates, 5.0, 500)
+        _, states = evolve(DensityMatrix2.mixed(1.0), rates, 5.0, 500)
         assert states.ee[-1] == pytest.approx(math.exp(-5.0), abs=1e-8)
 
     def test_trace_preserved(self):
@@ -152,7 +152,7 @@ class TestEvolveTrajectory:
 
     def test_population_monotone_toward_steady_state(self):
         rates = make_rates(0.3, 0.7)
-        for rho0 in (DensityMatrix2.excited(), DensityMatrix2.ground()):
+        for rho0 in (DensityMatrix2.mixed(1.0), DensityMatrix2.mixed(0.0)):
             _, states = evolve(rho0, rates, 6.0, 600)
             ees = states.ee
             gaps = [abs(e - rates.steady_excited) for e in ees]

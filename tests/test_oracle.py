@@ -9,7 +9,6 @@ from gravatom import oracle, rates, specfun
 from gravatom.errors import ConvergenceError, DivergenceError, DomainError, RegimeError
 from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
-    angular_identities_check,
     b1_numeric,
     b2_numeric,
     integrate_adaptive,
@@ -400,21 +399,29 @@ class TestGaussLegendre:
         assert weights.sum() == pytest.approx(4.0 * math.pi, rel=1e-15)
 
 
-class TestAngularIdentities:
-    def test_all_pass(self):
-        records = angular_identities_check()
-        assert len(records) == 10
-        assert all(r["pass"] for r in records)
-
+class TestFlatRate:
     def test_sphere_rule_agrees_with_its_refinement(self):
-        # The 24 x 8 rule against 32 x 16, on each identity's integrand.
-        cases = oracle._sphere_identities()
-        assert len(cases) == 10
+        # The 24 x 8 rule against 32 x 16 and against 4 pi |d|^2 / 3, on the
+        # mode-sum integrand; relative, as the integral reaches 17.8.
         fine = oracle._sphere_grid(*oracle._gauss_legendre(32), 16)
-        for name, _, g, rhs in cases:
-            coarse = oracle._sphere_quad(g)
-            assert abs(coarse - oracle._sphere_quad(g, fine)) <= 1e-14, name
-            assert abs(coarse - rhs) <= 1e-14, name
+        for d in ((0.0, 0.0, 0.8), (0.3, -0.4, 1.2), (2.0, 0.0, 0.5)):
+            def integrand(khat):
+                return oracle._dot(khat, d) ** 2
+
+            coarse = oracle._sphere_quad(integrand)
+            assert abs(coarse - oracle._sphere_quad(integrand, fine)) <= 1e-14 * coarse, d
+            assert coarse == pytest.approx(4.0 * math.pi * oracle._dot(d, d) / 3.0, rel=1e-14), d
+
+    def test_only_the_flat_rate_record_catches_a_prefactor_fault(self, monkeypatch):
+        # flat_rate x (1 + 1e-6): the detailed-balance record is a ratio of
+        # two rates built from it, so the fault cancels there.
+        flat_rate = rates.flat_rate
+        monkeypatch.setattr(rates, "flat_rate", lambda d, omega: flat_rate(d, omega) * (1.0 + 1e-6))
+        failing = [r for r in verification_report() if not r["pass"]]
+        assert [r["name"] for r in failing] == ["flat rate d^2 Omega^3/(6 pi) against the mode sum"]
+        (rec,) = failing
+        assert rec["tolerance"] == 1e-12 * abs(rec["reference"])
+        assert abs(rec["computed"] / rec["reference"] - 1.0) == pytest.approx(1e-6, rel=1e-6)
 
 
 class TestRadiationPower:
@@ -557,12 +564,12 @@ class TestVerificationReport:
             "redshift",
         )]
         assert [r["name"] for r in faulty] == [
-            *(r["name"] for r in report[:26]), *aborted[:2], "f2 small-x coefficient resolution",
+            *(r["name"] for r in report[:17]), *aborted[:2], "f2 small-x coefficient resolution",
             "distance-kernel reading resolution", *aborted[2:],
         ]
-        assert faulty[:26] == report[:26]  # the 16 radial and 10 sphere records
+        assert faulty[:17] == report[:17]  # the 16 radial records and the flat-rate record
         clean = {r["name"]: r for r in report}
-        for rec in faulty[26:]:
+        for rec in faulty[17:]:
             if rec["name"] in aborted:
                 assert (rec["computed"], rec["pass"]) == (None, False)
                 assert rec["note"] == f"{type(exc).__name__}: {exc}"

@@ -63,6 +63,10 @@ MUTANTS = (
     ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
     # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).
     ("rates.py", "omega_g = (1.0 + env.phi) * atom.omega", "omega_g = (1.0 - env.phi) * atom.omega"),
+    # The flat rate's prefactor d^2 Omega^3 / (3 pi), and d^2 Omega^3 6 pi:
+    # the flat-rate record, against the mode sum, fails.
+    ("rates.py", "(6.0 * math.pi)", "(3.0 * math.pi)"),
+    ("rates.py", "omega**3 / (6.0", "omega**3 * (6.0"),
 )
 
 # Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
