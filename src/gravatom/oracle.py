@@ -23,9 +23,9 @@ method on the Legendre recurrence.
 
 Everything runs on Python floats, and the module imports no numpy: an
 integrand is a scalar function ``f(y) -> float``, called once per node.
-The mode sum's angular integral is a 24 (Gauss, in mu) x 8 (trapezoid, in
-phi) product rule over the sphere, the radial panels' Gauss rule in mu,
-sized by refinement: on its integrand it agrees with the 32 x 16 rule.
+The mode sum's angular integrand is a quadratic, which the six octahedron
+vertices +-x, +-y, +-z, each weighted 4 pi / 6, integrate exactly over the
+sphere (Stroud, Approximate Calculation of Multiple Integrals, 1971, U3 3-1).
 
 ``verification_report`` runs the checks of ``CHECKS`` in turn, each a
 function that returns its records.  A record passes when |computed -
@@ -59,12 +59,6 @@ ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_DEPTH = 10
 TAIL_PERIODS = 256
-
-#: Trapezoid nodes in phi of the sphere rule, whose nodes in mu = cos(theta)
-#: are the 24 of the radial panels' Gauss-Legendre rule.  Sized by
-#: refinement: on the mode-sum integrand (khat . d)^2 the 24 x 8 rule agrees
-#: with the 32 x 16 one to 1e-14 relative.
-SPHERE_PHI_NODES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +305,13 @@ def _b2_per_f2(R, omega):
 # ---------------------------------------------------------------------------
 
 
-def _sphere_grid(mu, mu_weights, n_phi):
-    """(rhat, weight) of each node of the product rule: (mu, mu_weights) in mu
-    by n_phi trapezoid nodes in phi."""
-    phis = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
-    d_phi = 2.0 * math.pi / n_phi
-    grid = []
-    for z, w in zip(mu, mu_weights):
-        s = math.sqrt(1.0 - z * z)
-        grid.extend(((s * math.cos(p), s * math.sin(p), z), w * d_phi) for p in phis)
-    return grid
-
-
-_SPHERE = _sphere_grid(_GL_NODES, _GL_WEIGHTS, SPHERE_PHI_NODES)
-
-
-def _sphere_quad(g, grid=_SPHERE):
-    """Integrate g(rhat) over the unit sphere."""
-    return sum(w * g(rhat) for rhat, w in grid)
+#: (khat, weight) of the six octahedron vertices: exact on the sphere for
+#: polynomials of degree 3 in khat, not 4 (x^4 gives 4 pi / 3, not 4 pi / 5).
+_OCTAHEDRON = tuple(
+    (khat, 4.0 * math.pi / 6.0)
+    for khat in ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                 (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+)
 
 
 def _dot(a, b):
@@ -342,9 +325,10 @@ def _mode_sum_rate(d, omega):
     matrix element k . d, so Gamma = 2 pi int d^3k / (2 pi)^3 (k . d)^2
     / (2 omega_k) delta(omega_k - omega).  With d^3k = k^2 dk dOmega_k and
     omega_k = k the delta sets k = omega: Gamma = omega^3 / (8 pi^2) times
-    the sphere integral of (khat . d)^2.  ``d`` is a 3-vector.
+    the sphere integral of (khat . d)^2, a quadratic that the six vertices of
+    ``_OCTAHEDRON`` integrate exactly.  ``d`` is a 3-vector.
     """
-    return omega**3 / (8.0 * math.pi**2) * _sphere_quad(lambda khat: _dot(khat, d) ** 2)
+    return omega**3 / (8.0 * math.pi**2) * sum(_dot(khat, d) ** 2 * w for khat, w in _OCTAHEDRON)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +385,14 @@ def _record(name, ref, computed, reference, tolerance, note=None):
     ``tolerance`` is the absolute bound applied, so a relative bound comes
     here multiplied by |reference|.  A ``tolerance`` of None marks an
     informational record, which passes once computed; a ``computed`` of None
-    (an aborted check) fails.
+    (an aborted check) fails.  So does a record with a NaN or infinite
+    field: its three numbers print as null, to keep the report strict JSON,
+    and move into ``note``.
     """
+    if any(v is not None and not math.isfinite(v) for v in (computed, reference, tolerance)):
+        note = (f"non-finite: computed {computed!r}, reference {reference!r}, "
+                f"tolerance {tolerance!r}" + ("" if note is None else f"; {note}"))
+        computed = reference = tolerance = None
     rec = {
         "name": name,
         "paper_ref": ref,
@@ -415,6 +405,11 @@ def _record(name, ref, computed, reference, tolerance, note=None):
     if note is not None:
         rec["note"] = note
     return rec
+
+
+def _worst(items, key=lambda item: item):
+    """The item of largest ``key``; a NaN key wins, where ``max`` would skip it."""
+    return max(items, key=lambda item: (math.isnan(k := key(item)), k))
 
 
 # Each check takes ``grid``, which returns B1 and B2 at R = 1 on GRID_X,
@@ -455,11 +450,12 @@ def _radial_check(grid):
 def _flat_rate_check(grid):
     """``rates.flat_rate(|d|, omega)`` against ``_mode_sum_rate(d, omega)`` at
     points with |d| != 1 and omega != 1, where a wrong power or prefactor
-    shows; the worst meets it to 8.3e-16 relative, against 1e-12."""
+    shows.  The octahedron rule is exact on the mode sum's integrand, so the
+    worst meets it to 1.7e-16 relative, against 1e-12."""
     points = (((0.0, 0.0, 0.8), 1.7), ((0.3, -0.4, 1.2), 0.7), ((2.0, 0.0, 0.5), 3.1))
     pairs = [(rates_mod.flat_rate(math.hypot(*d), omega), _mode_sum_rate(d, omega))
              for d, omega in points]
-    rate, mode_sum = max(pairs, key=lambda pair: abs(pair[0] - pair[1]) / pair[1])
+    rate, mode_sum = _worst(pairs, key=lambda pair: abs(pair[0] - pair[1]) / pair[1])
     return [_record("flat rate d^2 Omega^3/(6 pi) against the mode sum",
                     "spontaneous emission rate in flat space by the golden rule",
                     rate, mode_sum, 1e-12 * mode_sum,
@@ -475,7 +471,7 @@ def _energy_balance_check(grid):
     f_g = [(b1 / _b1_per_f1(1.0, x), b2 / _b2_per_f2(1.0, x))
            for x, b1, b2 in zip(GRID_X, *grid())]
     worst = [
-        max(
+        _worst(
             abs(power_per_quantum(phi, sin2psi, f1_g, f2_g)
                 / rates_mod.rate_bracket(x / (1.0 + phi), phi, sin2psi) - 1.0)
             for sin2psi in (0.0, 0.5, 1.0)
@@ -483,7 +479,7 @@ def _energy_balance_check(grid):
         )
         for phi in BALANCE_PHIS
     ]
-    k_max = max(w / phi**2 for w, phi in zip(worst, BALANCE_PHIS))
+    k_max = _worst(w / phi**2 for w, phi in zip(worst, BALANCE_PHIS))
     slope = math.log(worst[-1] / worst[0]) / math.log(BALANCE_PHIS[-1] / BALANCE_PHIS[0])
     return [
         _record("energy balance |(P/omega_g)/(gamma_g/4) - 1| <= K*phi^2",
@@ -556,7 +552,7 @@ def _detailed_balance_check(grid):
             AtomSpec(omega, dipole_angle=psi), GravityEnv(phi, distance=1.0), T
         )
         pairs.append((rs.gamma_plus / rs.gamma_minus, math.exp(-rs.omega_g / T)))
-    ratio, boltzmann = max(pairs, key=lambda pair: abs(pair[0] - pair[1]) / pair[1])
+    ratio, boltzmann = _worst(pairs, key=lambda pair: abs(pair[0] - pair[1]) / pair[1])
     return [_record("detailed balance Gamma+/Gamma- = exp(-omega_g/T)",
                     "thermal absorption over emission rate at the redshifted splitting",
                     ratio, boltzmann, 1e-12 * boltzmann,
@@ -569,7 +565,7 @@ def _redshift_check(grid):
     balance potentials.  The two agree to first order in phi, and the leading
     difference phi^2 / 2 makes K = max |delta| / phi^2 about 0.5; a wrong sign
     or power of (1 + phi) leaves an O(phi) difference."""
-    k_redshift = max(
+    k_redshift = _worst(
         abs(rates_mod.build_rate_set(AtomSpec(1.0), GravityEnv(phi, 1.0)).omega_g
             - math.sqrt(1.0 + 2.0 * phi)) / phi**2
         for phi in BALANCE_PHIS

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravatom import cli, specfun
+from gravatom import cli, rates, specfun
 from gravatom.cli import MAX_STEPS, main
 from gravatom.errors import RegimeError
 from gravatom.lindblad import DensityMatrix2, analytic_state
@@ -753,14 +753,41 @@ class TestVerify:
     def test_strict_json(self, verify_output):
         # RFC 8259 has no NaN or Infinity; an informational record without a
         # tolerance carries null.
-        def refuse(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         _, out = verify_output
-        checks = json.loads(out, parse_constant=refuse)["checks"]
+        checks = json.loads(out, parse_constant=refuse_constant)["checks"]
         (rec,) = [r for r in checks
                   if r["name"] == "proper- vs redshifted-frequency argument of f1/f2"]
         assert rec["tolerance"] is None
+
+    @pytest.mark.parametrize("fault", ["f1", "bracket"])
+    def test_non_finite_fault_fails_in_strict_json(self, capsys, monkeypatch, fault):
+        # f1 NaN above x = 2, or the bracket NaN near x = pi only, which the
+        # energy balance alone reaches: its worst deviation is NaN, although
+        # max would skip a NaN after the first point, and every record with
+        # a NaN field prints null numbers and fails.
+        if fault == "f1":
+            f1 = specfun.f1
+            monkeypatch.setattr(specfun, "f1", lambda x: math.nan if x > 2.0 else f1(x))
+        else:
+            bracket = rates.rate_bracket
+            monkeypatch.setattr(rates, "rate_bracket", lambda x, phi, sin2psi: (
+                math.nan if abs(x - math.pi) < 0.1 else bracket(x, phi, sin2psi)))
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, err) == (1, "")
+        checks = json.loads(out, parse_constant=refuse_constant)["checks"]
+        failing = [r["name"] for r in checks if not r["pass"]]
+        balance = [name for name in VERIFY_RECORD_NAMES if name.startswith("energy balance")]
+        assert set(balance) <= set(failing)
+        if fault == "bracket":
+            assert failing == balance
+        for rec in checks:
+            if rec["computed"] is None:
+                assert (rec["reference"], rec["tolerance"], rec["pass"]) == (None, None, False)
+
+
+def refuse_constant(token):
+    """``parse_constant`` hook of ``json.loads`` that refuses NaN and Infinity."""
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def _rows(*columns) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -388,29 +389,36 @@ class TestGaussLegendre:
             assert abs(weights @ nodes**k - exact) <= 1e-15, k
 
     def test_node_counts(self):
-        # 24-point radial panels and the 24 x 8 sphere grid on the same
-        # Gauss rule, built once.
+        # 24-point radial panels, built once.
         assert len(oracle._GL_NODES) == len(oracle._GL_WEIGHTS) == 24
-        assert oracle.SPHERE_PHI_NODES == 8
-        assert len(oracle._SPHERE) == 24 * 8
-        rhat = np.array([r for r, _ in oracle._SPHERE])
-        weights = np.array([w for _, w in oracle._SPHERE])
-        assert np.allclose(np.linalg.norm(rhat, axis=1), 1.0, rtol=0, atol=1e-15)
-        assert weights.sum() == pytest.approx(4.0 * math.pi, rel=1e-15)
+
+
+def _octahedron_quad(a, b, c):
+    """The octahedron rule on the monomial x^a y^b z^c."""
+    return sum(w * x**a * y**b * z**c for (x, y, z), w in oracle._OCTAHEDRON)
+
+
+def _sphere_monomial(a, b, c):
+    """Integral of x^a y^b z^c over the unit sphere: 0 unless a, b, c are
+    all even, else 2 G((a+1)/2) G((b+1)/2) G((c+1)/2) / G((a+b+c+3)/2)."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    g = math.gamma
+    return 2.0 * g((a + 1) / 2) * g((b + 1) / 2) * g((c + 1) / 2) / g((a + b + c + 3) / 2)
 
 
 class TestFlatRate:
-    def test_sphere_rule_agrees_with_its_refinement(self):
-        # The 24 x 8 rule against 32 x 16 and against 4 pi |d|^2 / 3, on the
-        # mode-sum integrand; relative, as the integral reaches 17.8.
-        fine = oracle._sphere_grid(*oracle._gauss_legendre(32), 16)
-        for d in ((0.0, 0.0, 0.8), (0.3, -0.4, 1.2), (2.0, 0.0, 0.5)):
-            def integrand(khat):
-                return oracle._dot(khat, d) ** 2
-
-            coarse = oracle._sphere_quad(integrand)
-            assert abs(coarse - oracle._sphere_quad(integrand, fine)) <= 1e-14 * coarse, d
-            assert coarse == pytest.approx(4.0 * math.pi * oracle._dot(d, d) / 3.0, rel=1e-14), d
+    def test_octahedron_rule_is_exact_to_degree_three(self):
+        # Every monomial of degree <= 3, the mode sum's quadratic included;
+        # x^4 it misses (4 pi / 3 for 4 pi / 5), so only a quadratic
+        # integrand may use the rule.
+        degrees = [p for p in itertools.product(range(4), repeat=3) if sum(p) <= 3]
+        assert len(degrees) == 20
+        for a, b, c in degrees:
+            exact = _sphere_monomial(a, b, c)
+            assert _octahedron_quad(a, b, c) == pytest.approx(exact, rel=1e-15, abs=0.0), (a, b, c)
+        assert _sphere_monomial(4, 0, 0) == pytest.approx(4.0 * math.pi / 5.0, rel=1e-15)
+        assert _octahedron_quad(4, 0, 0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
 
     def test_only_the_flat_rate_record_catches_a_prefactor_fault(self, monkeypatch):
         # flat_rate x (1 + 1e-6): the detailed-balance record is a ratio of
@@ -510,6 +518,28 @@ class TestVerificationReport:
         faulty = verification_report()
         assert not all(r["pass"] for r in faulty)
         assert all(_obeys_printed_rule(r) for r in faulty)
+
+    @pytest.mark.parametrize(
+        "numbers", [(math.nan, 0.0, None), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)],
+        ids=["informational-nan", "inf-reference", "inf-tolerance"],
+    )
+    def test_a_non_finite_record_fails_and_prints_null(self, numbers):
+        # Null numbers keep the report strict JSON; the values go to the note.
+        rec = oracle._record("r", "ref", *numbers, note="n")
+        assert (rec["computed"], rec["reference"], rec["tolerance"], rec["pass"]) == (
+            None, None, None, False)
+        computed, reference, tolerance = numbers
+        assert rec["note"] == (f"non-finite: computed {computed!r}, reference {reference!r}, "
+                               f"tolerance {tolerance!r}; n")
+        assert _obeys_printed_rule(rec)
+
+    def test_worst_is_nan_wherever_a_nan_stands(self):
+        assert max([1.0, math.nan, 2.0]) == 2.0  # max keeps a NaN only when it comes first
+        assert oracle._worst([1.0, 3.0, 2.0]) == 3.0
+        for values in ([math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]):
+            assert math.isnan(oracle._worst(values)), values
+        pairs = [(1.0, 2.0), (math.nan, 1.0), (3.0, 1.0)]
+        assert oracle._worst(pairs, key=lambda pair: abs(pair[0] - pair[1])) is pairs[1]
 
     def test_redshift_record_measures_the_second_order_term(self, report):
         # (1 + phi) - sqrt(1 + 2 phi) = phi^2 / 2 - phi^3 / 2 + O(phi^4): K is

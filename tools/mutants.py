@@ -8,8 +8,9 @@ the oracle quadrature that re-derives it.  For each, ``src/`` is copied to a
 temporary directory (without ``__pycache__``), the old text is replaced
 there, and ``gravatom.cli`` runs ``verify`` as
 ``python -m gravatom.cli verify`` does, with ``PYTHONPATH`` set to the copy.
-A mutant is caught when ``verify`` exits 1 without a traceback.  The
-unmutated copy runs first and must exit 0.
+A mutant is caught when ``verify`` exits 1 without a traceback and prints
+strict JSON (no NaN or Infinity).  The unmutated copy runs first and must
+exit 0.
 
 One line is printed per run.  Exit 0 when every mutant is caught, 1 when
 any is missed, 2 when an old text does not occur exactly once in ``src/``
@@ -22,6 +23,7 @@ that catches it, never with an allowance.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -42,10 +44,13 @@ MUTANTS = (
     # Every oscillatory tail skips its first half-period; the B1/B2 records
     # then miss by 15% or more.
     ("oracle.py", "[a + h * i for i", "[a + h + h * i for i"),
-    # f1 off by 1e-3, 1e-6 and 1e-9 above x = 2, and its Taylor series below.
+    # f1 off by 1e-3, 1e-6 and 1e-9 above x = 2, NaN and infinite there, and
+    # its Taylor series below.  A NaN or infinite field prints as null.
     ("specfun.py", "return 3.0 + inv2", "return 3.001 + inv2"),
     ("specfun.py", "return 3.0 + inv2", "return 3.000001 + inv2"),
     ("specfun.py", "return 3.0 + inv2", "return 3.000000001 + inv2"),
+    ("specfun.py", "return 3.0 + inv2", "return math.nan + inv2"),
+    ("specfun.py", "return 3.0 + inv2", "return math.inf + inv2"),
     ("specfun.py", "math.pi * x", "3.1416 * x"),
     # The argument map of the auxiliary functions' fit, and its leading
     # coefficient of y f(y) off by 1e-9 (f1 above x = 2).
@@ -63,10 +68,14 @@ MUTANTS = (
     ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
     # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).
     ("rates.py", "omega_g = (1.0 + env.phi) * atom.omega", "omega_g = (1.0 - env.phi) * atom.omega"),
-    # The flat rate's prefactor d^2 Omega^3 / (3 pi), and d^2 Omega^3 6 pi:
-    # the flat-rate record, against the mode sum, fails.
+    # The flat rate's prefactor d^2 Omega^3 / (3 pi), d^2 Omega^3 6 pi, and
+    # its powers d^3 and Omega^2: the flat-rate record, against the mode
+    # sum, fails.  So does the mode sum's octahedron weight 4 pi / 5.
     ("rates.py", "(6.0 * math.pi)", "(3.0 * math.pi)"),
     ("rates.py", "omega**3 / (6.0", "omega**3 * (6.0"),
+    ("rates.py", "dipole_mag**2", "dipole_mag**3"),
+    ("rates.py", "* omega**3", "* omega**2"),
+    ("oracle.py", "4.0 * math.pi / 6.0", "4.0 * math.pi / 5.0"),
 )
 
 # Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
@@ -88,8 +97,21 @@ def occurrences(name: str, old: str, src: Path = SRC) -> int:
     return (src / "gravatom" / name).read_text().count(old)
 
 
-def run_verify(mutant=None) -> tuple[int, str]:
-    """Exit code and stderr of ``verify`` on a fresh copy of ``src/`` with ``mutant`` applied."""
+def strict_json(text: str) -> bool:
+    """Whether ``text`` parses as JSON without the constants NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    try:
+        json.loads(text, parse_constant=refuse)
+    except ValueError:  # JSONDecodeError is a ValueError too
+        return False
+    return True
+
+
+def run_verify(mutant=None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``verify`` on a fresh copy of ``src/``
+    with ``mutant`` applied."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "src"
         shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
@@ -100,9 +122,9 @@ def run_verify(mutant=None) -> tuple[int, str]:
         proc = subprocess.run(
             [sys.executable, "-c", CHILD, str(root), "verify"],
             cwd=tmp, env=dict(os.environ, PYTHONPATH=str(root)),
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300,
         )
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main() -> int:
@@ -116,7 +138,7 @@ def main() -> int:
     missed = 0
     for mutant in (None, *MUTANTS):
         start = time.perf_counter()
-        code, err = run_verify(mutant)
+        code, out, err = run_verify(mutant)
         elapsed = time.perf_counter() - start
         if code == 3:
             print(f"error: {err.strip()}, not the copy", file=sys.stderr)
@@ -127,7 +149,7 @@ def main() -> int:
                 print(f"error: verify fails on the unmutated copy\n{err}", file=sys.stderr)
                 return 2
             continue
-        caught = code == 1 and "Traceback" not in err
+        caught = code == 1 and "Traceback" not in err and strict_json(out)
         missed += not caught
         name, old, new = mutant
         print(f"{'caught' if caught else 'MISSED'}  exit {code}  {elapsed:.2f} s  "
