@@ -5,8 +5,9 @@ integrals behind the rate-correction functions are reduced analytically only
 in the angular variable and then integrated numerically, the flat rate is
 re-derived as a golden-rule sum over field modes, and the radiated power is
 compared against the dissipation rate computed independently: the power is
-built from f1 and f2 recovered from the radial quadratures, the rate from
-``rates.rate_bracket``, and the two must agree up to a remainder of second
+built from f1 and f2 recovered from the radial quadratures and sin^2(psi)
+from the dipole vector, the rate ratio gamma_g / gamma from
+``rates.build_rate_set``, and the two must agree up to a remainder of second
 order in phi.
 
 The angular moments of the distance kernel are closed forms: the multipole
@@ -371,14 +372,6 @@ RADIAL_REL_TOL = 1e-10
 B2_ABS_FLOOR = 1e-12
 
 
-def _f2_closed(x):
-    """Closed form of f2, the "f2 small-x coefficient resolution" record's.
-
-    (1 - x sin 2x - cos 2x) / x^2; cancels badly as x -> 0.
-    """
-    return (1.0 - x * math.sin(2.0 * x) - math.cos(2.0 * x)) / (x * x)
-
-
 def _record(name, ref, computed, reference, tolerance, note=None):
     """One report record; it passes when |computed - reference| <= tolerance.
 
@@ -422,8 +415,8 @@ def _grid_integrals():
 
 
 def _radial_check(grid):
-    """B1/B2 on the grid against the closed forms, then the scale invariance
-    B1(lam R, omega / lam) = B1(R, omega) / lam^2 at x = 1."""
+    """B1/B2 on the grid against the closed forms.  Their scaling in R is
+    held by the distance-kernel record, B1 at R = 3."""
     b1_values, b2_values = grid()
     records = []
     for x, computed in zip(GRID_X, b1_values):
@@ -437,13 +430,6 @@ def _radial_check(grid):
                                "second radial coefficient against f2 closed form",
                                computed, reference,
                                max(B2_ABS_FLOOR, RADIAL_REL_TOL * abs(reference))))
-    base = b1_values[GRID_X.index(1.0)]
-    for lam in (0.5, 2.0):
-        reference = base / lam**2
-        records.append(_record(f"B1 scale invariance, lambda={lam:g}",
-                               "radial coefficient scaling with (R, omega) -> (lam R, omega/lam)",
-                               b1_numeric(lam, 1.0 / lam), reference,
-                               RADIAL_REL_TOL * abs(reference)))
     return records
 
 
@@ -463,22 +449,26 @@ def _flat_rate_check(grid):
 
 
 def _energy_balance_check(grid):
-    """The pre-truncation power per quantum, built from f1 and f2 recovered
-    from the B1/B2 quadratures at x_g on the grid, against gamma_g / 4 from
-    ``rate_bracket`` at the proper x = x_g / (1 + phi).  The two agree to
-    first order in phi, so their relative deviation must fall as phi^2; a
-    wrong bracket coefficient leaves an O(phi) deviation."""
+    """The pre-truncation power per quantum, from f1 and f2 recovered from
+    the B1/B2 quadratures at x_g on the grid and sin^2(psi) from the dipole
+    d = (sin psi, 0, cos psi) as |d x z|^2 / |d|^2 = 1 - (d . z)^2 / |d|^2,
+    against gamma_g / gamma of ``build_rate_set`` at R = 1 and the proper
+    splitting x_g / (1 + phi).  The two agree to first order in phi, so
+    their deviation must fall as phi^2; a wrong bracket coefficient,
+    sin^2(psi), x = R omega or gamma_g = gamma * bracket leaves O(phi)."""
     f_g = [(b1 / _b1_per_f1(1.0, x), b2 / _b2_per_f2(1.0, x))
            for x, b1, b2 in zip(GRID_X, *grid())]
-    worst = [
-        _worst(
-            abs(power_per_quantum(phi, sin2psi, f1_g, f2_g)
-                / rates_mod.rate_bracket(x / (1.0 + phi), phi, sin2psi) - 1.0)
-            for sin2psi in (0.0, 0.5, 1.0)
-            for x, (f1_g, f2_g) in zip(GRID_X, f_g)
-        )
-        for phi in BALANCE_PHIS
-    ]
+
+    def deviation(phi, psi, x_g, f1_g, f2_g):
+        d = (math.sin(psi), 0.0, math.cos(psi))
+        power = power_per_quantum(phi, 1.0 - _dot(d, (0.0, 0.0, 1.0)) ** 2 / _dot(d, d), f1_g, f2_g)
+        atom = AtomSpec(x_g / (1.0 + phi), dipole_angle=psi)
+        rs = rates_mod.build_rate_set(atom, GravityEnv(phi, 1.0))
+        return abs(power / (rs.gamma_g / rs.gamma_flat) - 1.0)
+
+    worst = [_worst(deviation(phi, psi, x, *f) for psi in (0.0, math.pi / 4.0, math.pi / 2.0)
+                    for x, f in zip(GRID_X, f_g))
+             for phi in BALANCE_PHIS]
     k_max = _worst(w / phi**2 for w, phi in zip(worst, BALANCE_PHIS))
     slope = math.log(worst[-1] / worst[0]) / math.log(BALANCE_PHIS[-1] / BALANCE_PHIS[0])
     return [
@@ -501,13 +491,15 @@ def _plateau_check(grid):
 
 
 def _f2_coefficient_check(grid):
-    """Small-argument coefficient of f2: Richardson extrapolation of the
-    closed form gives 2/3, not the 4/3 printed in the large/small-argument
-    summary."""
-    c_est = (4.0 * _f2_closed(0.05) / 0.05**2 - _f2_closed(0.1) / 0.1**2) / 3.0
+    """Small-argument coefficient of f2: ``specfun.f2(x) / x^2`` at x = 1e-4
+    against 2/3, not the 4/3 printed in the large/small-argument summary.
+    f2 = (2/3) x^2 - (8/45) x^4 + ..., so the truncation 1.8e-9 lies 3.7
+    times below the tolerance 1e-8 * 2/3."""
+    x, coefficient = 1e-4, 2.0 / 3.0
     return [_record("f2 small-x coefficient resolution",
-                    "leading quadratic coefficient of f2 near zero", c_est, 2.0 / 3.0, None,
-                    note="informational: the quoted small-argument approximation 4/3 x^2 "
+                    "leading quadratic coefficient of f2 near zero",
+                    specfun.f2(x) / x**2, coefficient, 1e-8 * coefficient,
+                    note="the quoted small-argument approximation 4/3 x^2 "
                     "is inconsistent with the definition; direct expansion gives 2/3 x^2")]
 
 
@@ -593,13 +585,14 @@ def verification_report() -> list[dict]:
     """Run the full oracle suite and return one record per check.
 
     The closed forms under test (``specfun.f1``, ``specfun.f2``,
-    ``rates.flat_rate``, ``rate_bracket``, ``build_rate_set``) are looked up
-    when the report runs, so a fault in any of them fails the records that
-    use it.  A library error or an arithmetic fault raised in a check is such
-    a fault too: that check's records become one failing record, ``<check>
-    aborted by an error``, whose note carries the message, and the other
-    checks still run.  The B1/B2 grid integrals are computed once per report,
-    by the first check that reads them.
+    ``rates.flat_rate``, ``rate_bracket``, ``build_rate_set``,
+    ``AtomSpec.sin2psi``) are looked up when the report runs, so a fault in
+    any of them fails the records that use it.  A library error or an
+    arithmetic fault raised in a check is such a fault too: that check's
+    records become one failing record, ``<check> aborted by an error``, whose
+    note carries the message, and the other checks still run.  The B1/B2
+    grid integrals are computed once per report, by the first check that
+    reads them.
     """
     grid = functools.cache(_grid_integrals)
     records: list[dict] = []

@@ -71,16 +71,17 @@ def build_rate_set(atom: AtomSpec, env: GravityEnv, temperature: float = 0.0) ->
     (omega_g, T), T the distant observer's temperature; by the Tolman
     relation T_local = T / (1 + phi) this equals n_B at the proper splitting
     and the local temperature.  A negative or non-finite temperature or a
-    rate too large for a double is a DomainError, a negative bracket a
-    RegimeError, and no dissipation at all a DegenerateError.
+    rate too large for a double is a DomainError, a negative or NaN
+    bracket a RegimeError, and no dissipation at all a DegenerateError.
     """
     _check_temperature(temperature)
     x = env.distance * atom.omega
     bracket = rate_bracket(x, env.phi, atom.sin2psi)  # specfun refuses an overflowed x
-    if bracket < 0.0:
+    if not bracket >= 0.0:  # a NaN too, so that a faulty f1 or f2 is named here
+        verdict = "is negative" if bracket < 0.0 else "is not a number"
         raise RegimeError(
             f"first-order rate bracket 1 + 7 phi - 2 phi f1 + 3 phi sin^2(psi) f2 = {bracket:.3g} "
-            f"is negative at phi={env.phi}, x={x:.3g}: weak-field expansion invalid"
+            f"{verdict} at phi={env.phi}, x={x:.3g}: weak-field expansion invalid"
         )
     omega_g = (1.0 + env.phi) * atom.omega
     gamma = flat_rate(atom.dipole_mag, atom.omega)

@@ -663,8 +663,6 @@ VERIFY_GRID = ("0.3", "0.5", "1", "2", "3.14159", "5", "8")
 VERIFY_RECORD_NAMES = [
     *(f"B1 quadrature vs closed form, x={x}" for x in VERIFY_GRID),
     *(f"B2 quadrature vs closed form, x={x}" for x in VERIFY_GRID),
-    "B1 scale invariance, lambda=0.5",
-    "B1 scale invariance, lambda=2",
     "flat rate d^2 Omega^3/(6 pi) against the mode sum",
     "energy balance |(P/omega_g)/(gamma_g/4) - 1| <= K*phi^2",
     "energy balance slope of log |deviation| against log |phi|",
@@ -733,7 +731,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["all_pass"] is False
         checks = report["checks"]
-        assert checks[:17] == clean[:17]  # the 16 radial records and the flat-rate record
+        assert checks[:15] == clean[:15]  # the 14 radial records and the flat-rate record
         aborted = [r for r in checks if r["computed"] is None]
         assert [r["name"] for r in aborted] == [f"{check} aborted by an error" for check in (
             "energy balance", "rate-ratio plateaus", "frequency argument", "detailed balance",
@@ -762,9 +760,9 @@ class TestVerify:
     @pytest.mark.parametrize("fault", ["f1", "bracket"])
     def test_non_finite_fault_fails_in_strict_json(self, capsys, monkeypatch, fault):
         # f1 NaN above x = 2, or the bracket NaN near x = pi only, which the
-        # energy balance alone reaches: its worst deviation is NaN, although
-        # max would skip a NaN after the first point, and every record with
-        # a NaN field prints null numbers and fails.
+        # energy balance alone reaches: build_rate_set refuses the NaN
+        # bracket, so the check aborts with a note that names it, and every
+        # record with a NaN field prints null numbers and fails.
         if fault == "f1":
             f1 = specfun.f1
             monkeypatch.setattr(specfun, "f1", lambda x: math.nan if x > 2.0 else f1(x))
@@ -775,11 +773,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify")
         assert (code, err) == (1, "")
         checks = json.loads(out, parse_constant=refuse_constant)["checks"]
-        failing = [r["name"] for r in checks if not r["pass"]]
-        balance = [name for name in VERIFY_RECORD_NAMES if name.startswith("energy balance")]
-        assert set(balance) <= set(failing)
+        failing = {r["name"]: r for r in checks if not r["pass"]}
+        balance = failing["energy balance aborted by an error"]
+        assert balance["note"].startswith("RegimeError: first-order rate bracket ")
+        assert " = nan is not a number at " in balance["note"]
         if fault == "bracket":
-            assert failing == balance
+            assert list(failing) == ["energy balance aborted by an error"]
         for rec in checks:
             if rec["computed"] is None:
                 assert (rec["reference"], rec["tolerance"], rec["pass"]) == (None, None, False)

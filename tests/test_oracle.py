@@ -578,6 +578,23 @@ class TestVerificationReport:
         shift_f1(1e-3)
         assert not any(r["pass"] for r in _balance_records(verification_report()))
 
+    def test_energy_balance_catches_sin2psi_read_as_cos2psi(self, monkeypatch):
+        # The rate side reads AtomSpec.sin2psi through build_rate_set; the
+        # power side builds sin^2(psi) from the dipole vector, so the two
+        # part at psi = 0 and pi/2 by an O(phi) deviation.
+        monkeypatch.setattr(AtomSpec, "sin2psi",
+                            property(lambda self: math.cos(self.dipole_angle) ** 2))
+        assert not any(r["pass"] for r in _balance_records(verification_report()))
+
+    def test_f2_record_catches_f2_off_by_1e_6(self, monkeypatch):
+        # f2 / x^2 at x = 1e-4 meets 2/3 to 1.8e-9, against 6.7e-9.
+        f2 = specfun.f2
+        monkeypatch.setattr(specfun, "f2", lambda x: f2(x) * (1.0 + 1e-6))
+        (rec,) = [r for r in verification_report()
+                  if r["name"] == "f2 small-x coefficient resolution"]
+        assert rec["pass"] is False
+        assert rec["tolerance"] == pytest.approx(1e-8 * 2.0 / 3.0, rel=1e-15)
+
     @pytest.mark.parametrize(
         "exc",
         [RegimeError("first-order rate bracket is negative"), ZeroDivisionError("float division")],
@@ -594,12 +611,12 @@ class TestVerificationReport:
             "redshift",
         )]
         assert [r["name"] for r in faulty] == [
-            *(r["name"] for r in report[:17]), *aborted[:2], "f2 small-x coefficient resolution",
+            *(r["name"] for r in report[:15]), *aborted[:2], "f2 small-x coefficient resolution",
             "distance-kernel reading resolution", *aborted[2:],
         ]
-        assert faulty[:17] == report[:17]  # the 16 radial records and the flat-rate record
+        assert faulty[:15] == report[:15]  # the 14 radial records and the flat-rate record
         clean = {r["name"]: r for r in report}
-        for rec in faulty[17:]:
+        for rec in faulty[15:]:
             if rec["name"] in aborted:
                 assert (rec["computed"], rec["pass"]) == (None, False)
                 assert rec["note"] == f"{type(exc).__name__}: {exc}"
@@ -630,7 +647,7 @@ class TestVerificationReport:
 
     def test_integrand_calls_stay_bounded(self, monkeypatch):
         # Tails extrapolated by Levin's t-transform stop at 16 or 32
-        # half-periods, so a report takes 11,280 integrand calls.
+        # half-periods, so a report takes 10,368 integrand calls.
         calls = 0
         gauss_panels = oracle._gauss_panels
 
@@ -644,4 +661,4 @@ class TestVerificationReport:
 
         monkeypatch.setattr(oracle, "_gauss_panels", counting)
         assert all(r["pass"] for r in verification_report())
-        assert calls == 11_280
+        assert calls == 10_368

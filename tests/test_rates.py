@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gravatom import specfun
 from gravatom.errors import DegenerateError, DomainError, RegimeError
 from gravatom.model import AtomSpec, GravityEnv
 from gravatom.rates import build_rate_set, flat_rate, rate_bracket
@@ -101,6 +102,12 @@ class TestEmissionRate:
         # |phi| > 1/7 at small x: 1 + 7 phi - ... < 0.
         with pytest.raises(RegimeError, match="bracket .* is negative"):
             rate_set(omega=1e-3, phi=-0.15)
+
+    def test_nan_bracket_rejected(self, monkeypatch):
+        # Refused where it arises, not later as an overflow of n_B * gamma_g.
+        monkeypatch.setattr(specfun, "f1", lambda x: math.nan)
+        with pytest.raises(RegimeError, match="bracket .* = nan is not a number"):
+            rate_set(phi=-0.01)
 
     def test_overflowed_x_rejected(self):
         # R * Omega overflows while Omega^3 does not: refused by specfun.

@@ -12,7 +12,8 @@ A mutant is caught when ``verify`` exits 1 without a traceback and prints
 strict JSON (no NaN or Infinity).  The unmutated copy runs first and must
 exit 0.
 
-One line is printed per run.  Exit 0 when every mutant is caught, 1 when
+One line is printed per run; a caught mutant's line ends with the names of
+the records that failed.  Exit 0 when every mutant is caught, 1 when
 any is missed, 2 when an old text does not occur exactly once in ``src/``
 (the table is out of date), the unmutated copy does not pass, or a child
 imported ``gravatom`` from outside its copy.
@@ -76,6 +77,12 @@ MUTANTS = (
     ("rates.py", "dipole_mag**2", "dipole_mag**3"),
     ("rates.py", "* omega**3", "* omega**2"),
     ("oracle.py", "4.0 * math.pi / 6.0", "4.0 * math.pi / 5.0"),
+    # sin^2(psi) read as cos^2(psi), x = R / Omega, and gamma_g = gamma /
+    # bracket: the energy balance, whose power side builds sin^2(psi) from
+    # the dipole vector, fails at O(phi).
+    ("model.py", "return math.sin(self.dipole_angle) ** 2", "return math.cos(self.dipole_angle) ** 2"),
+    ("rates.py", "x = env.distance * atom.omega", "x = env.distance / atom.omega"),
+    ("rates.py", "gamma_g = gamma * bracket", "gamma_g = gamma / bracket"),
 )
 
 # Runs the command line as ``python -m gravatom.cli`` does, once ``gravatom``
@@ -152,8 +159,12 @@ def main() -> int:
         caught = code == 1 and "Traceback" not in err and strict_json(out)
         missed += not caught
         name, old, new = mutant
-        print(f"{'caught' if caught else 'MISSED'}  exit {code}  {elapsed:.2f} s  "
-              f"{name}: {old!r} -> {new!r}")
+        line = f"exit {code}  {elapsed:.2f} s  {name}: {old!r} -> {new!r}"
+        if caught:
+            failing = [r["name"] for r in json.loads(out)["checks"] if not r["pass"]]
+            print(f"caught  {line}  [{'; '.join(failing)}]")
+        else:
+            print(f"MISSED  {line}")
     return 1 if missed else 0
 
 
