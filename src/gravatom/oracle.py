@@ -31,9 +31,9 @@ sphere (Stroud, Approximate Calculation of Multiple Integrals, 1971, U3 3-1).
 ``verification_report`` runs the checks of ``CHECKS`` in turn, each a
 function that returns its records.  A record passes when |computed -
 reference| <= tolerance, where the tolerance is the absolute bound applied
-(a relative one is printed as rel * |reference|); a null tolerance marks an
-informational record.  A check that raises a library or arithmetic error
-becomes one failing record, and the checks after it still run.
+(a relative one is printed as rel * |reference|).  A check that raises a
+library or arithmetic error becomes one failing record, and the checks
+after it still run.
 """
 
 from __future__ import annotations
@@ -376,9 +376,8 @@ def _record(name, ref, computed, reference, tolerance, note=None):
     """One report record; it passes when |computed - reference| <= tolerance.
 
     ``tolerance`` is the absolute bound applied, so a relative bound comes
-    here multiplied by |reference|.  A ``tolerance`` of None marks an
-    informational record, which passes once computed; a ``computed`` of None
-    (an aborted check) fails.  So does a record with a NaN or infinite
+    here multiplied by |reference|.  An aborted check's record, whose three
+    numbers are None, fails.  So does a record with a NaN or infinite
     field: its three numbers print as null, to keep the report strict JSON,
     and move into ``note``.
     """
@@ -392,8 +391,7 @@ def _record(name, ref, computed, reference, tolerance, note=None):
         "computed": computed,
         "reference": reference,
         "tolerance": tolerance,
-        "pass": computed is not None
-        and (tolerance is None or abs(computed - reference) <= tolerance),
+        "pass": computed is not None and abs(computed - reference) <= tolerance,
     }
     if note is not None:
         rec["note"] = note
@@ -482,11 +480,16 @@ def _energy_balance_check(grid):
 
 
 def _plateau_check(grid):
-    """Frequency-limit plateaus of the rate ratio at phi = -0.05, psi = 0."""
+    """Frequency-limit plateaus 1 + 7 phi and 1 + phi of the rate ratio at
+    phi = -0.05, psi = 0.  Each tolerance is twice the bound on the leading
+    omitted term -2 phi f1 or -2 phi (f1 - 3): 0 < f1 < pi x at x = 1e-4
+    (the x^4 coefficient of f1 is -2/9), and |f1 - 3| < 1.5 / x at x = 1e3,
+    the bound stated at ``specfun._F1_FLAT_CUT``."""
+    phi = -0.05
     return [
         _record(f"rate-ratio plateau at x={x:g}", "low/high-frequency limits of the corrected rate",
-                rates_mod.rate_bracket(x, -0.05, 0.0), target, rel * target)
-        for x, target, rel in ((1e-4, 0.65, 1e-3), (1e3, 0.95, 5e-3))
+                rates_mod.rate_bracket(x, phi, 0.0), target, 2.0 * abs(2.0 * phi) * bound)
+        for x, target, bound in ((1e-4, 0.65, math.pi * 1e-4), (1e3, 0.95, 1.5 / 1e3))
     ]
 
 
@@ -515,19 +518,6 @@ def _distance_kernel_check(grid):
                     b1_numeric(R, omega), reference, RADIAL_REL_TOL * abs(reference),
                     note=f"the literal reading gives {literal!r}, "
                     f"{abs(literal - reference) / abs(reference):.3g} of |reference| away")]
-
-
-def _frequency_argument_check(grid):
-    """Difference between evaluating the correction functions at the proper
-    and at the redshifted frequency (identical to first order in phi), at
-    x = 1, psi = 0."""
-    phi = -0.29
-    first_order = rates_mod.rate_bracket(1.0, phi, 0.0)
-    pre = power_per_quantum(phi, 0.0, specfun.f1(1.0 + phi), specfun.f2(1.0 + phi))
-    return [_record("proper- vs redshifted-frequency argument of f1/f2",
-                    "first-order truncation difference at the largest allowed |phi|",
-                    abs(first_order - pre) / abs(pre), 0.0, None,
-                    note="informational: relative spread of the two equivalent forms at phi=-0.29")]
 
 
 def _detailed_balance_check(grid):
@@ -575,19 +565,19 @@ CHECKS = (
     ("rate-ratio plateaus", _plateau_check),
     ("f2 small-x coefficient", _f2_coefficient_check),
     ("distance-kernel reading", _distance_kernel_check),
-    ("frequency argument", _frequency_argument_check),
     ("detailed balance", _detailed_balance_check),
     ("redshift", _redshift_check),
 )
 
 
 def verification_report() -> list[dict]:
-    """Run the full oracle suite and return one record per check.
+    """Run the full oracle suite and return its records.
 
-    The closed forms under test (``specfun.f1``, ``specfun.f2``,
-    ``rates.flat_rate``, ``rate_bracket``, ``build_rate_set``,
-    ``AtomSpec.sin2psi``) are looked up when the report runs, so a fault in
-    any of them fails the records that use it.  A library error or an
+    Every record is a check: it prints a numeric tolerance, and its ``pass``
+    is |computed - reference| <= tolerance.  The closed forms under test
+    (``specfun.f1``, ``specfun.f2``, ``rates.flat_rate``, ``rate_bracket``,
+    ``build_rate_set``, ``AtomSpec.sin2psi``) are looked up when the report
+    runs, so a fault in any of them fails the records that use it.  A library error or an
     arithmetic fault raised in a check is such a fault too: that check's
     records become one failing record, ``<check> aborted by an error``, whose
     note carries the message, and the other checks still run.  The B1/B2

@@ -670,7 +670,6 @@ VERIFY_RECORD_NAMES = [
     "rate-ratio plateau at x=1000",
     "f2 small-x coefficient resolution",
     "distance-kernel reading resolution",
-    "proper- vs redshifted-frequency argument of f1/f2",
     "detailed balance Gamma+/Gamma- = exp(-omega_g/T)",
     "redshift |omega_g/omega - sqrt(1 + 2 phi)| <= K*phi^2",
 ]
@@ -734,8 +733,7 @@ class TestVerify:
         assert checks[:15] == clean[:15]  # the 14 radial records and the flat-rate record
         aborted = [r for r in checks if r["computed"] is None]
         assert [r["name"] for r in aborted] == [f"{check} aborted by an error" for check in (
-            "energy balance", "rate-ratio plateaus", "frequency argument", "detailed balance",
-            "redshift",
+            "energy balance", "rate-ratio plateaus", "detailed balance", "redshift",
         )]
         for rec in aborted:
             assert rec["pass"] is False
@@ -749,13 +747,13 @@ class TestVerify:
         assert names == VERIFY_RECORD_NAMES
 
     def test_strict_json(self, verify_output):
-        # RFC 8259 has no NaN or Infinity; an informational record without a
-        # tolerance carries null.
+        # RFC 8259 has no NaN or Infinity, and every record of a clean report
+        # is a check: its computed, reference and tolerance are numbers.
         _, out = verify_output
         checks = json.loads(out, parse_constant=refuse_constant)["checks"]
-        (rec,) = [r for r in checks
-                  if r["name"] == "proper- vs redshifted-frequency argument of f1/f2"]
-        assert rec["tolerance"] is None
+        for rec in checks:
+            for key in ("computed", "reference", "tolerance"):
+                assert type(rec[key]) in (int, float), (rec["name"], key)
 
     @pytest.mark.parametrize("fault", ["f1", "bracket"])
     def test_non_finite_fault_fails_in_strict_json(self, capsys, monkeypatch, fault):

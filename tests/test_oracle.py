@@ -476,10 +476,9 @@ def _balance_records(records):
 
 def _obeys_printed_rule(rec):
     """Whether ``pass`` is |computed - reference| <= tolerance, read off the record."""
-    computed, tolerance = rec["computed"], rec["tolerance"]
+    computed = rec["computed"]
     return rec["pass"] is (
-        computed is not None
-        and (tolerance is None or abs(computed - rec["reference"]) <= tolerance)
+        computed is not None and abs(computed - rec["reference"]) <= rec["tolerance"]
     )
 
 
@@ -511,8 +510,8 @@ class TestVerificationReport:
         assert "note" not in k_rec and "note" not in slope_rec
 
     def test_every_record_obeys_the_printed_rule(self, report, shift_f1):
-        # pass is |computed - reference| <= tolerance, or computed at all
-        # where the tolerance is null, on the clean report and a faulty one.
+        # pass is |computed - reference| <= tolerance, and a record with null
+        # numbers fails, on the clean report and a faulty one.
         assert all(_obeys_printed_rule(r) for r in report)
         shift_f1(0.05)
         faulty = verification_report()
@@ -574,6 +573,19 @@ class TestVerificationReport:
         monkeypatch.setattr(rates, "rate_bracket", bracket)
         assert [r["pass"] for r in _balance_records(verification_report())] == [passes] * 2
 
+    def test_plateau_records_catch_the_bracket_7_off_by_1e_3(self, monkeypatch):
+        # 7.007 phi moves the ratio by 3.5e-4: it misses 0.65 by 3.2e-4
+        # against 6.3e-5 at x = 1e-4, and 0.95 by 4.9e-4 against 3.0e-4 at
+        # x = 1e3, twice the bounds on the omitted -2 phi f1 terms.
+        def bracket(x, phi, sin2psi):
+            return (1.0 + 7.007 * phi - 2.0 * phi * specfun.f1(x)
+                    + 3.0 * phi * sin2psi * specfun.f2(x))
+
+        monkeypatch.setattr(rates, "rate_bracket", bracket)
+        plateaus = [r for r in verification_report() if r["name"].startswith("rate-ratio plateau")]
+        assert [r["pass"] for r in plateaus] == [False, False]
+        assert [r["tolerance"] for r in plateaus] == pytest.approx([2e-1 * math.pi * 1e-4, 3e-4])
+
     def test_energy_balance_fails_under_fault_injection(self, shift_f1):
         shift_f1(1e-3)
         assert not any(r["pass"] for r in _balance_records(verification_report()))
@@ -607,8 +619,7 @@ class TestVerificationReport:
         raise_in_bracket(exc)
         faulty = verification_report()
         aborted = [f"{check} aborted by an error" for check in (
-            "energy balance", "rate-ratio plateaus", "frequency argument", "detailed balance",
-            "redshift",
+            "energy balance", "rate-ratio plateaus", "detailed balance", "redshift",
         )]
         assert [r["name"] for r in faulty] == [
             *(r["name"] for r in report[:15]), *aborted[:2], "f2 small-x coefficient resolution",
