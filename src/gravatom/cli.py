@@ -32,9 +32,9 @@ its inputs with ``model`` first and then imports the layers it runs
 (``rates.build_rate_set`` checks the temperature by ``model``'s rule):
 ``rates`` imports ``rates`` (and with it ``specfun``, which evaluates one
 point on Python floats without numpy), ``sweep`` and ``evolve`` import
-``rows`` (and with it numpy), ``evolve`` also ``lindblad``, once its rate
-set, ``--steps`` and ``mixed:p`` are checked, and ``verify`` imports
-``oracle``.  Only ``rates`` and ``verify``, which print JSON, import
+``rows`` (and with it numpy), ``evolve`` only once its rate set, ``--steps``
+and ``mixed:p`` (by ``lindblad``, which loads no numpy) are checked, and
+``verify`` imports ``oracle``.  Only ``rates`` and ``verify``, which print JSON, import
 ``json``.  So ``--help``, input that fails validation (a refused rate set,
 the ``--points`` and ``--steps`` caps and the ``mixed:p`` range included)
 and ``rates`` never load numpy, and only ``verify`` loads the oracle.
@@ -63,7 +63,6 @@ from .model import (
     GravityEnv,
     _check_angle,
     _check_finite,
-    _check_probability,
     potential_from_source,
 )
 
@@ -317,11 +316,12 @@ def cmd_evolve(args) -> int:
     steps = args.steps
     if not 1 <= steps <= MAX_STEPS:
         raise DomainError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
-    _check_probability("p_excited", p_excited)
     from .lindblad import DensityMatrix2
+
+    rho0 = DensityMatrix2.mixed(p_excited)  # the mixed:p range, before numpy loads
     from .rows import EVOLVE_HEADER, evolve_chunks, format_rows
 
-    chunks = evolve_chunks(DensityMatrix2.mixed(p_excited), rateset, t_max, steps)
+    chunks = evolve_chunks(rho0, rateset, t_max, steps)
     _write(itertools.chain([EVOLVE_HEADER], map(format_rows, chunks)), args.out)
     return 0
 

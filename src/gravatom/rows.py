@@ -34,14 +34,15 @@ ROW_CHUNK = 1024
 #: raise the peak (8192-point blocks: +0.4 MB RSS at 1e5 points).
 SWEEP_BLOCK = 4 * ROW_CHUNK
 
-#: Rows per `evolve` block: one `analytic_state` call (one exact state column),
-#: formatted and written ``ROW_CHUNK`` rows at a time, so that memory does not
-#: grow with ``--steps``.  Smaller blocks are slower: freeing a block's
-#: temporaries at the top of the heap trims it, and the next block faults the
-#: pages back in (1024-row blocks took 3x the page faults and 14% more time at
-#: 1e5 steps).  For the same reason `evolve_chunks`, unlike `sweep_chunks`,
-#: holds a block until the next replaces it: freeing it first doubled the page
-#: faults.  Larger blocks only raise the peak (+2 MB at 16384 rows).
+#: Rows per `evolve` block: one array `lindblad.relaxation` call (plain
+#: columns, no state record), formatted and written ``ROW_CHUNK`` rows at a
+#: time, so that memory does not grow with ``--steps``.  Smaller blocks are
+#: slower: freeing a block's temporaries at the top of the heap trims it, and
+#: the next block faults the pages back in (1024-row blocks took 3x the page
+#: faults and 14% more time at 1e5 steps).  For the same reason
+#: `evolve_chunks`, unlike `sweep_chunks`, holds a block until the next
+#: replaces it: freeing it first doubled the page faults.  Larger blocks only
+#: raise the peak (+2 MB at 16384 rows).
 EVOLVE_BLOCK = 8 * ROW_CHUNK
 
 
@@ -207,18 +208,20 @@ EVOLVE_HEADER = "t,rho_ee,rho_gg,abs_rho_eg,trace_error,analytic_rho_ee\n"
 def evolve_chunks(rho0, rates, t_max, steps):
     """Build the trajectory ``EVOLVE_BLOCK`` rows at a time; yield six columns per ``ROW_CHUNK`` rows.
 
-    Row n, for n = 0 to ``steps``, is the exact state `analytic_state` at
-    t = h n with h = ``t_max / steps``.  It is formed from n alone, so the
+    Row n, for n = 0 to ``steps``, is the exact state at t = h n with
+    h = ``t_max / steps``, from one array `lindblad.relaxation` call per
+    block; no state record is built.  A row is formed from n alone, so the
     chunks are bit for bit the rows of one call over the whole grid.  The
-    columns: t, rho_ee, rho_gg, |rho_eg|, the trace error
+    columns: t, rho_ee, rho_gg = 1 - rho_ee, |rho_eg|, the trace error
     rho_ee + rho_gg - 1 and rho_ee again (``evolve``'s ``analytic_rho_ee``).
     """
-    from .lindblad import analytic_state
+    from .lindblad import relaxation
 
     h = t_max / steps
     for i in range(0, steps + 1, EVOLVE_BLOCK):
         times = h * np.arange(i, min(i + EVOLVE_BLOCK, steps + 1))
-        states = analytic_state(rho0, rates, times)
-        columns = (times, states.ee, states.gg, abs(states.eg), states.trace - 1.0, states.ee)
+        ee, eg = relaxation(rho0, rates, times)
+        gg = 1.0 - ee
+        columns = (times, ee, gg, abs(eg), ee + gg - 1.0, ee)
         for j in range(0, times.size, ROW_CHUNK):
             yield [column[j:j + ROW_CHUNK] for column in columns]

@@ -78,7 +78,7 @@ def _piecewise(name: str, x, pieces):
 
 
 def _trig(x):
-    """The module whose ``sin`` and ``cos`` take x: ``math`` for a float, numpy for an array."""
+    """The module whose ``sin``, ``cos`` and ``exp`` take x: ``math`` for a float, numpy for an array."""
     if isinstance(x, float):
         return math
     import numpy

@@ -46,6 +46,21 @@ with open(out, "w") as fh:
                "modules": sorted(sys.modules)}, fh)
 """
 
+# One state and the closed form at a float time.
+LINDBLAD_PROBE = """
+import json, sys
+out = sys.argv[1]
+from gravatom.lindblad import DensityMatrix2, analytic_state
+from gravatom.model import AtomSpec, GravityEnv
+from gravatom.rates import build_rate_set
+rates = build_rate_set(AtomSpec(1.0), GravityEnv(-0.05, 1.0), 0.5)
+states = [DensityMatrix2.mixed(0.3), DensityMatrix2.superposition(0.4)]
+values = [analytic_state(rho0, rates, 0.7).ee for rho0 in states]
+with open(out, "w") as fh:
+    json.dump({"result": sorted({type(v).__name__ for v in values}),
+               "modules": sorted(sys.modules)}, fh)
+"""
+
 NUMERIC = (
     "numpy",
     "gravatom._specfun_tables",
@@ -78,11 +93,10 @@ CASES = {
                                   ("gravatom.rates",),
                                   ("numpy", "gravatom.rows", "gravatom.lindblad")
                                   + STARTUP + JSON),
-    # The mixed:p range is checked beside --steps, before numpy is loaded.
+    # `DensityMatrix2.mixed` checks the mixed:p range, before numpy is loaded.
     "evolve with mixed:p out of range": (["evolve", "--omega", "1", "--initial", "mixed:2"], 2,
-                                         ("gravatom.rates",),
-                                         ("numpy", "gravatom.rows", "gravatom.lindblad")
-                                         + STARTUP + JSON),
+                                         ("gravatom.rates", "gravatom.lindblad"),
+                                         ("numpy", "gravatom.rows") + STARTUP + JSON),
     # The rate set is refused after `rates` is loaded, before numpy is.
     "refused evolve rate set": (["evolve", "--omega", "1e-3", "--phi", "-0.2"], 2,
                                 ("gravatom.rates",),
@@ -135,4 +149,11 @@ def test_float_calls_never_import_numpy(tmp_path):
     types, modules = _probe(tmp_path, FLOAT_PROBE)
     assert types == ["float"]
     assert "gravatom.specfun" in modules
+    assert "numpy" not in modules
+
+
+def test_one_state_never_imports_numpy(tmp_path):
+    types, modules = _probe(tmp_path, LINDBLAD_PROBE)
+    assert types == ["float"]
+    assert "gravatom.lindblad" in modules
     assert "numpy" not in modules
