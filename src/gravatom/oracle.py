@@ -10,10 +10,9 @@ from the dipole vector, the rate ratio gamma_g / gamma from
 ``rates.build_rate_set``, and the two must agree up to a remainder of second
 order in phi.
 
-The angular moments of the distance kernel are closed forms: the multipole
-(Legendre) expansion of 1/|y + R| for the shifted kernel, the rationalised
-antiderivative for the literal one.  Every radial integral is a head on
-[0, R] and an infinite tail that decays like 1/y with oscillation
+The angular moments of the distance kernel 1/|y + R| are closed forms, the
+terms of its multipole (Legendre) expansion.  Every radial integral is a
+head on [0, R] and an infinite tail that decays like 1/y with oscillation
 (conditionally convergent), summed half-period by half-period and
 extrapolated by Levin's t-transform of the partial sums, each half-period
 its own remainder estimate (D. Levin, Int. J. Comput. Math. B3 (1973) 371;
@@ -268,29 +267,6 @@ def b2_numeric(R: float, omega: float) -> float:
     return _radial_integral(R, omega, 3.0 * math.pi, r_power=2)
 
 
-def _b1_literal_kernel(R, omega):
-    """B1 with the literal kernel distance sqrt(y^2 + 2R cos(theta) + R^2).
-
-    The cross term lacks the radial variable, so the angular moment is the
-    integral of mu^2 / sqrt(a + b mu) over mu at a = y^2 + R^2, b = 2R, in
-    its rationalised closed form.  It does not match the closed form of f1.
-    """
-    _check_point(R, omega)
-    prefactor, r2, b = 2.0 * math.pi, R * R, 2.0 * R
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
-
-    def integrand(y):
-        u = omega * y
-        c, s = cos(u), sin(u)
-        q = y * y
-        a = q + r2
-        s_plus, s_minus = sqrt(a + b), sqrt(a - b)
-        moment = 4.0 * (3.0 + 4.0 * a / (a + s_plus * s_minus)) / (15.0 * (s_plus + s_minus))
-        return prefactor * ((u * c - s) * (c + u * s)) * moment / q
-
-    return _head_and_tail(integrand, R, omega)
-
-
 def _b1_per_f1(R, omega):
     """B1 / f1(R*omega) = -pi*omega / 3R."""
     return -(math.pi * omega / (3.0 * R))
@@ -365,7 +341,7 @@ BALANCE_PHIS = (-1e-4, -1e-3, -1e-2)
 BALANCE_K = 10.0
 
 #: Relative tolerance of the B1/B2 records and of the distance-kernel
-#: record, and B2's absolute floor (B2 vanishes at x = pi).  Their errors
+#: records, and B2's absolute floor (B2 vanishes at x = pi).  Their errors
 #: against 40-digit closed forms are below 1e-13 relative and 3e-15
 #: absolute, so an f1 or f2 wrong in the tenth digit fails them.
 RADIAL_REL_TOL = 1e-10
@@ -414,7 +390,7 @@ def _grid_integrals():
 
 def _radial_check(grid):
     """B1/B2 on the grid against the closed forms.  Their scaling in R is
-    held by the distance-kernel record, B1 at R = 3."""
+    held by the distance-kernel records, B1 and B2 at R = 3."""
     b1_values, b2_values = grid()
     records = []
     for x, computed in zip(GRID_X, b1_values):
@@ -507,17 +483,23 @@ def _f2_coefficient_check(grid):
 
 
 def _distance_kernel_check(grid):
-    """B1 at R = 3, omega = 1/3 with the shifted kernel 1/|y + R| (cross term
-    2 y R cos) against the closed form; the literal cross term 2 R cos, noted,
-    misses it by more than 1e-2."""
+    """B1 and B2 at R = 3, omega = 1/3 with the shifted kernel 1/|y + R|
+    (cross term 2 y R cos) against the closed forms, where a wrong power of R
+    shows; the grid has R = 1 only.  The literal cross term 2 R cos misses
+    B1 by more than 1e-2, which the note states."""
     R, omega = 3.0, 1.0 / 3.0
-    reference = _b1_per_f1(R, omega) * specfun.f1(R * omega)
-    literal = _b1_literal_kernel(R, omega)
-    return [_record("distance-kernel reading resolution",
-                    "cross term of the kernel distance must carry the radial variable",
-                    b1_numeric(R, omega), reference, RADIAL_REL_TOL * abs(reference),
-                    note=f"the literal reading gives {literal!r}, "
-                    f"{abs(literal - reference) / abs(reference):.3g} of |reference| away")]
+    b1_reference = _b1_per_f1(R, omega) * specfun.f1(R * omega)
+    b2_reference = _b2_per_f2(R, omega) * specfun.f2(R * omega)
+    return [
+        _record("distance-kernel reading resolution",
+                "cross term of the kernel distance must carry the radial variable",
+                b1_numeric(R, omega), b1_reference, RADIAL_REL_TOL * abs(b1_reference),
+                note="the literal cross term 2 R cos(theta) does not reproduce f1"),
+        _record("B2 scaling in R, quadrature at R=3, omega=1/3 vs closed form",
+                "second radial coefficient's 1/R^3 scaling against f2 closed form",
+                b2_numeric(R, omega), b2_reference,
+                max(B2_ABS_FLOOR, RADIAL_REL_TOL * abs(b2_reference))),
+    ]
 
 
 def _detailed_balance_check(grid):
@@ -542,13 +524,15 @@ def _detailed_balance_check(grid):
 
 
 def _redshift_check(grid):
-    """omega_g / omega from ``build_rate_set`` (omega = 1) against the clock
-    rate sqrt(g_00) = sqrt(1 + 2 phi) of the weak-field metric, over the
-    balance potentials.  The two agree to first order in phi, and the leading
-    difference phi^2 / 2 makes K = max |delta| / phi^2 about 0.5; a wrong sign
-    or power of (1 + phi) leaves an O(phi) difference."""
+    """omega_g / omega from ``build_rate_set`` at omega = 1.7 against the
+    clock rate sqrt(g_00) = sqrt(1 + 2 phi) of the weak-field metric, over
+    the balance potentials.  The two agree to first order in phi, and the
+    leading difference phi^2 / 2 makes K = max |delta| / phi^2 about 0.5; a
+    wrong sign or power of (1 + phi), or omega_g proportional to 1 / omega,
+    leaves an O(phi) or O(1) difference."""
+    omega = 1.7
     k_redshift = _worst(
-        abs(rates_mod.build_rate_set(AtomSpec(1.0), GravityEnv(phi, 1.0)).omega_g
+        abs(rates_mod.build_rate_set(AtomSpec(omega), GravityEnv(phi, 1.0)).omega_g / omega
             - math.sqrt(1.0 + 2.0 * phi)) / phi**2
         for phi in BALANCE_PHIS
     )

@@ -1,9 +1,12 @@
 """Shared test fixtures."""
 
+import math
+
 import pytest
 from mpmath import mp
 
 from gravatom import rates, specfun
+from gravatom.oracle import integrate_adaptive, oscillatory_tail
 
 
 def _kron(a, b):
@@ -43,6 +46,54 @@ def gksl_state(rho0, gamma_plus, gamma_minus, t):
 @pytest.fixture
 def gksl_reference():
     return gksl_state
+
+
+def _mu2_moment(a, b):
+    """integral over mu in [-1, 1] of mu^2 / sqrt(a + b*mu), for 0 <= b <= a.
+
+    The closed antiderivative, rationalised so that nothing cancels:
+    4 (3 + 4a / (a + q)) / (15 (s+ + s-)), with s+- = sqrt(a +- b) and
+    q = s+ s-.
+    """
+    s_plus, s_minus = math.sqrt(a + b), math.sqrt(a - b)
+    return 4.0 * (3.0 + 4.0 * a / (a + s_plus * s_minus)) / (15.0 * (s_plus + s_minus))
+
+
+def _radial_product(y, omega):
+    """(omega*y*cos - sin) * (cos + omega*y*sin), both at omega*y."""
+    u = omega * y
+    c, s = math.cos(u), math.sin(u)
+    return (u * c - s) * (c + u * s)
+
+
+def _literal_kernel_b1(R, omega):
+    """B1 with the literal kernel distance sqrt(y^2 + 2R cos(theta) + R^2).
+
+    The cross term lacks the radial variable, so the angular moment is
+    ``_mu2_moment`` at a = y^2 + R^2, b = 2R (it needs R >= 2), under the
+    head and tail of ``oracle.b1_numeric``.  It does not match the closed
+    form of f1, as the distance-kernel record of ``verify`` states.
+    """
+    def integrand(y):
+        moment = _mu2_moment(y * y + R * R, 2.0 * R)
+        return 2.0 * math.pi * _radial_product(y, omega) * moment / (y * y)
+
+    return integrate_adaptive(integrand, 0.0, R) + oscillatory_tail(integrand, R, math.pi / omega)
+
+
+@pytest.fixture
+def mu2_moment():
+    return _mu2_moment
+
+
+@pytest.fixture
+def radial_product():
+    return _radial_product
+
+
+@pytest.fixture
+def literal_kernel_b1():
+    return _literal_kernel_b1
 
 
 @pytest.fixture

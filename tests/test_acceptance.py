@@ -17,7 +17,6 @@ from gravatom.lindblad import DensityMatrix2, relaxation
 from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
     GRID_X,
-    _b1_literal_kernel,
     b1_numeric,
     b2_numeric,
     power_per_quantum,
@@ -203,14 +202,14 @@ class TestAcceptance:
             bool(ok) and elapsed <= 1.0,
         )
 
-    def test_07_typo_resolutions(self):
+    def test_07_typo_resolutions(self, literal_kernel_b1):
         records = verification_report()
         by_name = {r["name"]: r for r in records}
         f2_rec = by_name["f2 small-x coefficient resolution"]
         kernel_rec = by_name["distance-kernel reading resolution"]
         coeff_ok = f2_rec["pass"] and abs(f2_rec["computed"] - 2.0 / 3.0) <= 1e-3
         closed = kernel_rec["reference"]
-        literal_misses = abs(_b1_literal_kernel(3.0, 1.0 / 3.0) - closed) > 1e-2 * abs(closed)
+        literal_misses = abs(literal_kernel_b1(3.0, 1.0 / 3.0) - closed) > 1e-2 * abs(closed)
         report(
             f"definition-resolution checks: small-argument coefficient "
             f"{f2_rec['computed']:.6f} (2/3, not 4/3); shifted distance kernel "

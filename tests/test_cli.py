@@ -670,6 +670,7 @@ VERIFY_RECORD_NAMES = [
     "rate-ratio plateau at x=1000",
     "f2 small-x coefficient resolution",
     "distance-kernel reading resolution",
+    "B2 scaling in R, quadrature at R=3, omega=1/3 vs closed form",
     "detailed balance Gamma+/Gamma- = exp(-omega_g/T)",
     "redshift |omega_g/omega - sqrt(1 + 2 phi)| <= K*phi^2",
 ]

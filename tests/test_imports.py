@@ -1,4 +1,4 @@
-"""Each command loads only the layers it runs.
+"""Each command loads only the layers it runs, and ``oracle`` holds only code it runs.
 
 Every case starts a fresh interpreter, runs the command through
 ``gravatom.cli.main`` (which the ``gravatom`` console script's ``run`` calls),
@@ -58,6 +58,39 @@ states = [DensityMatrix2.mixed(0.3), DensityMatrix2.superposition(0.4)]
 values = [analytic_state(rho0, rates, 0.7).ee for rho0 in states]
 with open(out, "w") as fh:
     json.dump({"result": sorted({type(v).__name__ for v in values}),
+               "modules": sorted(sys.modules)}, fh)
+"""
+
+# The (name, first line) of every function and lambda of `oracle` that the
+# import and one report leave uncalled.  Comprehensions are exempt:
+# `oscillatory_tail` rounds in a generator only when a tail fails to converge.
+ORACLE_TRACE_PROBE = """
+import json, sys
+out = sys.argv[1]
+called = set()
+
+def trace(frame, event, arg):
+    called.add((frame.f_code.co_filename, frame.f_code.co_name, frame.f_code.co_firstlineno))
+
+sys.settrace(trace)
+import gravatom.oracle
+gravatom.oracle.verification_report()
+sys.settrace(None)
+
+def nested(code):
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield const
+            yield from nested(const)
+
+path = gravatom.oracle.__file__
+with open(path) as fh:
+    module = compile(fh.read(), path, "exec")
+defined = {(code.co_name, code.co_firstlineno) for code in nested(module)
+           if code.co_name == "<lambda>" or not code.co_name.startswith("<")}
+ran = {(name, line) for file, name, line in called if file == path}
+with open(out, "w") as fh:
+    json.dump({"result": {"defined": len(defined), "uncalled": sorted(defined - ran)},
                "modules": sorted(sys.modules)}, fh)
 """
 
@@ -149,6 +182,14 @@ def test_float_calls_never_import_numpy(tmp_path):
     types, modules = _probe(tmp_path, FLOAT_PROBE)
     assert types == ["float"]
     assert "gravatom.specfun" in modules
+    assert "numpy" not in modules
+
+
+def test_oracle_holds_only_code_the_report_runs(tmp_path):
+    # A reference that only the tests call belongs in tests/, not in `oracle`.
+    result, modules = _probe(tmp_path, ORACLE_TRACE_PROBE)
+    assert result["defined"] > 0
+    assert result["uncalled"] == []
     assert "numpy" not in modules
 
 

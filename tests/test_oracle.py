@@ -159,10 +159,10 @@ class TestB1:
             closed = -(math.pi * x / 3.0) * specfun.f1(x)
             assert abs(num - closed) <= 1e-6 * abs(closed)
 
-    def test_literal_kernel_disagrees(self):
+    def test_literal_kernel_disagrees(self, literal_kernel_b1):
         # -(pi omega / 3R) f1(R omega) at R = 3, omega = 1/3.
         closed = -(math.pi / 27.0) * specfun.f1(1.0)
-        literal = oracle._b1_literal_kernel(3.0, 1.0 / 3.0)
+        literal = literal_kernel_b1(3.0, 1.0 / 3.0)
         assert abs(literal - closed) > 1e-2 * abs(closed)
 
     def test_domain(self):
@@ -212,9 +212,9 @@ def _mp_f2(x):
 
 
 # B1(3, 1/3) with the literal kernel (cross term 2*R*cos, not 2*y*R*cos), the
-# value in the distance-kernel record's note, frozen from mpmath.quad on
-# [0, 3] plus mpmath.quadosc on [3, inf) of the same integrand at 50
-# significant digits.
+# reading the distance-kernel record's note rules out, frozen from
+# mpmath.quad on [0, 3] plus mpmath.quadosc on [3, inf) of the same
+# integrand at 50 significant digits.
 LITERAL_KERNEL_B1 = -0.23780093320113677
 
 
@@ -234,8 +234,8 @@ class TestAgainstMpmath:
                 ref = float(-(mp.pi * x / 2) * _mp_f2(x))
                 assert abs(b2_numeric(1.0, x) - ref) <= 1e-12 * max(abs(ref), 1e-2)
 
-    def test_literal_kernel_value(self):
-        literal = oracle._b1_literal_kernel(3.0, 1.0 / 3.0)
+    def test_literal_kernel_value(self, literal_kernel_b1):
+        literal = literal_kernel_b1(3.0, 1.0 / 3.0)
         assert literal == pytest.approx(LITERAL_KERNEL_B1, rel=1e-12, abs=0.0)
 
 
@@ -262,17 +262,6 @@ def _mp_shifted_moment(y, R, weight):
 # functions are the references they are held to.
 
 
-def _mu2_moment(a, b):
-    """integral over mu in [-1, 1] of mu^2 / sqrt(a + b*mu), for 0 <= b <= a.
-
-    The closed antiderivative, rationalised so that nothing cancels:
-    4 (3 + 4a / (a + q)) / (15 (s+ + s-)), with s+- = sqrt(a +- b) and
-    q = s+ s-.
-    """
-    s_plus, s_minus = math.sqrt(a + b), math.sqrt(a - b)
-    return 4.0 * (3.0 + 4.0 * a / (a + s_plus * s_minus)) / (15.0 * (s_plus + s_minus))
-
-
 def _mu2_minus_iso(y, R):
     """integral over mu of (mu^2 - 1/3) / sqrt(y^2 + 2yR mu + R^2).
 
@@ -294,28 +283,22 @@ def _mu2_shifted(y, R):
     return 2.0 / (3.0 * max(y, R)) + _mu2_minus_iso(y, R)
 
 
-def _radial_product(y, omega):
-    """(omega*y*cos - sin) * (cos + omega*y*sin), both at omega*y."""
-    u = omega * y
-    c, s = math.cos(u), math.sin(u)
-    return (u * c - s) * (c + u * s)
-
-
 class TestAngularMoments:
     """The angular moments of the distance kernel against mpmath.quad.
 
-    The literal-kernel moment takes a and b, so its reference takes the same
-    rounded a = y^2 + R^2 and b = 2yR.  The shifted-kernel moments take y and
-    R, and so do their references: rounding a and b first would move the
-    reference by up to 1e-13 near y = R.
+    The literal-kernel moment (``conftest._mu2_moment``) takes a and b, so
+    its reference takes the same rounded a = y^2 + R^2 and b = 2yR.  The
+    shifted-kernel moments take y and R, and so do their references:
+    rounding a and b first would move the reference by up to 1e-13 near
+    y = R.
     """
 
-    def test_mu2_moment(self):
+    def test_mu2_moment(self, mu2_moment):
         with mp.workdps(40):
             for y in MOMENT_YS:
                 a, b = y * y + 1.0, 2.0 * y
                 ref = _mp_moment(a, b, lambda mu: mu * mu)
-                assert abs(_mu2_moment(a, b) - ref) <= 5e-15 * abs(ref)
+                assert abs(mu2_moment(a, b) - ref) <= 5e-15 * abs(ref)
 
     @staticmethod
     def _check_shifted(moment, weight):
@@ -333,12 +316,12 @@ class TestAngularMoments:
         self._check_shifted(_mu2_shifted, lambda mu: mu * mu)
 
     @pytest.mark.parametrize("R, omega", [(1.0, 0.3), (1.0, 5.0), (2.0, 0.5), (3.0, 1.0 / 3.0)])
-    def test_radial_integrands_are_these_moments(self, R, omega):
+    def test_radial_integrands_are_these_moments(self, R, omega, radial_product):
         # The radial integrands write the moments inline; the same head and
         # tail over integrands built from the reference functions agree.
         def integral(weight, prefactor):
             def integrand(y):
-                return prefactor * _radial_product(y, omega) * weight(y) / (y * y)
+                return prefactor * radial_product(y, omega) * weight(y) / (y * y)
 
             return (integrate_adaptive(integrand, 0.0, R)
                     + oscillatory_tail(integrand, R, math.pi / omega))
@@ -347,10 +330,6 @@ class TestAngularMoments:
         b2 = integral(lambda y: _mu2_minus_iso(y, R), 3.0 * math.pi / R**2)
         assert b1_numeric(R, omega) == pytest.approx(b1, rel=1e-14, abs=0.0)
         assert b2_numeric(R, omega) == pytest.approx(b2, rel=1e-14, abs=0.0)
-        if R >= 2.0:  # the literal moment needs y^2 + R^2 >= 2R
-            literal = integral(lambda y: _mu2_moment(y * y + R * R, 2.0 * R),
-                               2.0 * math.pi)
-            assert oracle._b1_literal_kernel(R, omega) == pytest.approx(literal, rel=1e-14, abs=0.0)
 
 
 class TestGaussLegendre:
@@ -548,6 +527,31 @@ class TestVerificationReport:
         assert rec["computed"] == pytest.approx(0.5 - phi / 2, rel=1e-3)
         assert rec["tolerance"] == 1.0 and rec["pass"] is True
 
+    def test_redshift_record_catches_omega_g_over_omega(self, monkeypatch):
+        # omega_g = (1 + phi) / omega agrees with (1 + phi) omega at omega = 1
+        # only; the record takes its splitting at omega = 1.7.
+        build = rates.build_rate_set
+
+        def faulty(atom, env, temperature=0.0):
+            rs = build(atom, env, temperature)
+            fields = [getattr(rs, name) for name in rates.RateSet.__slots__]
+            return rates.RateSet(rs.omega_g / atom.omega**2, *fields[1:])
+
+        monkeypatch.setattr(rates, "build_rate_set", faulty)
+        (rec,) = [r for r in verification_report() if r["name"].startswith("redshift")]
+        assert rec["pass"] is False
+
+    def test_b2_record_at_r_3_catches_a_wrong_power_of_r(self, monkeypatch):
+        # B2 with 3 pi / R^3 for 3 pi / R^2: the grid, at R = 1, cannot tell.
+        monkeypatch.setattr(oracle, "b2_numeric", lambda R, omega: oracle._radial_integral(
+            R, omega, 3.0 * math.pi, r_power=3))
+        failing = [r for r in verification_report() if not r["pass"]]
+        assert [r["name"] for r in failing] == [
+            "B2 scaling in R, quadrature at R=3, omega=1/3 vs closed form"]
+        (rec,) = failing
+        assert rec["tolerance"] == oracle.B2_ABS_FLOOR
+        assert rec["computed"] == pytest.approx(rec["reference"] / 3.0, rel=1e-12)
+
     @pytest.mark.parametrize(
         "coefficients, passes",
         [
@@ -623,7 +627,8 @@ class TestVerificationReport:
         )]
         assert [r["name"] for r in faulty] == [
             *(r["name"] for r in report[:15]), *aborted[:2], "f2 small-x coefficient resolution",
-            "distance-kernel reading resolution", *aborted[2:],
+            "distance-kernel reading resolution",
+            "B2 scaling in R, quadrature at R=3, omega=1/3 vs closed form", *aborted[2:],
         ]
         assert faulty[:15] == report[:15]  # the 14 radial records and the flat-rate record
         clean = {r["name"]: r for r in report}
@@ -658,7 +663,7 @@ class TestVerificationReport:
 
     def test_integrand_calls_stay_bounded(self, monkeypatch):
         # Tails extrapolated by Levin's t-transform stop at 16 or 32
-        # half-periods, so a report takes 10,368 integrand calls.
+        # half-periods, so a report takes 9,984 integrand calls.
         calls = 0
         gauss_panels = oracle._gauss_panels
 
@@ -672,4 +677,4 @@ class TestVerificationReport:
 
         monkeypatch.setattr(oracle, "_gauss_panels", counting)
         assert all(r["pass"] for r in verification_report())
-        assert calls == 10_368
+        assert calls == 9_984

@@ -45,6 +45,9 @@ MUTANTS = (
     # Every oscillatory tail skips its first half-period; the B1/B2 records
     # then miss by 15% or more.
     ("oracle.py", "[a + h * i for i", "[a + h + h * i for i"),
+    # B2's prefactor 3 pi / R^2 read as 3 pi / R^3: the grid has R = 1 only,
+    # so the B2 record at R = 3 fails.
+    ("oracle.py", "3.0 * math.pi, r_power=2", "3.0 * math.pi, r_power=3"),
     # f1 off by 1e-3, 1e-6 and 1e-9 above x = 2, NaN and infinite there, and
     # its Taylor series below.  A NaN or infinite field prints as null.
     ("specfun.py", "return 3.0 + inv2", "return 3.001 + inv2"),
@@ -67,8 +70,11 @@ MUTANTS = (
     # bracket, which turns the detailed-balance check into one failing
     # record, not a usage error; the redshift check after it still runs.
     ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
-    # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).
+    # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).  And
+    # omega_g = (1 + phi) / omega, which the redshift record, at omega = 1.7,
+    # sees as an O(1) miss.
     ("rates.py", "omega_g = (1.0 + env.phi) * atom.omega", "omega_g = (1.0 - env.phi) * atom.omega"),
+    ("rates.py", "omega_g = (1.0 + env.phi) * atom.omega", "omega_g = (1.0 + env.phi) / atom.omega"),
     # The flat rate's prefactor d^2 Omega^3 / (3 pi), d^2 Omega^3 6 pi, and
     # its powers d^3 and Omega^2: the flat-rate record, against the mode
     # sum, fails.  So does the mode sum's octahedron weight 4 pi / 5.
