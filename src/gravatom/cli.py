@@ -166,10 +166,10 @@ def cmd_rates(args) -> int:
     env = _environment(args)
     import json
 
-    from .rates import RateSet, build_rate_set
+    from .rates import build_rate_set
 
     rateset = build_rate_set(atom, env, args.temperature)
-    payload = {k: NUMBER % getattr(rateset, k) for k in RateSet.__slots__}
+    payload = {k: NUMBER % v for k, v in rateset._asdict().items()}
     payload["ratio"] = NUMBER % (rateset.gamma_g / rateset.gamma_flat)
     _write([json.dumps(payload, indent=2, sort_keys=True) + "\n"], args.out)
     return 0

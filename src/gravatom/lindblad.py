@@ -15,9 +15,10 @@ parameter.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import DomainError
-from .model import Record, _check_probability
+from .model import _check_probability
 from .rates import RateSet
 from .specfun import _trig
 
@@ -25,16 +26,17 @@ _TRACE_TOL = 1e-12
 _POSITIVITY_SLACK = 1e-12
 
 
-class DensityMatrix2(Record):
+class DensityMatrix2(namedtuple("DensityMatrix2", ("ee", "gg", "eg"))):
     """2x2 density matrix of one state: populations ``ee``/``gg`` and coherence ``eg``.
 
     ``ge`` is stored implicitly as the conjugate.  Construction validates
     unit trace and positivity; NaN fails every check.
     """
 
-    __slots__ = ("ee", "gg", "eg")
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __init__(self, ee: float, gg: float, eg: complex = 0j):
+    def __new__(cls, ee: float, gg: float, eg: complex = 0j):
         trace_error = abs(ee + gg - 1.0)
         if not trace_error <= _TRACE_TOL:
             raise DomainError(f"trace must be 1, off by up to {trace_error}")
@@ -42,7 +44,7 @@ class DensityMatrix2(Record):
             raise DomainError("populations must be non-negative")
         if not abs(eg) ** 2 - ee * gg <= _POSITIVITY_SLACK:
             raise DomainError("state is not positive semidefinite")
-        super().__init__(ee, gg, eg)
+        return super().__new__(cls, ee, gg, eg)
 
     @classmethod
     def mixed(cls, p_excited: float) -> "DensityMatrix2":

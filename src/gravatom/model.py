@@ -3,14 +3,17 @@
 Natural units throughout (hbar = c = G = 1), so a source of mass M at
 distance R has phi = -M/R.  All closed forms downstream depend only on the
 dimensionless triple (phi, x = R*Omega, sin^2 psi).  ``NUMBER`` is the
-format of every number the command line prints.  ``Record`` is the base of
-every read-only record in the package.
+format of every number the command line prints.  The read-only records of
+the package are ``collections.namedtuple`` classes; those that validate do
+so in ``__new__``, which ``_make``, ``_replace``, copy and pickle (protocol
+2 and later) also call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 
 from .errors import DomainError, RegimeError
 
@@ -21,49 +24,6 @@ PHI_WARN_LIMIT = 0.1
 
 #: Every number printed: 12 significant digits, scientific notation.
 NUMBER = "%.11e"
-
-
-class Record:
-    """Read-only record whose fields are the ``__slots__`` of its class.
-
-    A subclass validates its arguments in ``__init__`` and then passes them,
-    in ``__slots__`` order, to ``Record.__init__``, the one place fields are
-    set.  An instance has no ``__dict__`` and refuses every later assignment
-    or deletion; the class itself stays open to ``setattr``.  Equality, hash,
-    repr and pickling go by the field values.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        # Pickle and copy rebuild through ``__init__``: the default slot
-        # state would be restored by ``setattr``, which refuses.
-        return type(self), self._values()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -109,16 +69,18 @@ def _check_phi(phi: float) -> None:
         )
 
 
-class AtomSpec(Record):
+class AtomSpec(namedtuple("AtomSpec", ("omega", "dipole_mag", "dipole_angle"))):
     """Two-level atom: proper splitting, dipole magnitude and orientation.
 
     ``dipole_angle`` is the angle psi between the effective dipole and the
     radial direction; the rates depend on it only through sin^2 psi.
     """
 
-    __slots__ = ("omega", "dipole_mag", "dipole_angle")
+    __slots__ = ()
+    # namedtuple's own _make, which _replace calls, would skip __new__.
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __init__(self, omega: float, dipole_mag: float = 1.0, dipole_angle: float = 0.0):
+    def __new__(cls, omega: float, dipole_mag: float = 1.0, dipole_angle: float = 0.0):
         _check_finite("omega", omega)
         _check_finite("dipole_mag", dipole_mag)
         if omega <= 0.0:
@@ -126,19 +88,20 @@ class AtomSpec(Record):
         if dipole_mag < 0.0:
             raise DomainError(f"dipole_mag must be >= 0, got {dipole_mag}")
         _check_angle("dipole_angle", dipole_angle)
-        super().__init__(omega, dipole_mag, dipole_angle)
+        return super().__new__(cls, omega, dipole_mag, dipole_angle)
 
     @property
     def sin2psi(self) -> float:
         return math.sin(self.dipole_angle) ** 2
 
 
-class GravityEnv(Record):
+class GravityEnv(namedtuple("GravityEnv", ("phi", "distance"))):
     """Newtonian potential phi <= 0 at the atom and the source distance R."""
 
-    __slots__ = ("phi", "distance")
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __init__(self, phi: float, distance: float):
+    def __new__(cls, phi: float, distance: float):
         _check_distance(distance)
         _check_phi(phi)
         # Warned here only, where the environment is built, so that a command
@@ -150,7 +113,7 @@ class GravityEnv(Record):
                 "are no longer small",
                 stacklevel=2,
             )
-        super().__init__(phi, distance)
+        return super().__new__(cls, phi, distance)
 
 
 def potential_from_source(mass: float, distance: float) -> float:

@@ -9,30 +9,19 @@ model types.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from . import specfun
 from .errors import DegenerateError, DomainError, RegimeError
-from .model import AtomSpec, GravityEnv, Record, _check_temperature
+from .model import AtomSpec, GravityEnv, _check_temperature
 
 
-class RateSet(Record):
-    """Complete generator data for the thermal dissipative evolution.
-
-    ``__slots__`` is the field tuple; ``gravatom rates`` prints each field.
-    """
-
-    __slots__ = (
-        "omega_g", "gamma_flat", "gamma_g", "gamma_plus", "gamma_minus",
-        "gamma_total", "steady_excited",
-    )
-
-    def __init__(
-        self, omega_g: float, gamma_flat: float, gamma_g: float, gamma_plus: float,
-        gamma_minus: float, gamma_total: float, steady_excited: float,
-    ):
-        super().__init__(
-            omega_g, gamma_flat, gamma_g, gamma_plus, gamma_minus, gamma_total, steady_excited
-        )
+#: Complete generator data for the thermal dissipative evolution; ``gravatom
+#: rates`` prints each field.
+RateSet = namedtuple("RateSet", (
+    "omega_g", "gamma_flat", "gamma_g", "gamma_plus", "gamma_minus",
+    "gamma_total", "steady_excited",
+))
 
 
 def flat_rate(dipole_mag: float, omega: float) -> float:

@@ -3,7 +3,9 @@
 Each case runs one small ``rates``/``sweep``/``evolve`` invocation and
 compares its stdout with ``tests/golden/<name>.txt``.  ``verify`` is left
 out on purpose: its quadrature values may move in the last digits when the
-oracle's numerics improve.
+oracle's numerics improve.  `test_goldens_agree_with_mpmath` recomputes
+every number of the non-SVG files from closed forms in mpmath, so that a
+regenerated file cannot hold a wrong number that merely replays.
 
 To regenerate the expected files after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and list the change in
@@ -12,13 +14,18 @@ CHANGES.md.
 
 import io
 import itertools
+import json
+import math
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
-from gravatom.cli import main
+from gravatom.cli import _build_parser, _environment, _initial_excited, main
+from gravatom.model import AtomSpec
+from gravatom.rates import build_rate_set
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -117,6 +124,128 @@ def test_first_difference_names_the_first_differing_line():
     assert _first_difference("a\nx\nc\n", expected) == "line 2: got 'x\\n', expected 'b\\n'"
     assert _first_difference("a\nb\n", expected) == "line 3: got None, expected 'c\\n'"
     assert _first_difference("a\nb\nc", expected) == "line 3: got 'c', expected 'c\\n'"
+
+
+# A printed number is its double rounded to 12 significant digits, so it lies
+# within 0.5 units of the 12th digit of the double; the double in turn lies a
+# few ulps, about 1e-4 units, from the exact value.  0.501 allows both.
+AUDIT_UNITS = 0.501
+
+
+def _dps(x: float) -> int:
+    """Working digits at x: f1 and f2 cancel O(1) terms to O(x^2) below 1 and
+    O(x^3) terms to O(x^2) above, so 2 |log10 x| digits go to cancellation."""
+    return 40 + int(2 * abs(math.log10(x))) + 20 if x > 0.0 else 60
+
+
+def _mp_bracket(x: float, phi, sin2psi):
+    """1 + 7 phi - 2 phi f1(x) + 3 phi sin^2(psi) f2(x), f1 and f2 from their closed forms."""
+    if x == 0.0:
+        return 1 + 7 * phi
+    x = mp.mpf(x)
+    x2 = x * x
+    s2, c2 = mp.sin(2 * x), mp.cos(2 * x)
+    f1 = (1 + x2 * (mp.pi * x + 3) - (1 + x2) * c2 - 2 * x * s2 - 2 * x * x2 * mp.si(2 * x)) / x2
+    f2 = (1 - x * s2 - c2) / x2
+    return 1 + 7 * phi - 2 * phi * f1 + 3 * phi * sin2psi * f2
+
+
+def _mp_phi(args):
+    """The potential of a parsed command line: --phi, or -M/R from --mass."""
+    if args.mass is None:
+        return mp.mpf(args.phi)
+    return -mp.mpf(args.mass) / mp.mpf(args.distance)
+
+
+def _mp_rates(args) -> dict:
+    """Every field `gravatom rates` prints, from the closed forms at the given inputs."""
+    phi, omega = _mp_phi(args), mp.mpf(args.omega)
+    omega_g = (1 + phi) * omega
+    gamma = mp.mpf(args.dipole) ** 2 * omega**3 / (6 * mp.pi)
+    ratio = _mp_bracket(args.distance * args.omega, phi, mp.sin(mp.mpf(args.angle)) ** 2)
+    n_b = 1 / mp.expm1(omega_g / mp.mpf(args.temperature)) if args.temperature else mp.mpf(0)
+    gamma_g = gamma * ratio
+    return {"omega_g": omega_g, "gamma_flat": gamma, "gamma_g": gamma_g, "ratio": ratio,
+            "gamma_plus": n_b * gamma_g, "gamma_minus": (n_b + 1) * gamma_g,
+            "gamma_total": (2 * n_b + 1) * gamma_g, "steady_excited": n_b / (2 * n_b + 1)}
+
+
+def _units_off(text: str, reference) -> float:
+    """|printed - reference| in units of the 12th significant digit of the printed number."""
+    return float(abs(mp.mpf(text) - reference) / mp.mpf(10) ** (int(text.split("e")[1]) - 11))
+
+
+def _audit_rates(args, lines):
+    payload = json.loads("".join(lines))
+    with mp.workdps(_dps(args.distance * args.omega)):
+        reference = _mp_rates(args)
+        assert sorted(payload) == sorted(reference)
+        for key, text in payload.items():
+            yield key, _units_off(text, reference[key])
+
+
+def _audit_sweep(args, lines):
+    # The grid as `cli._sweep_grid` and `rows.sweep_chunks` build it.
+    n = args.points
+    if args.log_grid:
+        start = math.log(args.x_min)
+        step = (math.log(args.x_max) - start) / (n - 1)
+        xs = [math.exp(start + i * step) for i in range(n)]
+    else:
+        start, step = args.x_min, (args.x_max - args.x_min) / (n - 1)
+        xs = [start + i * step for i in range(n)]
+    assert lines[0].startswith("# phi=") and len(lines) == n + 2
+    with mp.workdps(60):
+        yield "phi", _units_off(lines[0][len("# phi="):], _mp_phi(args))
+    for row, x in enumerate(xs, 2):
+        with mp.workdps(_dps(x)):
+            phi = _mp_phi(args)
+            sin2s = (0, 1) if args.angle is None else (mp.sin(mp.mpf(args.angle)) ** 2,)
+            x_text, *ratios = lines[row].split(",")
+            assert len(ratios) == len(sin2s)
+            yield f"line {row + 1} x", _units_off(x_text, mp.mpf(x))
+            for sin2psi, text in zip(sin2s, ratios):
+                yield f"line {row + 1} ratio", _units_off(text, _mp_bracket(x, phi, sin2psi))
+
+
+def _audit_evolve(args, lines):
+    # Row n is the state at t = h n, with h from the library's own Gamma.
+    atom = AtomSpec(args.omega, args.dipole, args.angle)
+    h = args.t_max / build_rate_set(atom, _environment(args), args.temperature).gamma_total
+    h /= args.steps
+    p = _initial_excited(args.initial)
+    assert len(lines) == args.steps + 2
+    with mp.workdps(_dps(args.distance * args.omega)):
+        reference = _mp_rates(args)
+        total, steady = reference["gamma_total"], reference["steady_excited"]
+        for row, line in enumerate(lines[1:], 2):
+            t_text, ee_text, gg_text, eg_text, trace_text, analytic_text = line.split(",")
+            t = h * (row - 2)
+            ee = (p - steady) * mp.exp(-total * t) + steady
+            yield f"line {row} t", _units_off(t_text, mp.mpf(t))
+            yield f"line {row} rho_ee", _units_off(ee_text, ee)
+            yield f"line {row} rho_gg", _units_off(gg_text, 1 - ee)
+            # The state stays diagonal; rho_ee + rho_gg - 1 can only show
+            # rounding; analytic_rho_ee repeats rho_ee.
+            assert eg_text == "0.00000000000e+00", f"line {row}: abs_rho_eg {eg_text}"
+            assert abs(float(trace_text)) <= 2.0**-52, f"line {row}: trace_error {trace_text}"
+            assert analytic_text == ee_text, f"line {row}: analytic_rho_ee {analytic_text}"
+
+
+AUDITS = {"rates": _audit_rates, "sweep": _audit_sweep, "evolve": _audit_evolve}
+
+
+def test_goldens_agree_with_mpmath():
+    """Every number of the non-SVG goldens within AUDIT_UNITS of its closed form in mpmath."""
+    worst = []
+    for name, argv in sorted(CASES.items()):
+        if "svg" in name:
+            continue
+        lines = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8").splitlines()
+        for where, units in AUDITS[argv[0]](_build_parser().parse_args(argv), lines):
+            if units > AUDIT_UNITS:
+                worst.append(f"{name} {where}: {units:.6f} units")
+    assert not worst, worst[:10]
 
 
 if __name__ == "__main__":

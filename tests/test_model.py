@@ -78,12 +78,22 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RECORDS))
+# For each validating record, keyword values its constructor refuses and accepts.
+REPLACEMENTS = {
+    "AtomSpec": ({"omega": -1.0}, {"omega": 2.0}),
+    "GravityEnv": ({"phi": 0.5}, {"distance": 3.0}),
+    "DensityMatrix2": ({"ee": 0.3}, {"eg": 0.1j}),
+}
+
+every_record = pytest.mark.parametrize("name", sorted(RECORDS))
+
+
 class TestRecords:
+    @every_record
     def test_read_only(self, name):
         cls, args = RECORDS[name]
         record = cls(*args)
-        for field, value in zip(cls.__slots__, args):
+        for field, value in zip(cls._fields, args):
             with pytest.raises(AttributeError):
                 setattr(record, field, value)
             with pytest.raises(AttributeError):
@@ -91,23 +101,41 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.extra = 1.0
         assert not hasattr(record, "__dict__")
-        assert tuple(getattr(record, field) for field in cls.__slots__) == args
+        assert tuple(getattr(record, field) for field in cls._fields) == args
 
+    @every_record
     def test_positional_and_keyword_construction(self, name):
         cls, args = RECORDS[name]
         by_position = cls(*args)
-        by_keyword = cls(**dict(zip(cls.__slots__, args)))
+        by_keyword = cls(**dict(zip(cls._fields, args)))
         assert by_position == by_keyword
         assert hash(by_position) == hash(by_keyword)
         assert repr(by_position) == repr(by_keyword)
         assert repr(by_position).startswith(f"{name}(")
 
+    @every_record
     def test_pickle_and_copy(self, name):
         cls, args = RECORDS[name]
         record = cls(*args)
-        assert pickle.loads(pickle.dumps(record)) == record
-        assert copy.copy(record) == record
-        assert copy.deepcopy(record) == record
+        # Records equal plain tuples of their values: the type is checked too.
+        for clone in pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record):
+            assert type(clone) is cls and clone == record
+
+    @pytest.mark.parametrize("name", sorted(REPLACEMENTS))
+    def test_make_and_replace_validate(self, name):
+        cls, args = RECORDS[name]
+        bad, good = REPLACEMENTS[name]
+        record = cls(*args)
+        values = {**record._asdict(), **bad}
+        with pytest.raises(DomainError) as refused:
+            cls(**values)
+        for build in (lambda: record._replace(**bad), lambda: cls._make(values.values())):
+            with pytest.raises(DomainError) as caught:
+                build()
+            assert str(caught.value) == str(refused.value)
+        replaced = record._replace(**good)
+        assert type(replaced) is cls
+        assert replaced == cls(**{**record._asdict(), **good})
 
 
 def test_record_defaults():

@@ -534,7 +534,7 @@ class TestVerificationReport:
 
         def faulty(atom, env, temperature=0.0):
             rs = build(atom, env, temperature)
-            fields = [getattr(rs, name) for name in rates.RateSet.__slots__]
+            fields = [getattr(rs, name) for name in rates.RateSet._fields]
             return rates.RateSet(rs.omega_g / atom.omega**2, *fields[1:])
 
         monkeypatch.setattr(rates, "build_rate_set", faulty)
