@@ -46,8 +46,6 @@ interpreter's collections at exit skip the objects that refcount teardown
 frees anyway.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import gc

@@ -12,8 +12,6 @@ equation and a command-line path that sets it, not a free frequency
 parameter.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

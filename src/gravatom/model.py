@@ -9,8 +9,6 @@ so in ``__new__``, which ``_make``, ``_replace``, copy and pickle (protocol
 2 and later) also call.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from collections import namedtuple

@@ -35,13 +35,11 @@ library or arithmetic error becomes one failing record, and the checks
 after it still run.
 """
 
-from __future__ import annotations
-
 import functools
 import math
+from collections.abc import Callable
 from itertools import accumulate
 from operator import mul
-from typing import Callable
 
 from . import rates as rates_mod
 from . import specfun

@@ -6,8 +6,6 @@ excited population, all assembled by `build_rate_set` from the validated
 model types.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

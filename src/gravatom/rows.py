@@ -12,8 +12,6 @@ rows at a time, each formatted and written as it comes.  `evolve_chunks`
 imports ``lindblad`` when it runs, so ``sweep`` never loads it.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 
@@ -48,10 +46,11 @@ EVOLVE_BLOCK = 8 * ROW_CHUNK
 
 # `format_rows` renders each number into a 20-byte slot of five 4-byte words,
 #   [sign d0 . d1] [d2 d3 d4 d5] [d6 d7 d8 d9] [d10 d11 e esign] [e e e sep],
-# where d0..d11 are the digits of the mantissa m = round(|x| * 10**(11 - e))
-# and e is the decimal exponent.  Bytes left NUL (the sign of a positive
-# number, the hundreds digit of an exponent below 100) are dropped at the
-# end.  The word tables are indexed by digit groups of m and e.
+# where d0..d11 are the digits of the mantissa m = round(|x| * 10**(11 - e)),
+# e is the decimal exponent and sep is the `,` separator.  Bytes left NUL
+# (the sign of a positive number, the hundreds digit of an exponent below
+# 100) are dropped at the end.  The word tables are indexed by digit groups
+# of m and e.
 
 
 def _digits(n: int, width: int) -> np.ndarray:
@@ -100,6 +99,7 @@ def _tables():
     exponent = np.zeros((300, 4), np.uint8)  # [e e e sep], index |e|
     exponent[:, :3] = _digits(300, 3)
     exponent[:100, 0] = 0
+    exponent[:, 3] = ord(",")
     return pow10, _words(head), _words(quad), _words(tail), _words(exponent)
 
 
@@ -117,7 +117,6 @@ def format_rows(columns) -> str:
     # The array temporaries are gone once `_slots` returns, before the text is
     # made: this keeps them out of the peak memory of a chunk.
     slots = _slots(values.ravel()).reshape(values.shape + (20,))
-    slots[..., 19] = ord(",")
     slots[:, -1, 19] = ord("\n")
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -149,7 +148,7 @@ def _scientific(x):
 
 
 def _slots(x) -> np.ndarray:
-    """The 20-byte slots of the 1-d float array ``x``, one row each, separators left NUL."""
+    """The 20-byte slots of the 1-d float array ``x``, one row each, each ending in ``,``."""
     _, head, quad, tail, exponent = _tables()
     m, e, ok = _scientific(x)
     # Digit groups of the integer m < 10**12 by floor division in floats:

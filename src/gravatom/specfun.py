@@ -24,8 +24,6 @@ f1 is 3.0.  The series coefficients are generated by
 ``tools/gen_specfun_tables.py`` into ``_specfun_tables``.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import _specfun_tables as _tables
@@ -47,10 +45,10 @@ def _piecewise(name: str, x, pieces):
     ``pieces`` is a sequence of (upper, kernel) with increasing ``upper``;
     a float x goes, as a Python float, to the kernel of the first ``upper``
     at or above it, and a float is returned.  An int, a numpy scalar or a
-    0-d array is taken as that float.  An array with dimensions gives each
-    kernel the 1-d array of its elements in (previous upper, upper] and
-    nothing else (a kernel is not called for an empty subset), and returns
-    an array of x's shape.
+    0-d array is taken as that float.  An array with dimensions goes through
+    ``numpy.piecewise``: each kernel gets the 1-d array of its elements in
+    (previous upper, upper] and nothing else (a kernel is not called for an
+    empty subset), zeros stay 0, and an array of x's shape is returned.
     """
     if not isinstance(x, (float, int)):
         import numpy as np
@@ -60,15 +58,9 @@ def _piecewise(name: str, x, pieces):
             ok = (x >= 0.0) & (x < math.inf)  # NaN fails both
             if not ok.all():
                 raise DomainError(f"{name} requires finite x >= 0, got {x[~ok].flat[0]}")
-            flat = x.reshape(-1)
-            out = np.zeros_like(flat)
-            lower = 0.0
-            for upper, kernel in pieces:
-                mask = (flat > lower) & (flat <= upper)
-                if np.count_nonzero(mask):
-                    out[mask] = kernel(flat[mask])
-                lower = upper
-            return out.reshape(x.shape)
+            uppers = [upper for upper, _ in pieces]
+            conditions = [(x > lo) & (x <= hi) for lo, hi in zip([0.0] + uppers, uppers)]
+            return np.piecewise(x, conditions, [kernel for _, kernel in pieces])
     value = float(x)
     if not 0.0 <= value < math.inf:  # NaN fails
         raise DomainError(f"{name} requires finite x >= 0, got {value}")

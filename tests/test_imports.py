@@ -155,13 +155,13 @@ CASES = {
 }
 
 
-def _probe(tmp_path, script, *argv):
+def _probe(tmp_path, script, *argv, flags=()):
     """Run ``script`` in a fresh interpreter; return its result and loaded modules."""
     out = tmp_path / "modules.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(out), *argv],
+        [sys.executable, *flags, "-c", script, str(out), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -176,6 +176,15 @@ def test_loaded_modules(case, tmp_path):
     assert got == code
     assert set(loaded) <= modules
     assert not set(absent) & modules
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["rates", "--omega", "1.3", "--phi", "-0.05"]])
+def test_no_typing_or_future_import(argv, tmp_path):
+    # Without `site` (-S) nothing is loaded before the command: a `.pth` file
+    # of an installed package can load `typing` at startup.
+    code, modules = _probe(tmp_path, PROBE, *argv, flags=("-S",))
+    assert code == 0
+    assert not {"typing", "__future__"} & modules
 
 
 def test_float_calls_never_import_numpy(tmp_path):

@@ -159,9 +159,14 @@ class TestArrayCore:
     @pytest.mark.parametrize("fn", FUNCS)
     def test_elements_equal_scalar_calls_bit_for_bit(self, fn):
         xs = np.array(BRANCH_POINTS + np.geomspace(1e-3, 60.0, 97).tolist())
+        scalars = [fn(x) for x in xs.tolist()]
         values = fn(xs)
         assert values.shape == xs.shape
-        assert values.tolist() == [fn(x) for x in xs.tolist()]
+        assert values.tolist() == scalars
+        # A column, the shape `rate_bracket` gets from `sweep_chunks`.
+        column = fn(xs[:, None])
+        assert column.shape == (xs.size, 1)
+        assert column[:, 0].tolist() == scalars
 
     @pytest.mark.parametrize("fn", FUNCS)
     def test_shapes_and_broadcasting(self, fn):

@@ -20,8 +20,6 @@ output depends on nothing but this file, so a fresh run reproduces the
 committed module byte for byte.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -22,8 +22,6 @@ A mutant that ``verify`` misses joins the table together with the record
 that catches it, never with an allowance.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import shutil
