@@ -14,7 +14,7 @@ between flags: ``--phi`` defaults to 0 (``sweep``: -0.05), ``--phi`` and
 ``--omega``.  The handlers read the parsed namespace alone and check only
 values.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
+Exit codes: 0 success, 1 verification failure, 2 a ``DomainError`` or an unwritable ``--out``.
 Outputs are deterministic: every number is ``model.NUMBER`` (``%.11e``), and
 CSV rows come from the vectorised formatter ``rows.format_rows``.  ``sweep``
 and ``evolve`` take the same path: a generator in ``rows``
@@ -65,15 +65,11 @@ from .model import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a ``UsageError``, like every other usage error."""
+    """Reports a bad command line as a ``DomainError``, like every other refused input."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise DomainError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,21 +177,21 @@ def _sweep_grid(args) -> tuple[float, float, int]:
     """
     n = args.points
     if n < 2:
-        raise UsageError("points must be >= 2")
+        raise DomainError("points must be >= 2")
     if n > MAX_POINTS:
-        raise UsageError(f"points must be <= {MAX_POINTS}")
+        raise DomainError(f"points must be <= {MAX_POINTS}")
     x_min, x_max = args.x_min, args.x_max
     _check_finite("x_min", x_min)
     _check_finite("x_max", x_max)
     if not x_min < x_max:
-        raise UsageError("need x_min < x_max")
+        raise DomainError("need x_min < x_max")
     if args.log_grid:
         if x_min <= 0.0:
-            raise UsageError("x_min must be positive for a log grid")
+            raise DomainError("x_min must be positive for a log grid")
         log_min = math.log(x_min)
         return log_min, (math.log(x_max) - log_min) / (n - 1), n
     if x_min < 0.0:
-        raise UsageError("x_min must be >= 0")
+        raise DomainError("x_min must be >= 0")
     return x_min, (x_max - x_min) / (n - 1), n
 
 
@@ -292,8 +288,8 @@ def _initial_excited(name: str) -> float:
         try:
             return float(value)
         except ValueError:
-            raise UsageError(f"mixed:p needs a number p, got {value!r}") from None
-    raise UsageError(f"unknown initial state {name!r}")
+            raise DomainError(f"mixed:p needs a number p, got {value!r}") from None
+    raise DomainError(f"unknown initial state {name!r}")
 
 
 def cmd_evolve(args) -> int:
@@ -354,7 +350,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return handlers[args.mode](args)
-    except (UsageError, GravatomError, OSError) as exc:
+    except (GravatomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: one for each outcome a caller can act on."""
 
 
 class GravatomError(Exception):
@@ -6,15 +6,11 @@ class GravatomError(Exception):
 
 
 class DomainError(GravatomError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """A refused input, command-line arguments included: the command line exits 2 on it."""
 
 
-class RegimeError(GravatomError, ValueError):
+class RegimeError(DomainError):
     """Inputs leave the weak-field regime where the first-order expansion holds."""
-
-
-class DegenerateError(GravatomError, ValueError):
-    """The dissipative generator is degenerate (no dissipation at all)."""
 
 
 class ConvergenceError(GravatomError, RuntimeError):
@@ -27,7 +23,3 @@ class ConvergenceError(GravatomError, RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_bound = error_bound
-
-
-class DivergenceError(ConvergenceError):
-    """Oscillatory-tail contributions failed to decay."""

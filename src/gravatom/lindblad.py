@@ -18,10 +18,9 @@ from collections import namedtuple
 from .errors import DomainError
 from .model import _check_probability
 from .rates import RateSet
-from .specfun import _trig
+from .specfun import _exp
 
-_TRACE_TOL = 1e-12
-_POSITIVITY_SLACK = 1e-12
+_TOL = 1e-12  # the rounding forgiven in the trace, the populations and positivity
 
 
 class DensityMatrix2(namedtuple("DensityMatrix2", ("ee", "gg", "eg"))):
@@ -36,11 +35,11 @@ class DensityMatrix2(namedtuple("DensityMatrix2", ("ee", "gg", "eg"))):
 
     def __new__(cls, ee: float, gg: float, eg: complex = 0j):
         trace_error = abs(ee + gg - 1.0)
-        if not trace_error <= _TRACE_TOL:
+        if not trace_error <= _TOL:
             raise DomainError(f"trace must be 1, off by up to {trace_error}")
-        if not min(ee, gg) >= -_TRACE_TOL:
+        if not min(ee, gg) >= -_TOL:
             raise DomainError("populations must be non-negative")
-        if not abs(eg) ** 2 - ee * gg <= _POSITIVITY_SLACK:
+        if not abs(eg) ** 2 - ee * gg <= _TOL:
             raise DomainError("state is not positive semidefinite")
         return super().__new__(cls, ee, gg, eg)
 
@@ -58,16 +57,18 @@ class DensityMatrix2(namedtuple("DensityMatrix2", ("ee", "gg", "eg"))):
 
 
 def relaxation(rho0: DensityMatrix2, rates: RateSet, t):
-    """(rho_ee, rho_eg) at time t, a float or an array of times, which is not checked.
+    """(rho_ee, rho_eg) at time t, a float or a 1-d array of times, which is not checked.
 
     Populations relax exponentially toward the thermal steady state at rate
-    Gamma; the coherence decays at Gamma/2.  rho_gg is 1 - rho_ee.
+    Gamma; the coherence decays at Gamma/2.  rho_gg is 1 - rho_ee.  Both
+    exponentials are `specfun._exp`, so an array's elements are the float
+    calls bit for bit; a zero coherence stays zero without its exponential.
     """
-    exp = _trig(t).exp
     total = rates.gamma_total
     a_s = rates.steady_excited
-    ee = (rho0.ee - a_s) * exp(-total * t) + a_s
-    return ee, rho0.eg * exp(-0.5 * total * t)
+    ee = (rho0.ee - a_s) * _exp(-total * t) + a_s
+    decay = _exp(-0.5 * total * t) if rho0.eg else 0.0 * ee
+    return ee, rho0.eg * decay
 
 
 def analytic_state(rho0: DensityMatrix2, rates: RateSet, t: float) -> DensityMatrix2:

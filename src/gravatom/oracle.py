@@ -43,7 +43,7 @@ from operator import mul
 
 from . import rates as rates_mod
 from . import specfun
-from .errors import ConvergenceError, DivergenceError, DomainError, GravatomError
+from .errors import ConvergenceError, DomainError, GravatomError
 from .model import AtomSpec, GravityEnv
 
 
@@ -168,7 +168,7 @@ def oscillatory_tail(f: Callable[[float], float], a: float, period: float) -> fl
     difference plus the chunks' rounding floor: a node at y is rounded by
     eps * y, a fraction eps * y / h of the half-period h, so a chunk c_j
     ending at x_(j+1) carries a rounding of about eps |c_j| x_(j+1) / h.
-    Chunk magnitudes that do not decay raise ``DivergenceError``.
+    Chunk magnitudes that do not decay raise ``ConvergenceError`` at once.
     """
     if period <= 0.0:
         raise DomainError(f"period must be positive, got {period}")
@@ -181,7 +181,7 @@ def oscillatory_tail(f: Callable[[float], float], a: float, period: float) -> fl
         head_mag = sum(map(abs, chunks[:quarter])) / quarter + ABS_TOL
         tail_mag = sum(map(abs, chunks[-quarter:])) / quarter
         if tail_mag >= head_mag and tail_mag > 10.0 * ABS_TOL:
-            raise DivergenceError(
+            raise ConvergenceError(
                 "tail contributions do not decay",
                 best_estimate=sum(chunks),
                 error_bound=tail_mag,

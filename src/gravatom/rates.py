@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from . import specfun
-from .errors import DegenerateError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 from .model import AtomSpec, GravityEnv, _check_temperature
 
 
@@ -57,9 +57,9 @@ def build_rate_set(atom: AtomSpec, env: GravityEnv, temperature: float = 0.0) ->
     thermal rates are (n_B gamma_g, (n_B + 1) gamma_g) with n_B taken at
     (omega_g, T), T the distant observer's temperature; by the Tolman
     relation T_local = T / (1 + phi) this equals n_B at the proper splitting
-    and the local temperature.  A negative or non-finite temperature or a
-    rate too large for a double is a DomainError, a negative or NaN
-    bracket a RegimeError, and no dissipation at all a DegenerateError.
+    and the local temperature.  A negative or non-finite temperature, a
+    rate too large for a double or no dissipation at all is a DomainError,
+    and a negative or NaN bracket a RegimeError.
     """
     _check_temperature(temperature)
     x = env.distance * atom.omega
@@ -83,7 +83,7 @@ def build_rate_set(atom: AtomSpec, env: GravityEnv, temperature: float = 0.0) ->
             f"total rate overflows for gamma_plus={gamma_plus}, gamma_minus={gamma_minus}"
         )
     if gamma_total == 0.0:
-        raise DegenerateError("no dissipation: steady state undefined")
+        raise DomainError("no dissipation: steady state undefined")
     return RateSet(
         omega_g=omega_g,
         gamma_flat=gamma,

@@ -13,12 +13,12 @@ imports ``lindblad`` when it runs, so ``sweep`` never loads it.
 """
 
 import functools
-import math
 
 import numpy as np
 
 from .model import NUMBER
 from .rates import rate_bracket
+from .specfun import _exp
 
 #: Rows per chunk in `sweep` and `evolve`: each chunk is one `format_rows`
 #: call and one write.  Enough rows to amortise the per-call cost of the
@@ -190,8 +190,7 @@ def sweep_chunks(grid, log_grid, phi, sin2s):
         # Bit for bit ``start + i * step`` in Python floats.
         xs = start + np.arange(i, min(i + SWEEP_BLOCK, n)) * step
         if log_grid:
-            # math.exp, not np.exp: the two differ by an ulp on some points.
-            xs = np.fromiter(map(math.exp, xs.tolist()), float, xs.size)
+            xs = _exp(xs)  # math.exp, not np.exp, which can differ by an ulp
         ratios = rate_bracket(xs[:, None], phi, sin2s)
         for j in range(0, xs.size, ROW_CHUNK):
             yield xs[j:j + ROW_CHUNK], ratios[j:j + ROW_CHUNK]

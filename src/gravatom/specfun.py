@@ -70,12 +70,21 @@ def _piecewise(name: str, x, pieces):
 
 
 def _trig(x):
-    """The module whose ``sin``, ``cos`` and ``exp`` take x: ``math`` for a float, numpy for an array."""
+    """The module whose ``sin`` and ``cos`` take x: ``math`` for a float, numpy for an array."""
     if isinstance(x, float):
         return math
     import numpy
 
     return numpy
+
+
+def _exp(x):
+    """``math.exp`` of a float or of each element of a 1-d array: numpy's ``exp`` varies by CPU."""
+    if isinstance(x, float):
+        return math.exp(x)
+    import numpy
+
+    return numpy.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
 def _horner(coeffs, t):

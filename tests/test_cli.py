@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravatom import cli, rates, specfun
+from gravatom import cli, errors, rates, specfun
 from gravatom.cli import MAX_STEPS, main
-from gravatom.errors import RegimeError
+from gravatom.errors import DomainError, RegimeError
 from gravatom.lindblad import DensityMatrix2, relaxation
 from gravatom.model import NUMBER, AtomSpec, GravityEnv
 from gravatom.rates import build_rate_set, rate_bracket
@@ -424,7 +424,32 @@ class TestFormat:
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+# One refused input from each raiser outside `model`: (call, message).
+REFUSALS = {
+    "parser": (lambda: cli._build_parser().parse_args(["rates"]),
+               "required: --omega"),
+    "grid": (lambda: cli._sweep_grid(cli._build_parser().parse_args(["sweep", "--points", "1"])),
+             "points must be >= 2"),
+    "initial": (lambda: cli._initial_excited("bogus"), "unknown initial state 'bogus'"),
+    "no-dissipation": (lambda: build_rate_set(AtomSpec(1.0, 0.0, 0.0), GravityEnv(0.0, 1.0)),
+                       "no dissipation: steady state undefined"),
+}
+
+
 class TestUsage:
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refused_input_is_a_domain_error(self, name):
+        """In process too: `DomainError` is the one type `main` maps to exit 2."""
+        call, message = REFUSALS[name]
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_four_error_types(self):
+        assert issubclass(RegimeError, DomainError)
+        defined = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, BaseException)}
+        assert defined == {"GravatomError", "DomainError", "RegimeError", "ConvergenceError"}
+
     @pytest.mark.parametrize(
         "argv",
         [[], ["rates", "--bogus"], ["rates", "--omega", "one"], ["sweep", "--points", "2.5"],

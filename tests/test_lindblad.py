@@ -195,6 +195,20 @@ class TestEvolveTrajectory:
         assert calls == []
 
 
+@pytest.mark.parametrize(
+    "rho0", [DensityMatrix2.superposition(0.3), DensityMatrix2.mixed(0.6)],
+    ids=["coherent", "mixed"],
+)
+def test_array_elements_equal_float_calls_bit_for_bit(rho0):
+    """Both paths take ``math.exp``, so `evolve`'s bytes do not hang on numpy's exp kernel."""
+    rates = make_rates(0.1, 0.9)
+    times = (40.0 / 20000) * np.arange(20001)
+    ee, eg = relaxation(rho0, rates, times)
+    ee_floats, eg_floats = zip(*(relaxation(rho0, rates, t) for t in times.tolist()))
+    assert ee.tobytes() == np.array(ee_floats).tobytes()
+    assert eg.tobytes() == np.array(eg_floats).tobytes()
+
+
 class TestEvolveChunks:
     """The chunks of `evolve_chunks` are bit for bit one `relaxation` call over the grid."""
 

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from gravatom import oracle, rates, specfun
-from gravatom.errors import ConvergenceError, DivergenceError, DomainError, RegimeError
+from gravatom.errors import ConvergenceError, DomainError, RegimeError
 from gravatom.model import AtomSpec, GravityEnv
 from gravatom.oracle import (
     b1_numeric,
@@ -88,7 +88,7 @@ class TestOscillatoryTail:
         assert oscillatory_tail(lambda y: 0.0, 1.0, 1.0) == 0.0
 
     def test_divergent_raises(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(ConvergenceError, match="tail contributions do not decay"):
             oscillatory_tail(lambda y: math.sin(y) * y, 1.0, math.pi)
 
     def test_bad_period(self):

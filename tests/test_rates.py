@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gravatom import specfun
-from gravatom.errors import DegenerateError, DomainError, RegimeError
+from gravatom.errors import DomainError, RegimeError
 from gravatom.model import AtomSpec, GravityEnv
 from gravatom.rates import build_rate_set, flat_rate, rate_bracket
 from gravatom.specfun import bose_occupation, f1, f2
@@ -172,7 +172,7 @@ class TestTotalAndSteady:
         assert rs.steady_excited == pytest.approx(1.0 / 3.0)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateError):
+        with pytest.raises(DomainError, match="no dissipation"):
             rate_set(dipole=0.0)
 
     def test_overflow_rejected(self):

@@ -66,7 +66,8 @@ MUTANTS = (
     # The sign of the f1 term of the bracket: the energy balance and the
     # x = 1000 plateau fail, and `build_rate_set` raises on the negative
     # bracket, which turns the detailed-balance check into one failing
-    # record, not a usage error; the redshift check after it still runs.
+    # record, not a refused input (exit 2); the redshift check after it
+    # still runs.
     ("rates.py", "- 2.0 * phi * specfun.f1(x)", "+ 2.0 * phi * specfun.f1(x)"),
     # The redshift's sign: omega_g misses sqrt(1 + 2 phi) by O(phi).  And
     # omega_g = (1 + phi) / omega, which the redshift record, at omega = 1.7,
